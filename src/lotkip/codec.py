@@ -1,11 +1,18 @@
 """MSDU/MPDU encapsulation for baseline TKIP and the low-overhead variant.
 
+Both modes run one pipeline, owned by `SenderSession` and `ReceiverSession`.
 Seal: the 8-byte Michael tag is appended to the MSDU, the result is split
 into fragments, and every fragment gets its own counter value, its own
 per-packet RC4 seed, and a CRC trailer before encryption.  Open runs the
-checks in a fixed order -- counter parse, replay window, key mixing,
-decrypt, CRC, reassembly, and the Michael verify last -- so that noise and
-replays can never feed the MIC-failure countermeasures.
+checks in a fixed order -- counter resolution, fragment counter continuity,
+replay window, key mixing, decrypt, CRC, reassembly, and the Michael verify
+last -- so that noise, replays and spliced fragments can never feed the
+MIC-failure countermeasures.
+
+`SessionConfig.mode` selects the only three things that differ: the frame
+layout policy (always baseline, or the type A/type B schedule of
+`is_type_a`), whether the Michael header carries the counter of the MSDU's
+first fragment, and which layouts `open` accepts.
 
 Wire layouts (after the MAC header, which is not modeled):
 
@@ -42,6 +49,8 @@ FRAG_THRESHOLD_MAX = 2346
 MIC_BYTES = 8
 ICV_BYTES = 4
 TSC_MAX = (1 << 48) - 1
+# Counter values that share one upper-32-bit value, and so one phase 1 key.
+EPOCH_FRAMES = 1 << 16
 REPLAY_WINDOW_SIZE = 16
 MIC_FAILURE_WINDOW_S = 60.0
 BLACKOUT_S = 60.0
@@ -262,10 +271,6 @@ class ReplayWindow:
             self.recent.remove(min(self.recent))
 
 
-def replay_classify(window: ReplayWindow, tsc: "int | Tsc48") -> Classification:
-    return window.classify(tsc)
-
-
 # ---------------------------------------------------------------------------
 # MIC-failure countermeasures
 # ---------------------------------------------------------------------------
@@ -275,7 +280,7 @@ class CountermeasureState:
     """Tracks Michael failures; two failures less than a minute apart
     suspend traffic for 60 seconds and demand a rekey."""
 
-    failure_times: list[float] = field(default_factory=list)
+    last_failure: Optional[float] = None
     blackout_until: Optional[float] = None
     rekey_required: bool = False
 
@@ -283,9 +288,9 @@ class CountermeasureState:
         return self.blackout_until is not None and now < self.blackout_until
 
     def record_failure(self, now: float) -> bool:
-        triggered = bool(self.failure_times) and \
-            (now - self.failure_times[-1]) < MIC_FAILURE_WINDOW_S
-        self.failure_times.append(now)
+        triggered = self.last_failure is not None and \
+            (now - self.last_failure) < MIC_FAILURE_WINDOW_S
+        self.last_failure = now
         if triggered:
             self.blackout_until = now + BLACKOUT_S
             self.rekey_required = True
@@ -295,15 +300,6 @@ class CountermeasureState:
 # ---------------------------------------------------------------------------
 # Seal/open building blocks
 # ---------------------------------------------------------------------------
-
-def _check_seal_args(msdu: bytes, frag_threshold: int) -> None:
-    if len(msdu) > MSDU_MAX_BYTES:
-        raise OversizeMsdu(f"MSDU of {len(msdu)} bytes exceeds {MSDU_MAX_BYTES}")
-    if not FRAG_THRESHOLD_MIN <= frag_threshold <= FRAG_THRESHOLD_MAX:
-        raise CodecError(
-            f"fragmentation threshold {frag_threshold} outside "
-            f"[{FRAG_THRESHOLD_MIN}, {FRAG_THRESHOLD_MAX}]")
-
 
 def fragment_count(msdu_len: int, frag_threshold: int) -> int:
     """Fragments produced for an MSDU of the given length (tag included)."""
@@ -362,230 +358,35 @@ def _as_frame_list(frames: "MpduFrame | Iterable[MpduFrame]") -> list[MpduFrame]
     return out
 
 
-def _verify_mic(keys: SessionKeys, stream: bytes, sa: bytes, da: bytes,
-                priority: int, iv: Optional[int],
-                cm_state: Optional[CountermeasureState], now: float) -> bytes:
-    if len(stream) < MIC_BYTES:
-        if cm_state is not None:
-            cm_state.record_failure(now)
-        raise MicFailure("reassembled stream shorter than the tag")
-    msdu, tag = stream[:-MIC_BYTES], stream[-MIC_BYTES:]
-    expect = michael_mic(keys.mic_key_rx, MicHeader(sa, da, priority, iv), msdu)
-    if tag != expect:
-        if cm_state is not None:
-            cm_state.record_failure(now)
-        raise MicFailure("Michael tag mismatch")
-    return msdu
-
-
 # ---------------------------------------------------------------------------
-# Baseline TKIP
+# Type A schedule
 # ---------------------------------------------------------------------------
 
-def tkip_seal(keys: SessionKeys, tsc_start: int, sa: bytes, da: bytes,
-              priority: int, msdu: bytes, frag_threshold: int) -> list[MpduFrame]:
-    """Encapsulate one MSDU into baseline frames, counters from tsc_start."""
-    _check_seal_args(msdu, frag_threshold)
-    if tsc_start + fragment_count(len(msdu), frag_threshold) - 1 > TSC_MAX:
-        raise TscExhausted("counter would overflow; rekey required")
-    mic = michael_mic(keys.mic_key_tx, MicHeader(sa, da, priority), msdu)
-    chunks = _chunks(msdu + mic, frag_threshold)
-    cache = _TtakCache()
-    frames = []
-    for offset, chunk in enumerate(chunks):
-        tsc = Tsc48(tsc_start + offset)
-        ttak = cache.get(keys, tsc.high32)
-        frames.append(MpduFrame(FrameLayout.TKIP_BASELINE, keys.key_id,
-                                tsc.low16, tsc.high32,
-                                _seal_body(keys, ttak, tsc, chunk)))
-    return frames
+def is_type_a(rearmed: bool, epoch_changed: bool, since_type_a: int,
+              refresh_interval: int) -> bool:
+    """The low-overhead layout rule for one data frame.
 
-
-def tkip_open(keys: SessionKeys, frames: "MpduFrame | Iterable[MpduFrame]",
-              window: ReplayWindow,
-              cm_state: Optional[CountermeasureState] = None,
-              clock: Optional[Clock] = None, *,
-              sa: bytes, da: bytes, priority: int = 0) -> bytes:
-    """Decapsulate the fragments of one MSDU; raises on the first failed check."""
-    now = clock() if clock is not None else 0.0
-    if cm_state is not None and cm_state.in_blackout(now):
-        raise Blackout("countermeasures active; frame dropped")
-    cache = _TtakCache()
-    chunks = []
-    for frame in _as_frame_list(frames):
-        if frame.layout is not FrameLayout.TKIP_BASELINE:
-            raise MalformedFrame(f"unexpected layout {frame.layout.value}")
-        tsc = frame.tsc
-        if window.classify(tsc) is Classification.REJECT:
-            raise ReplayRejected(f"counter {tsc.value:#014x} rejected")
-        ttak = cache.get(keys, tsc.high32)
-        chunks.append(_open_body(keys, ttak, tsc, frame.body))
-    return _verify_mic(keys, b"".join(chunks), sa, da, priority, None,
-                       cm_state, now)
-
-
-# ---------------------------------------------------------------------------
-# Low-overhead framing
-# ---------------------------------------------------------------------------
-
-class SenderMode(enum.Enum):
-    INITIAL = "initial"      # next data frame must carry the full counter
-    STREAMING = "streaming"
-    PROBING = "probing"      # data stopped, only probe frames go out
-
-
-class ProbeEvent(enum.Enum):
-    ACK_RECEIVED = "ack_received"
-    ACK_TIMEOUT = "ack_timeout"
-
-
-@dataclass
-class LotkipSenderState:
-    """Sender side: counter allocation, the type-A refresh schedule, and the
-    probe/resume mode machine."""
-
-    refresh_interval: int = 256
-    next_tsc: int = 0
-    mode: SenderMode = SenderMode.INITIAL
-    packets_since_refresh: int = 0
-    ttak_cache: _TtakCache = field(default_factory=_TtakCache)
-
-    def __post_init__(self) -> None:
-        if self.refresh_interval < 1:
-            raise ValueError("refresh interval must be positive")
-
-    @property
-    def phase1_calls(self) -> int:
-        return self.ttak_cache.calls
-
-    def _alloc(self) -> Tsc48:
-        if self.next_tsc > TSC_MAX:
-            raise TscExhausted("counter space exhausted; rekey required")
-        tsc = Tsc48(self.next_tsc)
-        self.next_tsc += 1
-        return tsc
-
-
-def probe_cycle(state: LotkipSenderState, event: ProbeEvent) -> LotkipSenderState:
-    """Advance the loss-recovery machine.
-
-    Any ack timeout stops data and enters probing.  An acknowledged probe
-    re-arms the sender so the next data frame is a full-counter type A
-    frame; an ack while already re-armed simply resumes streaming.
+    A frame carries the full counter (type A) when it is the first frame
+    after the sender was (re)armed, when its upper counter bits differ from
+    the previous frame's, or when `since_type_a` -- the frames sent from the
+    last type A frame on, that frame included -- has reached
+    `refresh_interval`; otherwise it is a short type B frame.
     """
-    if event is ProbeEvent.ACK_TIMEOUT:
-        state.mode = SenderMode.PROBING
-    elif state.mode is SenderMode.PROBING:
-        state.mode = SenderMode.INITIAL
-    elif state.mode is SenderMode.INITIAL:
-        state.mode = SenderMode.STREAMING
-    return state
+    return rearmed or epoch_changed or since_type_a >= refresh_interval
 
 
-def lotkip_seal(keys: SessionKeys, state: LotkipSenderState, sa: bytes,
-                da: bytes, priority: int, msdu: bytes,
-                frag_threshold: int) -> list[MpduFrame]:
-    """Encapsulate one MSDU; the tag also covers the 48-bit counter of the
-    MSDU's first fragment, since most frames do not carry its upper bits."""
-    if state.mode is SenderMode.PROBING:
-        raise ProbingActive("sender is probing; data transmission stopped")
-    _check_seal_args(msdu, frag_threshold)
-    if state.next_tsc + fragment_count(len(msdu), frag_threshold) - 1 > TSC_MAX:
-        raise TscExhausted("counter would overflow; rekey required")
-    mic = michael_mic(keys.mic_key_tx,
-                      MicHeader(sa, da, priority, iv=state.next_tsc), msdu)
-    chunks = _chunks(msdu + mic, frag_threshold)
-    frames = []
-    for chunk in chunks:
-        tsc = state._alloc()
-        hi_changed = state.ttak_cache.hi != tsc.high32
-        ttak = state.ttak_cache.get(keys, tsc.high32)
-        type_a = (state.mode is SenderMode.INITIAL or hi_changed
-                  or state.packets_since_refresh >= state.refresh_interval)
-        body = _seal_body(keys, ttak, tsc, chunk)
-        if type_a:
-            frames.append(MpduFrame(FrameLayout.LOTKIP_TYPE_A, keys.key_id,
-                                    tsc.low16, tsc.high32, body))
-            state.packets_since_refresh = 1
-        else:
-            frames.append(MpduFrame(FrameLayout.LOTKIP_TYPE_B, keys.key_id,
-                                    tsc.low16, None, body))
-            state.packets_since_refresh += 1
-        state.mode = SenderMode.STREAMING
-    return frames
+def lotkip_frame_classes(frames: int, refresh_interval: int) -> tuple[int, int, int]:
+    """(epoch-first type A, refresh type A, type B) counts that `is_type_a`
+    gives a stream of `frames` frames from counter 0 with no probing.
 
-
-def make_probe(keys: SessionKeys, state: LotkipSenderState) -> MpduFrame:
-    """A 16-byte keep-alive: full-counter header plus an encrypted
-    fixed zero payload with its check value."""
-    tsc = state._alloc()
-    ttak = state.ttak_cache.get(keys, tsc.high32)
-    body = _seal_body(keys, ttak, tsc, PROBE_PAYLOAD)
-    return MpduFrame(FrameLayout.PROBE, keys.key_id, tsc.low16, tsc.high32, body)
-
-
-@dataclass
-class LotkipReceiverState:
-    """Receiver side: the current upper-counter epoch learned from type A
-    frames, with the phase 1 result cached across the epoch."""
-
-    ttak_cache: _TtakCache = field(default_factory=_TtakCache)
-
-    @property
-    def epoch_hi(self) -> Optional[int]:
-        return self.ttak_cache.hi
-
-    @property
-    def phase1_calls(self) -> int:
-        return self.ttak_cache.calls
-
-
-def _resolve_tsc(receiver: LotkipReceiverState, frame: MpduFrame) -> Tsc48:
-    if frame.tsc_hi is not None:
-        return frame.tsc
-    if receiver.epoch_hi is None:
-        raise NoEpochState("type B frame before any type A frame")
-    return Tsc48((receiver.epoch_hi << 16) | frame.tsc_low)
-
-
-def lotkip_open(keys: SessionKeys, receiver: LotkipReceiverState,
-                frames: "MpduFrame | Iterable[MpduFrame]",
-                window: ReplayWindow,
-                cm_state: Optional[CountermeasureState] = None,
-                clock: Optional[Clock] = None, *,
-                sa: bytes, da: bytes, priority: int = 0) -> Optional[bytes]:
-    """Decapsulate one MSDU (or validate a lone probe, returning None)."""
-    now = clock() if clock is not None else 0.0
-    if cm_state is not None and cm_state.in_blackout(now):
-        raise Blackout("countermeasures active; frame dropped")
-    frame_list = _as_frame_list(frames)
-
-    if frame_list[0].layout is FrameLayout.PROBE:
-        if len(frame_list) != 1:
-            raise MalformedFrame("probe frames are not fragmented")
-        frame = frame_list[0]
-        tsc = frame.tsc
-        if window.classify(tsc) is Classification.REJECT:
-            raise ReplayRejected(f"counter {tsc.value:#014x} rejected")
-        ttak = receiver.ttak_cache.get(keys, tsc.high32)
-        if _open_body(keys, ttak, tsc, frame.body) != PROBE_PAYLOAD:
-            raise MalformedFrame("probe payload mismatch")
-        return None
-
-    chunks = []
-    first_tsc: Optional[Tsc48] = None
-    for frame in frame_list:
-        if frame.layout not in (FrameLayout.LOTKIP_TYPE_A, FrameLayout.LOTKIP_TYPE_B):
-            raise MalformedFrame(f"unexpected layout {frame.layout.value}")
-        tsc = _resolve_tsc(receiver, frame)
-        if window.classify(tsc) is Classification.REJECT:
-            raise ReplayRejected(f"counter {tsc.value:#014x} rejected")
-        ttak = receiver.ttak_cache.get(keys, tsc.high32)
-        chunks.append(_open_body(keys, ttak, tsc, frame.body))
-        if first_tsc is None:
-            first_tsc = tsc
-    return _verify_mic(keys, b"".join(chunks), sa, da, priority,
-                       first_tsc.value, cm_state, now)
+    The refresh count restarts at every epoch change, so an epoch of n
+    frames holds ceil(n / refresh_interval) type A frames.
+    """
+    full, rest = divmod(frames, EPOCH_FRAMES)
+    epochs = full + (rest > 0)
+    type_a = (full * -(-EPOCH_FRAMES // refresh_interval)
+              + -(-rest // refresh_interval))
+    return epochs, type_a - epochs, frames - type_a
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +462,8 @@ class SessionConfig:
 
     The integrity endpoints (sa, da, priority) are part of the tag input and
     must match on both sides; they default to the transmitter address, the
-    broadcast address, and zero.
+    broadcast address, and zero.  The mode, the fragmentation threshold and
+    the refresh interval K are validated here, once for the whole session.
     """
 
     keys: SessionKeys
@@ -675,6 +477,12 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("tkip", "lotkip"):
             raise CodecError(f"mode must be 'tkip' or 'lotkip', got {self.mode!r}")
+        if not FRAG_THRESHOLD_MIN <= self.frag_threshold <= FRAG_THRESHOLD_MAX:
+            raise CodecError(
+                f"fragmentation threshold {self.frag_threshold} outside "
+                f"[{FRAG_THRESHOLD_MIN}, {FRAG_THRESHOLD_MAX}]")
+        if self.refresh_interval < 1:
+            raise CodecError("K must be positive")
         if not self.sa:
             self.sa = self.keys.ta
 
@@ -711,9 +519,6 @@ def parse_session_config(text: str) -> SessionConfig:
         da=_parse_hex(fields["da"], 6, "da") if "da" in fields else b"\xff" * 6,
         priority=int(fields.get("priority", "0")),
     )
-    _check_seal_args(b"", config.frag_threshold)
-    if config.refresh_interval < 1:
-        raise CodecError("K must be positive")
     return config
 
 
@@ -721,40 +526,161 @@ def parse_session_config(text: str) -> SessionConfig:
 # Stateful session endpoints
 # ---------------------------------------------------------------------------
 
+class SenderMode(enum.Enum):
+    INITIAL = "initial"      # next data frame must carry the full counter
+    STREAMING = "streaming"
+    PROBING = "probing"      # data stopped, only probe frames go out
+
+
+class ProbeEvent(enum.Enum):
+    ACK_RECEIVED = "ack_received"
+    ACK_TIMEOUT = "ack_timeout"
+
+
+# Data frame layouts each mode's receiver accepts; a low-overhead receiver
+# also accepts a lone probe.
+_DATA_LAYOUTS = {
+    "tkip": (FrameLayout.TKIP_BASELINE,),
+    "lotkip": (FrameLayout.LOTKIP_TYPE_A, FrameLayout.LOTKIP_TYPE_B),
+}
+
+
 class SenderSession:
-    """Owns the outbound counter (and low-overhead sender state)."""
+    """Owns the outbound counter, the probe/resume mode, the type A refresh
+    count, and the phase 1 cache."""
 
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
         self.next_tsc = 0
-        self.lotkip = LotkipSenderState(refresh_interval=config.refresh_interval)
+        self.probe_mode = SenderMode.INITIAL
+        self.since_type_a = 0
+        self.ttak_cache = _TtakCache()
+
+    def _alloc(self) -> Tsc48:
+        if self.next_tsc > TSC_MAX:
+            raise TscExhausted("counter space exhausted; rekey required")
+        tsc = Tsc48(self.next_tsc)
+        self.next_tsc += 1
+        return tsc
+
+    def _next_frame(self) -> tuple[Tsc48, FrameLayout, tuple]:
+        """Counter, layout and phase 1 key of the next data frame."""
+        cfg = self.config
+        tsc = self._alloc()
+        epoch_changed = self.ttak_cache.hi != tsc.high32
+        ttak = self.ttak_cache.get(cfg.keys, tsc.high32)
+        if cfg.mode == "tkip":
+            layout = FrameLayout.TKIP_BASELINE
+        elif is_type_a(self.probe_mode is SenderMode.INITIAL, epoch_changed,
+                       self.since_type_a, cfg.refresh_interval):
+            layout = FrameLayout.LOTKIP_TYPE_A
+            self.since_type_a = 1
+        else:
+            layout = FrameLayout.LOTKIP_TYPE_B
+            self.since_type_a += 1
+        self.probe_mode = SenderMode.STREAMING
+        return tsc, layout, ttak
 
     def seal(self, msdu: bytes) -> list[MpduFrame]:
+        """Encapsulate one MSDU into frames with consecutive counters.  In
+        LOTKIP mode the tag also covers the 48-bit counter of the MSDU's
+        first fragment, since most frames do not carry its upper bits."""
         cfg = self.config
-        if cfg.mode == "lotkip":
-            return lotkip_seal(cfg.keys, self.lotkip, cfg.sa, cfg.da,
-                               cfg.priority, msdu, cfg.frag_threshold)
-        frames = tkip_seal(cfg.keys, self.next_tsc, cfg.sa, cfg.da,
-                           cfg.priority, msdu, cfg.frag_threshold)
-        self.next_tsc += len(frames)
+        keys = cfg.keys
+        if self.probe_mode is SenderMode.PROBING:
+            raise ProbingActive("sender is probing; data transmission stopped")
+        if len(msdu) > MSDU_MAX_BYTES:
+            raise OversizeMsdu(f"MSDU of {len(msdu)} bytes exceeds {MSDU_MAX_BYTES}")
+        if self.next_tsc + fragment_count(len(msdu), cfg.frag_threshold) - 1 > TSC_MAX:
+            raise TscExhausted("counter would overflow; rekey required")
+        iv = self.next_tsc if cfg.mode == "lotkip" else None
+        mic = michael_mic(keys.mic_key_tx,
+                          MicHeader(cfg.sa, cfg.da, cfg.priority, iv), msdu)
+        frames = []
+        for chunk in _chunks(msdu + mic, cfg.frag_threshold):
+            tsc, layout, ttak = self._next_frame()
+            hi = None if layout is FrameLayout.LOTKIP_TYPE_B else tsc.high32
+            frames.append(MpduFrame(layout, keys.key_id, tsc.low16, hi,
+                                    _seal_body(keys, ttak, tsc, chunk)))
         return frames
+
+    def probe_cycle(self, event: ProbeEvent) -> None:
+        """Advance the loss-recovery machine.
+
+        Any ack timeout stops data and enters probing.  An acknowledged probe
+        re-arms the sender so the next data frame is a full-counter type A
+        frame; an ack while already re-armed simply resumes streaming.
+        """
+        if event is ProbeEvent.ACK_TIMEOUT:
+            self.probe_mode = SenderMode.PROBING
+        elif self.probe_mode is SenderMode.PROBING:
+            self.probe_mode = SenderMode.INITIAL
+        elif self.probe_mode is SenderMode.INITIAL:
+            self.probe_mode = SenderMode.STREAMING
+
+    def make_probe(self) -> MpduFrame:
+        """A 16-byte keep-alive: full-counter header plus an encrypted
+        fixed zero payload with its check value."""
+        keys = self.config.keys
+        tsc = self._alloc()
+        ttak = self.ttak_cache.get(keys, tsc.high32)
+        body = _seal_body(keys, ttak, tsc, PROBE_PAYLOAD)
+        return MpduFrame(FrameLayout.PROBE, keys.key_id, tsc.low16, tsc.high32, body)
 
 
 class ReceiverSession:
-    """Owns the replay window, countermeasure state, and epoch cache."""
+    """Owns the replay window, the countermeasure state, and the phase 1
+    cache, whose upper counter value is the epoch type B frames resolve to."""
 
     def __init__(self, config: SessionConfig, clock: Optional[Clock] = None) -> None:
         self.config = config
         self.clock = clock
         self.window = ReplayWindow()
         self.cm_state = CountermeasureState()
-        self.lotkip = LotkipReceiverState()
+        self.ttak_cache = _TtakCache()
 
     def open(self, frames: "MpduFrame | Iterable[MpduFrame]") -> Optional[bytes]:
+        """Decapsulate the fragments of one MSDU, or validate a lone LOTKIP
+        probe and return None; raises on the first failed check."""
         cfg = self.config
-        if cfg.mode == "lotkip":
-            return lotkip_open(cfg.keys, self.lotkip, frames, self.window,
-                               self.cm_state, self.clock,
-                               sa=cfg.sa, da=cfg.da, priority=cfg.priority)
-        return tkip_open(cfg.keys, frames, self.window, self.cm_state,
-                         self.clock, sa=cfg.sa, da=cfg.da, priority=cfg.priority)
+        keys = cfg.keys
+        now = self.clock() if self.clock is not None else 0.0
+        if self.cm_state.in_blackout(now):
+            raise Blackout("countermeasures active; frame dropped")
+        frame_list = _as_frame_list(frames)
+        probe = cfg.mode == "lotkip" and frame_list[0].layout is FrameLayout.PROBE
+        if probe and len(frame_list) != 1:
+            raise MalformedFrame("probe frames are not fragmented")
+        accepted = (FrameLayout.PROBE,) if probe else _DATA_LAYOUTS[cfg.mode]
+
+        chunks = []
+        for i, frame in enumerate(frame_list):
+            if frame.layout not in accepted:
+                raise MalformedFrame(f"unexpected layout {frame.layout.value}")
+            if frame.tsc_hi is not None:
+                tsc = frame.tsc
+            elif self.ttak_cache.hi is None:
+                raise NoEpochState("type B frame before any type A frame")
+            else:
+                tsc = Tsc48((self.ttak_cache.hi << 16) | frame.tsc_low)
+            if i == 0:
+                first = tsc
+            elif tsc.value != first.value + i:
+                raise MalformedFrame("fragment counters are not consecutive")
+            if self.window.classify(tsc) is Classification.REJECT:
+                raise ReplayRejected(f"counter {tsc.value:#014x} rejected")
+            ttak = self.ttak_cache.get(keys, tsc.high32)
+            chunks.append(_open_body(keys, ttak, tsc, frame.body))
+        if probe:
+            if chunks[0] != PROBE_PAYLOAD:
+                raise MalformedFrame("probe payload mismatch")
+            return None
+
+        stream = b"".join(chunks)
+        msdu, tag = stream[:-MIC_BYTES], stream[-MIC_BYTES:]
+        iv = first.value if cfg.mode == "lotkip" else None
+        if len(stream) < MIC_BYTES or tag != michael_mic(
+                keys.mic_key_rx, MicHeader(cfg.sa, cfg.da, cfg.priority, iv), msdu):
+            self.cm_state.record_failure(now)
+            raise MicFailure("Michael tag mismatch")
+        return msdu

@@ -4,7 +4,6 @@ key mixing, and RC4."""
 from lotkip.crypto.crc32 import crc32_icv, crc32_value
 from lotkip.crypto.keymix import (
     PHASE1_LOOP_COUNT,
-    PHASE2_PASS_COUNT,
     TKIP_SBOX,
     phase1_mix,
     phase2_mix,
@@ -22,7 +21,6 @@ from lotkip.crypto.rc4 import Rc4State, rc4_apply, rc4_ksa
 __all__ = [
     "MicHeader",
     "PHASE1_LOOP_COUNT",
-    "PHASE2_PASS_COUNT",
     "Rc4State",
     "TKIP_SBOX",
     "crc32_icv",

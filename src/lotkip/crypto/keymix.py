@@ -11,9 +11,6 @@ from __future__ import annotations
 
 # Loop bound of the phase 1 mixing loop.
 PHASE1_LOOP_COUNT = 8
-# Phase 2 runs its 12-assignment mixing block this many times.  A single
-# pass keeps the implementation aligned with the cost model constants.
-PHASE2_PASS_COUNT = 1
 
 # Combined substitution table: S(v) = TKIP_SBOX[lo8(v)] ^ byteswap(TKIP_SBOX[hi8(v)]).
 # Invertible as a map on 16-bit values.
@@ -121,19 +118,18 @@ def phase2_mix(ttak: tuple[int, int, int, int, int], tk: bytes, tsc_lo: int) -> 
     p5 = (p4 + _mk16(tsc1, tsc0)) & 0xFFFF
 
     s = tkip_sbox16
-    for i in range(PHASE2_PASS_COUNT):
-        p0 = (p0 + s(p5 ^ _mk16(tk[1], tk[0]))) & 0xFFFF
-        p1 = (p1 + s(p0 ^ _mk16(tk[3], tk[2]))) & 0xFFFF
-        p2 = (p2 + s(p1 ^ _mk16(tk[5], tk[4]))) & 0xFFFF
-        p3 = (p3 + s(p2 ^ _mk16(tk[7], tk[6]))) & 0xFFFF
-        p4 = (p4 + s(p3 ^ _mk16(tk[9], tk[8]))) & 0xFFFF
-        p5 = (p5 + s(p4 ^ _mk16(tk[11], tk[10]))) & 0xFFFF
-        p0 = (p0 + _rotr1(p5 ^ _mk16(tk[13], tk[12]))) & 0xFFFF
-        p1 = (p1 + _rotr1(p0 ^ _mk16(tk[15], tk[14]))) & 0xFFFF
-        p2 = (p2 + _rotr1(p1)) & 0xFFFF
-        p3 = (p3 + _rotr1(p2)) & 0xFFFF
-        p4 = (p4 + _rotr1(p3)) & 0xFFFF
-        p5 = (p5 + _rotr1(p4) + i) & 0xFFFF
+    p0 = (p0 + s(p5 ^ _mk16(tk[1], tk[0]))) & 0xFFFF
+    p1 = (p1 + s(p0 ^ _mk16(tk[3], tk[2]))) & 0xFFFF
+    p2 = (p2 + s(p1 ^ _mk16(tk[5], tk[4]))) & 0xFFFF
+    p3 = (p3 + s(p2 ^ _mk16(tk[7], tk[6]))) & 0xFFFF
+    p4 = (p4 + s(p3 ^ _mk16(tk[9], tk[8]))) & 0xFFFF
+    p5 = (p5 + s(p4 ^ _mk16(tk[11], tk[10]))) & 0xFFFF
+    p0 = (p0 + _rotr1(p5 ^ _mk16(tk[13], tk[12]))) & 0xFFFF
+    p1 = (p1 + _rotr1(p0 ^ _mk16(tk[15], tk[14]))) & 0xFFFF
+    p2 = (p2 + _rotr1(p1)) & 0xFFFF
+    p3 = (p3 + _rotr1(p2)) & 0xFFFF
+    p4 = (p4 + _rotr1(p3)) & 0xFFFF
+    p5 = (p5 + _rotr1(p4)) & 0xFFFF
 
     seed = bytearray(16)
     seed[0] = tsc1

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from lotkip.codec import FrameLayout, overhead_of
+from lotkip.codec import FrameLayout, lotkip_frame_classes, overhead_of
 from lotkip.cost import (
     DEFAULT_ENERGY_PARAMS,
     Case,
@@ -34,7 +34,6 @@ from lotkip.cost import (
 )
 
 MAC_OVERHEAD_BYTES = 34
-EPOCH_PACKETS = 1 << 16
 PACKET_SIZE_MIN = 256
 PACKET_SIZE_MAX = 2312
 DEFAULT_PACKET_SIZES = tuple(range(256, 2049, 256))
@@ -208,20 +207,6 @@ def packet_energy(scheme: str, packet_size: int, hop_count: int,
     if ack_enabled:
         radio += hop_count * (tx_energy(ack_size, params) + rx_energy(ack_size, params))
     return 2.0 * compute + radio
-
-
-def lotkip_frame_classes(packets: int, refresh_interval: int) -> tuple[int, int, int]:
-    """(epoch-first type A, refresh type A, type B) counts for a stream.
-
-    Frame i is type A when i is a multiple of the refresh interval or of the
-    2^16 counter epoch; epoch starts additionally pay the uncached compute.
-    """
-    n_first = -(-packets // EPOCH_PACKETS)
-    n_type_a = -(-packets // refresh_interval)
-    for j in range(n_first):
-        if (j * EPOCH_PACKETS) % refresh_interval != 0:
-            n_type_a += 1
-    return n_first, n_type_a - n_first, packets - n_type_a
 
 
 def _charge_stream(per_node: np.ndarray, path: list[int], count: int,

@@ -16,16 +16,13 @@ from lotkip.codec import (
     CountermeasureState,
     FrameLayout,
     IcvMismatch,
-    LotkipReceiverState,
-    LotkipSenderState,
     MicFailure,
     MpduFrame,
+    ReceiverSession,
     ReplayWindow,
+    SenderSession,
+    SessionConfig,
     SessionKeys,
-    lotkip_open,
-    lotkip_seal,
-    tkip_open,
-    tkip_seal,
 )
 from lotkip.cost import (
     Case,
@@ -68,6 +65,12 @@ def _report(number: int, description: str, failures: list, elapsed: float,
 def _keys(rng: random.Random) -> SessionKeys:
     mic = rng.randbytes(8)
     return SessionKeys(rng.randbytes(16), mic, mic, rng.randbytes(6))
+
+
+def _config(keys: SessionKeys, mode: str = "tkip", refresh: int = 256,
+            threshold: int = 2346) -> SessionConfig:
+    return SessionConfig(keys=keys, mode=mode, refresh_interval=refresh,
+                         frag_threshold=threshold, sa=SA, da=DA)
 
 
 # criterion 1 -----------------------------------------------------------------
@@ -213,20 +216,11 @@ def test_criterion_4_codec_property_suite():
         mode = "lotkip" if group % 2 else "tkip"
         threshold = rng.randrange(256, 2347)
         refresh = rng.randrange(1, 9)
-        sender = LotkipSenderState(refresh_interval=refresh)
-        receiver = LotkipReceiverState()
-        window = ReplayWindow()
-        next_tsc = 0
+        config = _config(keys, mode, refresh, threshold)
+        sender, receiver = SenderSession(config), ReceiverSession(config)
         for _ in range(cases_per_session):
             msdu = _random_msdu(rng)
-            if mode == "tkip":
-                frames = tkip_seal(keys, next_tsc, SA, DA, 0, msdu, threshold)
-                next_tsc += len(frames)
-                got = tkip_open(keys, frames, window, sa=SA, da=DA)
-            else:
-                frames = lotkip_seal(keys, sender, SA, DA, 0, msdu, threshold)
-                got = lotkip_open(keys, receiver, frames, window, sa=SA, da=DA)
-            if got == msdu:
+            if receiver.open(sender.seal(msdu)) == msdu:
                 ok_roundtrips += 1
     if ok_roundtrips != 10_000:
         failures.append(f"round trips: {ok_roundtrips}/10000")
@@ -234,17 +228,18 @@ def test_criterion_4_codec_property_suite():
     # (b) 100% detection of single-bit ciphertext corruption
     detected = 0
     corruptions = 1000
-    keys = _keys(rng)
+    config = _config(_keys(rng))
+    sender = SenderSession(config)
     for i in range(corruptions):
         msdu = rng.randbytes(rng.randrange(1, 160))
-        frame = tkip_seal(keys, i, SA, DA, 0, msdu, 2346)[0]
+        frame = sender.seal(msdu)[0]
         bit = rng.randrange(len(frame.body) * 8)
         body = bytearray(frame.body)
         body[bit // 8] ^= 1 << (bit % 8)
         tampered = MpduFrame(frame.layout, frame.key_id, frame.tsc_low,
                              frame.tsc_hi, bytes(body))
         try:
-            tkip_open(keys, tampered, ReplayWindow(), sa=SA, da=DA)
+            ReceiverSession(config).open(tampered)
         except (IcvMismatch, MicFailure):
             detected += 1
     if detected != corruptions:
@@ -292,16 +287,16 @@ def test_criterion_5_overhead_accounting():
     rng = random.Random(0x0EAD)
     keys = _keys(rng)
 
+    sender = SenderSession(_config(keys))
     for size in (0, 1, 100, 236):
-        frame = tkip_seal(keys, size, SA, DA, 0, bytes(size), 2346)[0]
+        frame = sender.seal(bytes(size))[0]
         if len(frame.raw()) - size != 20:
             failures.append(f"baseline overhead at {size}B: "
                             f"{len(frame.raw()) - size}")
 
     for n, k in [(10, 4), (32, 5), (7, 1), (100, 256), (12, 12)]:
-        sender = LotkipSenderState(refresh_interval=k)
-        frames = [lotkip_seal(keys, sender, SA, DA, 0, bytes(50), 2346)[0]
-                  for _ in range(n)]
+        sender = SenderSession(_config(keys, "lotkip", k))
+        frames = [sender.seal(bytes(50))[0] for _ in range(n)]
         n_a = sum(f.layout is FrameLayout.LOTKIP_TYPE_A for f in frames)
         if n_a != math.ceil(n / k):
             failures.append(f"type-A fraction n={n} K={k}: {n_a}/{n}")

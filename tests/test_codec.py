@@ -1,6 +1,6 @@
-"""Frame codec: header layout, seal/open pipelines, replay window,
-countermeasures, the low-overhead sender/receiver machinery, overhead
-accounting, and the container/config formats."""
+"""Frame codec: header layout, the session seal/open pipeline in both
+modes, replay window, countermeasures, the type A schedule and probe
+machinery, overhead accounting, and the container/config formats."""
 
 import random
 
@@ -12,9 +12,8 @@ from lotkip.codec import (
     CodecError,
     CountermeasureState,
     FrameLayout,
+    EPOCH_FRAMES,
     IcvMismatch,
-    LotkipReceiverState,
-    LotkipSenderState,
     MalformedFrame,
     MicFailure,
     MpduFrame,
@@ -37,16 +36,10 @@ from lotkip.codec import (
     container_to_frames,
     fragment_count,
     frames_to_container,
-    lotkip_open,
-    lotkip_seal,
-    make_probe,
+    lotkip_frame_classes,
     overhead_of,
     parse_frame,
     parse_session_config,
-    probe_cycle,
-    replay_classify,
-    tkip_open,
-    tkip_seal,
 )
 
 from conftest import symmetric_keys
@@ -55,9 +48,16 @@ SA = bytes.fromhex("020202020202")
 DA = bytes.fromhex("030303030303")
 
 
-def seal_open_pair(keys):
-    """(window, opener kwargs) for one-off baseline opens."""
-    return ReplayWindow(), dict(sa=SA, da=DA)
+def config(mode="tkip", keys=None, **fields):
+    fields.setdefault("frag_threshold", 256)
+    return SessionConfig(keys=keys or symmetric_keys(), mode=mode, sa=SA, da=DA,
+                         **fields)
+
+
+def sessions(mode="tkip", keys=None, clock=None, **fields):
+    """Sender and receiver sessions sharing one config."""
+    cfg = config(mode, keys, **fields)
+    return SenderSession(cfg), ReceiverSession(cfg, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +147,16 @@ def test_parse_rejects_malformed():
 # ---------------------------------------------------------------------------
 
 def test_seal_sizes_match_overhead_arithmetic():
-    keys = symmetric_keys()
-    frames = tkip_seal(keys, 0, SA, DA, 0, b"x" * 100, 256)
+    sender, _ = sessions()
+    frames = sender.seal(b"x" * 100)
     assert len(frames) == 1
     # 100 payload + 8 tag + 4 check value + 8 header
     assert len(frames[0].raw()) == 120
 
 
 def test_fragmentation_split():
-    keys = symmetric_keys()
-    frames = tkip_seal(keys, 0, SA, DA, 0, b"y" * 300, 256)
+    sender, _ = sessions()
+    frames = sender.seal(b"y" * 300)
     assert len(frames) == 2
     assert [f.tsc.value for f in frames] == [0, 1]
     # the tag rides at the tail of the stream, split across fragments
@@ -165,88 +165,105 @@ def test_fragmentation_split():
 
 
 def test_round_trip_baseline():
-    keys = symmetric_keys()
-    window = ReplayWindow()
+    sender, receiver = sessions(priority=3, frag_threshold=300)
+    sender.next_tsc = 5
     msdu = bytes(range(256)) * 4
-    frames = tkip_seal(keys, 5, SA, DA, 3, msdu, 300)
-    assert tkip_open(keys, frames, window, sa=SA, da=DA, priority=3) == msdu
+    assert receiver.open(sender.seal(msdu)) == msdu
 
 
 def test_round_trip_empty_msdu():
-    keys = symmetric_keys()
-    frames = tkip_seal(keys, 0, SA, DA, 0, b"", 256)
+    sender, receiver = sessions()
+    frames = sender.seal(b"")
     assert len(frames) == 1
-    assert tkip_open(keys, frames, ReplayWindow(), sa=SA, da=DA) == b""
+    assert receiver.open(frames) == b""
 
 
 def test_mic_key_direction():
     tx_key = bytes(range(8))
     rng = random.Random(5)
-    sender = SessionKeys(rng.randbytes(16), tx_key, bytes(8), rng.randbytes(6))
-    receiver = SessionKeys(sender.tk, bytes(8), tx_key, sender.ta)
-    frames = tkip_seal(sender, 0, SA, DA, 0, b"directional", 256)
-    assert tkip_open(receiver, frames, ReplayWindow(), sa=SA, da=DA) == b"directional"
+    sender_keys = SessionKeys(rng.randbytes(16), tx_key, bytes(8), rng.randbytes(6))
+    receiver_keys = SessionKeys(sender_keys.tk, bytes(8), tx_key, sender_keys.ta)
+    frames = SenderSession(config(keys=sender_keys)).seal(b"directional")
+    receiver = ReceiverSession(config(keys=receiver_keys))
+    assert receiver.open(frames) == b"directional"
 
 
 def test_seal_argument_validation():
-    keys = symmetric_keys()
+    sender, _ = sessions()
     with pytest.raises(OversizeMsdu):
-        tkip_seal(keys, 0, SA, DA, 0, bytes(2305), 256)
+        sender.seal(bytes(2305))
+    # session-wide settings are checked once, when the config is built
     with pytest.raises(CodecError):
-        tkip_seal(keys, 0, SA, DA, 0, b"x", 255)
+        config(frag_threshold=255)
     with pytest.raises(CodecError):
-        tkip_seal(keys, 0, SA, DA, 0, b"x", 2347)
+        config(frag_threshold=2347)
+    with pytest.raises(CodecError):
+        config("lotkip", refresh_interval=0)
+
+
+def _check_exhaustion(mode):
+    sender, _ = sessions(mode)
+    sender.next_tsc = TSC_MAX
+    with pytest.raises(TscExhausted):
+        sender.seal(bytes(300))                     # second fragment past the end
+    # last usable counter value still seals
+    assert sender.seal(b"z")[0].tsc.value == TSC_MAX
+    with pytest.raises(TscExhausted):
+        sender.seal(b"z")
 
 
 def test_tsc_exhaustion():
-    keys = symmetric_keys()
-    # last usable counter value still seals
-    frames = tkip_seal(keys, TSC_MAX, SA, DA, 0, b"z", 256)
-    assert frames[0].tsc.value == TSC_MAX
-    with pytest.raises(TscExhausted):
-        tkip_seal(keys, TSC_MAX, SA, DA, 0, bytes(300), 256)
-    with pytest.raises(TscExhausted):
-        tkip_seal(keys, TSC_MAX + 1, SA, DA, 0, b"z", 256)
+    _check_exhaustion("tkip")
 
 
 def test_lotkip_tsc_exhaustion():
-    keys = symmetric_keys()
-    state = LotkipSenderState(next_tsc=TSC_MAX + 1)
-    with pytest.raises(TscExhausted):
-        lotkip_seal(keys, state, SA, DA, 0, b"x", 256)
-    last = LotkipSenderState(next_tsc=TSC_MAX)
-    assert lotkip_seal(keys, last, SA, DA, 0, b"x", 256)[0].tsc.value == TSC_MAX
+    _check_exhaustion("lotkip")
 
 
 def test_open_pipeline_order_replay_before_decrypt():
-    keys = symmetric_keys()
-    frames = tkip_seal(keys, 9, SA, DA, 0, b"payload", 256)
-    window = ReplayWindow()
-    assert tkip_open(keys, frames, window, sa=SA, da=DA) == b"payload"
+    sender, receiver = sessions()
+    sender.next_tsc = 9
+    frames = sender.seal(b"payload")
+    assert receiver.open(frames) == b"payload"
     # replayed frame with a corrupted body: the replay check fires first,
     # so no integrity accounting can be poisoned
-    cm = CountermeasureState()
     corrupt = MpduFrame(frames[0].layout, frames[0].key_id, frames[0].tsc_low,
                         frames[0].tsc_hi, b"\x00" * len(frames[0].body))
     with pytest.raises(ReplayRejected):
-        tkip_open(keys, corrupt, window, cm, lambda: 0.0, sa=SA, da=DA)
-    assert cm.failure_times == []
+        receiver.open(corrupt)
+    assert receiver.cm_state.last_failure is None
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_spliced_fragments_rejected_before_mic(mode):
+    # fragment 0 of one genuine MSDU with fragment 1 of another: each piece
+    # passes its check value, so only the counter gap can stop it before
+    # the Michael check feeds the countermeasures
+    sender, receiver = sessions(mode)
+    msdus = [sender.seal(bytes([i]) * 300) for i in range(4)]
+    assert all(len(frames) == 2 for frames in msdus)
+    for first, second in ((0, 1), (2, 3)):
+        with pytest.raises(MalformedFrame):
+            receiver.open([msdus[first][0], msdus[second][1]])
+    cm = receiver.cm_state
+    assert cm.last_failure is None
+    assert cm.blackout_until is None
+    assert not cm.rekey_required
 
 
 def test_single_bit_corruption_detected(rng):
-    keys = symmetric_keys()
-    window = ReplayWindow()
+    sender, receiver = sessions()
     for tsc in range(0, 40):
         msdu = rng.randbytes(rng.randrange(1, 200))
-        frames = tkip_seal(keys, tsc * 10, SA, DA, 0, msdu, 256)
-        frame = frames[0]
+        sender.next_tsc = tsc * 10
+        frame = sender.seal(msdu)[0]
         bit = rng.randrange(len(frame.body) * 8)
         body = bytearray(frame.body)
         body[bit // 8] ^= 1 << (bit % 8)
         tampered = MpduFrame(frame.layout, frame.key_id, frame.tsc_low,
                              frame.tsc_hi, bytes(body))
         with pytest.raises((IcvMismatch, MicFailure)):
-            tkip_open(keys, tampered, window, sa=SA, da=DA)
+            receiver.open(tampered)
 
 
 def test_corruption_confirmed_by_crc_reference():
@@ -255,7 +272,8 @@ def test_corruption_confirmed_by_crc_reference():
     from lotkip.reference import ref_crc32_bytes, ref_rc4
     from lotkip.crypto import phase1_mix, phase2_mix
     keys = symmetric_keys()
-    frame = tkip_seal(keys, 0, SA, DA, 0, b"known corruption target", 256)[0]
+    sender, receiver = sessions(keys=keys)
+    frame = sender.seal(b"known corruption target")[0]
     body = bytearray(frame.body)
     body[5] ^= 0x10
     seed = phase2_mix(phase1_mix(keys.tk, keys.ta, 0), keys.tk, 0)
@@ -264,25 +282,28 @@ def test_corruption_confirmed_by_crc_reference():
     tampered = MpduFrame(frame.layout, frame.key_id, frame.tsc_low,
                          frame.tsc_hi, bytes(body))
     with pytest.raises(IcvMismatch):
-        tkip_open(keys, tampered, ReplayWindow(), sa=SA, da=DA)
+        receiver.open(tampered)
 
 
 def test_wrong_mic_key_fails_after_icv_passes():
     keys = symmetric_keys()
     other = SessionKeys(keys.tk, keys.mic_key_tx, bytes(8), keys.ta)
-    frames = tkip_seal(keys, 0, SA, DA, 0, b"check order", 256)
-    cm = CountermeasureState()
+    frames = SenderSession(config(keys=keys)).seal(b"check order")
+    receiver = ReceiverSession(config(keys=other), clock=lambda: 1.0)
     with pytest.raises(MicFailure):
-        tkip_open(other, frames, ReplayWindow(), cm, lambda: 1.0, sa=SA, da=DA)
-    assert cm.failure_times == [1.0]
+        receiver.open(frames)
+    assert receiver.cm_state.last_failure == 1.0
 
 
 def test_open_rejects_foreign_layout():
-    keys = symmetric_keys()
-    state = LotkipSenderState()
-    frames = lotkip_seal(keys, state, SA, DA, 0, b"m", 256)
+    lotkip_sender, lotkip_receiver = sessions("lotkip")
+    tkip_sender, tkip_receiver = sessions("tkip")
     with pytest.raises(MalformedFrame):
-        tkip_open(keys, frames, ReplayWindow(), sa=SA, da=DA)
+        tkip_receiver.open(lotkip_sender.seal(b"m"))
+    with pytest.raises(MalformedFrame):
+        tkip_receiver.open(lotkip_sender.make_probe())
+    with pytest.raises(MalformedFrame):
+        lotkip_receiver.open(tkip_sender.seal(b"m"))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +312,13 @@ def test_open_rejects_foreign_layout():
 
 def test_replay_spec_cases():
     window = ReplayWindow()
-    assert replay_classify(window, 5) is Classification.ACCEPT
+    assert window.classify(5) is Classification.ACCEPT
 
     full = ReplayWindow(recent=list(range(10, 26)))
-    assert replay_classify(full, 7) is Classification.REJECT
+    assert full.classify(7) is Classification.REJECT
 
     gap = ReplayWindow(recent=[v for v in range(10, 26) if v != 18])
-    assert replay_classify(gap, 18) is Classification.WINDOW
+    assert gap.classify(18) is Classification.WINDOW
     assert 18 in gap.recent
 
 
@@ -384,18 +405,19 @@ def test_countermeasure_triggers_iff_failures_close():
 
 
 def test_blackout_blocks_then_resumes():
-    keys = symmetric_keys()
-    cm = CountermeasureState()
+    now = 30.0
+    sender, receiver = sessions(clock=lambda: now)
+    cm = receiver.cm_state
     cm.record_failure(0.0)
     cm.record_failure(10.0)
     assert cm.in_blackout(69.9)
-    frames = tkip_seal(keys, 0, SA, DA, 0, b"later", 256)
+    frames = sender.seal(b"later")
     with pytest.raises(Blackout):
-        tkip_open(keys, frames, ReplayWindow(), cm, lambda: 30.0, sa=SA, da=DA)
+        receiver.open(frames)
     # resumes 60 s after the second failure
     assert not cm.in_blackout(70.0)
-    assert tkip_open(keys, frames, ReplayWindow(), cm, lambda: 70.0,
-                     sa=SA, da=DA) == b"later"
+    now = 70.0
+    assert receiver.open(frames) == b"later"
 
 
 # ---------------------------------------------------------------------------
@@ -403,119 +425,117 @@ def test_blackout_blocks_then_resumes():
 # ---------------------------------------------------------------------------
 
 def test_lotkip_refresh_pattern_k2():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=2)
-    layouts = [lotkip_seal(keys, state, SA, DA, 0, b"m", 256)[0].layout
-               for _ in range(6)]
+    sender, _ = sessions("lotkip", refresh_interval=2)
+    layouts = [sender.seal(b"m")[0].layout for _ in range(6)]
     expect = [FrameLayout.LOTKIP_TYPE_A, FrameLayout.LOTKIP_TYPE_B] * 3
     assert layouts == expect
 
 
 def test_lotkip_refresh_indices_k4():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=4)
-    frames = [lotkip_seal(keys, state, SA, DA, 0, b"m", 256)[0]
-              for _ in range(10)]
+    sender, _ = sessions("lotkip", refresh_interval=4)
+    frames = [sender.seal(b"m")[0] for _ in range(10)]
     a_indices = [i for i, f in enumerate(frames)
                  if f.layout is FrameLayout.LOTKIP_TYPE_A]
     assert a_indices == [0, 4, 8]
 
 
+@pytest.mark.parametrize("refresh", [1, 3, 999, EPOCH_FRAMES, 70_000])
+def test_type_a_schedule_matches_closed_form(refresh):
+    # the sender's own per-frame layout step (counter, epoch change, refresh
+    # count), minus the crypto, against the closed form the network
+    # simulation charges, at every length of a stream that crosses two
+    # epoch boundaries
+    sender = SenderSession(config("lotkip", refresh_interval=refresh))
+    first = refreshed = 0
+    mismatched = []
+    for n in range(1, 2 * EPOCH_FRAMES + 1000):
+        tsc, layout, _ = sender._next_frame()
+        if tsc.low16 == 0:
+            first += layout is FrameLayout.LOTKIP_TYPE_A
+        else:
+            refreshed += layout is FrameLayout.LOTKIP_TYPE_A
+        if lotkip_frame_classes(n, refresh) != (first, refreshed,
+                                                n - first - refreshed):
+            mismatched.append(n)
+    assert first == 3
+    assert mismatched == []
+
+
 def test_lotkip_frame_sizes():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=256)
-    sizes = [len(lotkip_seal(keys, state, SA, DA, 0, b"p" * 100, 256)[0].raw())
-             for _ in range(3)]
+    sender, _ = sessions("lotkip", refresh_interval=256)
+    sizes = [len(sender.seal(b"p" * 100)[0].raw()) for _ in range(3)]
     assert sizes == [120, 116, 116]
 
 
 def test_lotkip_round_trip_with_caching():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=8)
-    receiver = LotkipReceiverState()
-    window = ReplayWindow()
+    sender, receiver = sessions("lotkip", refresh_interval=8)
     for i in range(20):
         msdu = bytes([i]) * (i * 13 % 300)
-        frames = lotkip_seal(keys, state, SA, DA, 0, msdu, 256)
-        assert lotkip_open(keys, receiver, frames, window, sa=SA, da=DA) == msdu
+        assert receiver.open(sender.seal(msdu)) == msdu
     # one epoch, one phase-1 run on each side
-    assert state.phase1_calls == 1
-    assert receiver.phase1_calls == 1
+    assert sender.ttak_cache.calls == 1
+    assert receiver.ttak_cache.calls == 1
 
 
 def test_lotkip_type_b_needs_no_phase1():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=64)
-    receiver = LotkipReceiverState()
-    window = ReplayWindow()
-    lotkip_open(keys, receiver,
-                lotkip_seal(keys, state, SA, DA, 0, b"a", 256), window,
-                sa=SA, da=DA)
-    calls_after_type_a = receiver.phase1_calls
-    frames = lotkip_seal(keys, state, SA, DA, 0, b"b", 256)
+    sender, receiver = sessions("lotkip", refresh_interval=64)
+    receiver.open(sender.seal(b"a"))
+    calls_after_type_a = receiver.ttak_cache.calls
+    frames = sender.seal(b"b")
     assert frames[0].layout is FrameLayout.LOTKIP_TYPE_B
-    lotkip_open(keys, receiver, frames, window, sa=SA, da=DA)
-    assert receiver.phase1_calls == calls_after_type_a
+    receiver.open(frames)
+    assert receiver.ttak_cache.calls == calls_after_type_a
 
 
 def test_lotkip_rollover_emits_type_a_and_round_trips():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=10_000, next_tsc=0xFFFE)
-    receiver = LotkipReceiverState()
-    window = ReplayWindow()
+    sender, receiver = sessions("lotkip", refresh_interval=10_000)
+    sender.next_tsc = 0xFFFE
     layouts = []
     for i in range(4):
-        frames = lotkip_seal(keys, state, SA, DA, 0, bytes([i]) * 32, 256)
+        frames = sender.seal(bytes([i]) * 32)
         layouts.append(frames[0].layout)
-        assert lotkip_open(keys, receiver, frames, window,
-                           sa=SA, da=DA) == bytes([i]) * 32
+        assert receiver.open(frames) == bytes([i]) * 32
     # counters 0xFFFE, 0xFFFF, 0x10000, 0x10001: the epoch change forces A
     assert layouts[2] is FrameLayout.LOTKIP_TYPE_A
     assert layouts[3] is FrameLayout.LOTKIP_TYPE_B
-    assert state.phase1_calls == 2
-    assert receiver.phase1_calls == 2
+    assert sender.ttak_cache.calls == 2
+    assert receiver.ttak_cache.calls == 2
 
 
 def test_lotkip_type_b_first_raises():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=64)
-    lotkip_seal(keys, state, SA, DA, 0, b"a", 256)          # type A, dropped
-    frames = lotkip_seal(keys, state, SA, DA, 0, b"b", 256)  # type B
+    sender, receiver = sessions("lotkip", refresh_interval=64)
+    sender.seal(b"a")                               # type A, dropped
+    frames = sender.seal(b"b")                      # type B
     with pytest.raises(NoEpochState):
-        lotkip_open(keys, LotkipReceiverState(), frames, ReplayWindow(),
-                    sa=SA, da=DA)
+        receiver.open(frames)
 
 
 def test_lotkip_mic_covers_counter():
     # shifting a type A frame to another counter must break the tag even
     # though body decryption is re-done accordingly
     keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=64)
-    frames = lotkip_seal(keys, state, SA, DA, 0, b"bound to counter", 2346)
-    frame = frames[0]
+    sender, receiver = sessions("lotkip", keys, refresh_interval=64,
+                                frag_threshold=2346)
+    frame = sender.seal(b"bound to counter")[0]
     # re-seal the same plaintext chunk under the next counter by hand:
     # decrypt, then re-encrypt at tsc+1
     from lotkip.crypto import phase2_mix, rc4_apply
-    ttak = state.ttak_cache.ttak
+    ttak = sender.ttak_cache.ttak
     plain = rc4_apply(phase2_mix(ttak, keys.tk, frame.tsc_low), frame.body)
     moved_tsc = Tsc48(frame.tsc.value + 1)
     moved_body = rc4_apply(phase2_mix(ttak, keys.tk, moved_tsc.low16), plain)
     moved = MpduFrame(FrameLayout.LOTKIP_TYPE_A, frame.key_id,
                       moved_tsc.low16, moved_tsc.high32, moved_body)
     with pytest.raises(MicFailure):
-        lotkip_open(keys, LotkipReceiverState(), moved, ReplayWindow(),
-                    sa=SA, da=DA)
+        receiver.open(moved)
 
 
 def test_lotkip_fragmented_round_trip():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=3)
-    receiver = LotkipReceiverState()
-    window = ReplayWindow()
+    sender, receiver = sessions("lotkip", refresh_interval=3)
     msdu = bytes(range(256)) * 5
-    frames = lotkip_seal(keys, state, SA, DA, 0, msdu, 256)
+    frames = sender.seal(msdu)
     assert len(frames) > 1
-    assert lotkip_open(keys, receiver, frames, window, sa=SA, da=DA) == msdu
+    assert receiver.open(frames) == msdu
 
 
 # ---------------------------------------------------------------------------
@@ -523,50 +543,42 @@ def test_lotkip_fragmented_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_probe_cycle_transitions():
-    state = LotkipSenderState()
-    state.mode = SenderMode.STREAMING
-    probe_cycle(state, ProbeEvent.ACK_TIMEOUT)
-    assert state.mode is SenderMode.PROBING
-    probe_cycle(state, ProbeEvent.ACK_TIMEOUT)
-    assert state.mode is SenderMode.PROBING
-    probe_cycle(state, ProbeEvent.ACK_RECEIVED)
-    assert state.mode is SenderMode.INITIAL
-    probe_cycle(state, ProbeEvent.ACK_RECEIVED)
-    assert state.mode is SenderMode.STREAMING
-    probe_cycle(state, ProbeEvent.ACK_RECEIVED)
-    assert state.mode is SenderMode.STREAMING
+    sender, _ = sessions("lotkip")
+    sender.probe_mode = SenderMode.STREAMING
+    sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+    assert sender.probe_mode is SenderMode.PROBING
+    sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+    assert sender.probe_mode is SenderMode.PROBING
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    assert sender.probe_mode is SenderMode.INITIAL
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    assert sender.probe_mode is SenderMode.STREAMING
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    assert sender.probe_mode is SenderMode.STREAMING
 
 
 def test_probing_blocks_data_and_resume_is_type_a():
-    keys = symmetric_keys()
-    state = LotkipSenderState(refresh_interval=64)
-    receiver = LotkipReceiverState()
-    window = ReplayWindow()
+    sender, receiver = sessions("lotkip", refresh_interval=64)
     for _ in range(3):
-        lotkip_open(keys, receiver,
-                    lotkip_seal(keys, state, SA, DA, 0, b"d", 256),
-                    window, sa=SA, da=DA)
-    probe_cycle(state, ProbeEvent.ACK_TIMEOUT)
+        receiver.open(sender.seal(b"d"))
+    sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
     with pytest.raises(ProbingActive):
-        lotkip_seal(keys, state, SA, DA, 0, b"blocked", 256)
-    probe = make_probe(keys, state)
+        sender.seal(b"blocked")
+    probe = sender.make_probe()
     assert len(probe.raw()) == 16
-    assert lotkip_open(keys, receiver, probe, window, sa=SA, da=DA) is None
-    probe_cycle(state, ProbeEvent.ACK_RECEIVED)
-    frames = lotkip_seal(keys, state, SA, DA, 0, b"resumed", 256)
+    assert receiver.open(probe) is None
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    frames = sender.seal(b"resumed")
     assert frames[0].layout is FrameLayout.LOTKIP_TYPE_A
-    assert lotkip_open(keys, receiver, frames, window, sa=SA, da=DA) == b"resumed"
+    assert receiver.open(frames) == b"resumed"
 
 
 def test_probe_replay_rejected():
-    keys = symmetric_keys()
-    state = LotkipSenderState()
-    window = ReplayWindow()
-    receiver = LotkipReceiverState()
-    probe = make_probe(keys, state)
-    assert lotkip_open(keys, receiver, probe, window, sa=SA, da=DA) is None
+    sender, receiver = sessions("lotkip")
+    probe = sender.make_probe()
+    assert receiver.open(probe) is None
     with pytest.raises(ReplayRejected):
-        lotkip_open(keys, receiver, probe, window, sa=SA, da=DA)
+        receiver.open(probe)
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +597,20 @@ def test_overhead_values():
 
 
 def test_overhead_identity_by_byte_counting():
-    keys = symmetric_keys()
     # single-fragment stream: on-air bytes == payload + per-frame ledger total
-    state = LotkipSenderState(refresh_interval=4)
+    sender, _ = sessions("lotkip", refresh_interval=4)
     n = 10
     total = 0
     for _ in range(n):
-        frame = lotkip_seal(keys, state, SA, DA, 0, b"q" * 64, 256)[0]
+        frame = sender.seal(b"q" * 64)[0]
         total += len(frame.raw()) - 64
     n_a = -(-n // 4)
     assert total == 20 * n_a + 16 * (n - n_a)
 
 
 def test_overhead_multi_fragment_accounting():
-    keys = symmetric_keys()
     msdu = bytes(1000)
-    frames = tkip_seal(keys, 0, SA, DA, 0, msdu, 256)
+    frames = sessions()[0].seal(msdu)
     on_air = sum(len(f.raw()) for f in frames)
     headers = sum(len(f.header()) for f in frames)
     # one 8-byte tag per MSDU, one 4-byte check value per fragment
@@ -612,16 +622,14 @@ def test_overhead_multi_fragment_accounting():
 # ---------------------------------------------------------------------------
 
 def test_container_round_trip():
-    keys = symmetric_keys()
-    frames = tkip_seal(keys, 0, SA, DA, 0, bytes(600), 256)
+    frames = sessions()[0].seal(bytes(600))
     blob = frames_to_container(frames)
     parsed = container_to_frames(blob)
     assert [f.raw() for f in parsed] == [f.raw() for f in frames]
 
 
 def test_container_truncation_rejected():
-    keys = symmetric_keys()
-    blob = frames_to_container(tkip_seal(keys, 0, SA, DA, 0, b"x", 256))
+    blob = frames_to_container(sessions()[0].seal(b"x"))
     with pytest.raises(MalformedFrame):
         container_to_frames(blob[:-1])
     with pytest.raises(MalformedFrame):

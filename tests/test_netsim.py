@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lotkip.codec import FrameLayout
+from lotkip.codec import FrameLayout, lotkip_frame_classes
 from lotkip.cost import Case, rx_energy, tkip_energy, tx_energy
 from lotkip.netsim import (
     DEFAULT_PACKET_SIZES,
@@ -19,7 +19,6 @@ from lotkip.netsim import (
     frame_bytes,
     generate_topology,
     link_decide,
-    lotkip_frame_classes,
     packet_energy,
     parse_scenario_config,
     route,
@@ -186,10 +185,11 @@ def test_lotkip_frame_classes():
     n_first, n_refresh, n_b = lotkip_frame_classes(70_000, 256)
     assert n_first == 2
     assert n_first + n_refresh == math.ceil(70_000 / 256)
-    # epoch start not aligned with the refresh schedule adds one type A
+    # the refresh count restarts at the epoch change: the sender sends
+    # ceil(65536 / 999) + ceil(4464 / 999) type A frames
     n_first, n_refresh, n_b = lotkip_frame_classes(70_000, 999)
     assert n_first == 2
-    assert n_first + n_refresh == math.ceil(70_000 / 999) + 1
+    assert n_first + n_refresh == 71
 
 
 def _small_traffic(**kw):
