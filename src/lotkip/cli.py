@@ -80,6 +80,14 @@ def _load_session(args: argparse.Namespace) -> codec.SessionConfig:
     return config
 
 
+def _msdu_bytes(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= codec.MSDU_MAX_BYTES:
+        raise argparse.ArgumentTypeError(
+            f"must be in 1..{codec.MSDU_MAX_BYTES}, got {value}")
+    return value
+
+
 def _split_msdus(data: bytes, msdu_bytes: int) -> list[bytes]:
     if not data:
         return [b""]
@@ -241,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file ('-' for stdout)")
         p.add_argument("--mode", choices=("tkip", "lotkip"),
                        help="override the config's mode")
-        p.add_argument("--msdu-bytes", type=int, default=DEFAULT_MSDU_BYTES,
-                       dest="msdu_bytes",
+        p.add_argument("--msdu-bytes", type=_msdu_bytes,
+                       default=DEFAULT_MSDU_BYTES, dest="msdu_bytes",
                        help="input chunking unit (default %(default)s)")
         p.set_defaults(func=func)
 

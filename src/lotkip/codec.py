@@ -462,8 +462,9 @@ class SessionConfig:
 
     The integrity endpoints (sa, da, priority) are part of the tag input and
     must match on both sides; they default to the transmitter address, the
-    broadcast address, and zero.  The mode, the fragmentation threshold and
-    the refresh interval K are validated here, once for the whole session.
+    broadcast address, and zero.  The mode, the fragmentation threshold, the
+    refresh interval K and the priority are validated here, once for the
+    whole session.
     """
 
     keys: SessionKeys
@@ -483,43 +484,61 @@ class SessionConfig:
                 f"[{FRAG_THRESHOLD_MIN}, {FRAG_THRESHOLD_MAX}]")
         if self.refresh_interval < 1:
             raise CodecError("K must be positive")
+        if not 0 <= self.priority <= 0xFF:
+            raise CodecError(f"priority must be in 0..255, got {self.priority}")
         if not self.sa:
             self.sa = self.keys.ta
 
 
-def parse_session_config(text: str) -> SessionConfig:
-    """Parse key=value lines; '#' starts a comment."""
+def parse_key_values(text: str, known: Iterable[str],
+                     error: type[Exception]) -> dict[str, str]:
+    """Parse key=value lines; '#' starts a comment.  A line without '=' or
+    a key outside ``known`` raises ``error``."""
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CodecError(f"config line {lineno}: expected key=value")
+            raise error(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    unknown = set(fields) - set(known)
+    if unknown:
+        raise error(f"unknown config fields: {', '.join(sorted(unknown))}")
+    return fields
 
+
+_SESSION_FIELDS = ("tk", "mic_key_tx", "mic_key_rx", "ta", "key_id", "mode",
+                   "K", "frag_threshold", "sa", "da", "priority")
+
+
+def parse_session_config(text: str) -> SessionConfig:
+    """Parse a session config of key=value lines; '#' starts a comment."""
+    fields = parse_key_values(text, _SESSION_FIELDS, CodecError)
     missing = [k for k in ("tk", "mic_key_tx", "mic_key_rx", "ta") if k not in fields]
     if missing:
         raise CodecError(f"config missing required fields: {', '.join(missing)}")
 
-    keys = SessionKeys(
-        tk=_parse_hex(fields["tk"], 16, "tk"),
-        mic_key_tx=_parse_hex(fields["mic_key_tx"], 8, "mic_key_tx"),
-        mic_key_rx=_parse_hex(fields["mic_key_rx"], 8, "mic_key_rx"),
-        ta=_parse_hex(fields["ta"], 6, "ta"),
-        key_id=int(fields.get("key_id", "0")),
-    )
-    config = SessionConfig(
-        keys=keys,
-        mode=fields.get("mode", "tkip"),
-        refresh_interval=int(fields.get("K", "256")),
-        frag_threshold=int(fields.get("frag_threshold", str(FRAG_THRESHOLD_MAX))),
-        sa=_parse_hex(fields["sa"], 6, "sa") if "sa" in fields else b"",
-        da=_parse_hex(fields["da"], 6, "da") if "da" in fields else b"\xff" * 6,
-        priority=int(fields.get("priority", "0")),
-    )
-    return config
+    try:
+        keys = SessionKeys(
+            tk=_parse_hex(fields["tk"], 16, "tk"),
+            mic_key_tx=_parse_hex(fields["mic_key_tx"], 8, "mic_key_tx"),
+            mic_key_rx=_parse_hex(fields["mic_key_rx"], 8, "mic_key_rx"),
+            ta=_parse_hex(fields["ta"], 6, "ta"),
+            key_id=int(fields.get("key_id", "0")),
+        )
+        return SessionConfig(
+            keys=keys,
+            mode=fields.get("mode", "tkip"),
+            refresh_interval=int(fields.get("K", "256")),
+            frag_threshold=int(fields.get("frag_threshold", str(FRAG_THRESHOLD_MAX))),
+            sa=_parse_hex(fields["sa"], 6, "sa") if "sa" in fields else b"",
+            da=_parse_hex(fields["da"], 6, "da") if "da" in fields else b"\xff" * 6,
+            priority=int(fields.get("priority", "0")),
+        )
+    except ValueError as exc:
+        raise CodecError(f"invalid session config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

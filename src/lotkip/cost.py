@@ -1,7 +1,7 @@
 """Symbolic operation-count and energy cost model for the TKIP pipeline.
 
 Costs are tallies of byte-wise primitive operations (AND, OR, SHIFT, MEM,
-ROT, SWAP, SUB), each weighted at one CPU cycle by default.  The key-mixing
+ROT, SWAP, SUB), each counted as one CPU cycle.  The key-mixing
 model distinguishes Case 1 (phase 1 recomputed for every packet) from
 Case 2 (phase 1 cached across a counter epoch).
 
@@ -59,32 +59,9 @@ class OpCounts:
             self.t_sub * factor,
         )
 
-    def total(self, weights: "CostWeights | None" = None) -> int | float:
-        if weights is None:
-            return (self.t_and + self.t_or + self.t_shift + self.t_mem
-                    + self.t_rot + self.t_swap + self.t_sub)
-        return (self.t_and * weights.w_and + self.t_or * weights.w_or
-                + self.t_shift * weights.w_shift + self.t_mem * weights.w_mem
-                + self.t_rot * weights.w_rot + self.t_swap * weights.w_swap
-                + self.t_sub * weights.w_sub)
-
-
-@dataclass(frozen=True)
-class CostWeights:
-    """Cycles per primitive operation; all one on the reference device."""
-
-    w_and: float = 1
-    w_or: float = 1
-    w_shift: float = 1
-    w_mem: float = 1
-    w_rot: float = 1
-    w_swap: float = 1
-    w_sub: float = 1
-
-    def __post_init__(self) -> None:
-        for name in ("w_and", "w_or", "w_shift", "w_mem", "w_rot", "w_swap", "w_sub"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    def total(self) -> int:
+        return (self.t_and + self.t_or + self.t_shift + self.t_mem
+                + self.t_rot + self.t_swap + self.t_sub)
 
 
 @dataclass(frozen=True)
@@ -121,7 +98,11 @@ def mic_cycles(m: int) -> OpCounts:
 
 
 def crc_cycles(m: int) -> OpCounts:
-    """Table-method CRC cost: (4m+2) AND + (2m+1) OR + m SHIFT + m MEM."""
+    """Table-method CRC cost: (4m+2) AND + (2m+1) OR + m SHIFT + m MEM.
+
+    This counts the paper's 256-entry table method on its 8-bit device, not
+    the production path, which calls zlib.
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
     return OpCounts(t_and=4 * m + 2, t_or=2 * m + 1, t_shift=m, t_mem=m)

@@ -1,7 +1,7 @@
 """Byte-exact TKIP primitives: Michael MIC, CRC-32 ICV, two-phase per-packet
 key mixing, and RC4."""
 
-from lotkip.crypto.crc32 import crc32_icv, crc32_value
+from lotkip.crypto.crc32 import crc32_icv
 from lotkip.crypto.keymix import (
     PHASE1_LOOP_COUNT,
     TKIP_SBOX,
@@ -16,15 +16,13 @@ from lotkip.crypto.michael import (
     michael_mic,
     michael_pad,
 )
-from lotkip.crypto.rc4 import Rc4State, rc4_apply, rc4_ksa
+from lotkip.crypto.rc4 import rc4_apply, rc4_ksa
 
 __all__ = [
     "MicHeader",
     "PHASE1_LOOP_COUNT",
-    "Rc4State",
     "TKIP_SBOX",
     "crc32_icv",
-    "crc32_value",
     "michael_block",
     "michael_key_words",
     "michael_mic",

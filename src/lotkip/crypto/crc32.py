@@ -1,36 +1,17 @@
-"""CRC-32 integrity check value via the 256-entry table method.
+"""CRC-32 integrity check value.
 
 Parameters are the standard 802.11 FCS/WEP-ICV set: polynomial 0x04C11DB7
 in reflected form 0xEDB88320, initial register 0xFFFFFFFF, final XOR
-0xFFFFFFFF, little-endian output.
+0xFFFFFFFF, little-endian output.  These are exactly zlib's CRC-32
+parameters, so zlib computes it; the bitwise oracle in ``lotkip.reference``
+is checked against this.
 """
 
 from __future__ import annotations
 
-_POLY_REFLECTED = 0xEDB88320
-
-
-def _build_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY_REFLECTED if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-CRC_TABLE = _build_table()
-
-
-def crc32_value(data: bytes) -> int:
-    table = CRC_TABLE
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+import zlib
 
 
 def crc32_icv(data: bytes) -> bytes:
     """The 4-byte trailer appended to each fragment before encryption."""
-    return crc32_value(data).to_bytes(4, "little")
+    return zlib.crc32(data).to_bytes(4, "little")

@@ -8,6 +8,7 @@ stream always ends in exactly one all-zero word.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 _M32 = 0xFFFFFFFF
@@ -49,14 +50,14 @@ def michael_pad(message: bytes) -> list[int]:
     buf.append(0x5A)
     buf.extend(b"\x00" * (-len(buf) % 4))
     buf.extend(b"\x00\x00\x00\x00")
-    return [int.from_bytes(buf[i:i + 4], "little") for i in range(0, len(buf), 4)]
+    return list(struct.unpack(f"<{len(buf) // 4}I", buf))
 
 
 def michael_key_words(key: bytes) -> tuple[int, int]:
     """Split the 8-byte key into its two little-endian 32-bit words."""
     if len(key) != 8:
         raise ValueError(f"Michael key must be 8 bytes, got {len(key)}")
-    return int.from_bytes(key[:4], "little"), int.from_bytes(key[4:], "little")
+    return struct.unpack("<2I", key)
 
 
 @dataclass(frozen=True)

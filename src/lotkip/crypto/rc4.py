@@ -3,36 +3,11 @@
 from __future__ import annotations
 
 
-class Rc4State:
-    """Cipher state: a 256-byte permutation plus the two stream indices.
+def rc4_ksa(key: bytes) -> list[int]:
+    """Standard 256-iteration key schedule; the key must be 1..256 bytes.
 
-    Mutable and single-owner; each apply() call advances the keystream.
+    Returns the scheduled permutation of 0..255.
     """
-
-    __slots__ = ("s", "i", "j")
-
-    def __init__(self, s: list[int], i: int = 0, j: int = 0) -> None:
-        self.s = s
-        self.i = i
-        self.j = j
-
-    def apply(self, data: bytes) -> bytes:
-        s = self.s
-        i = self.i
-        j = self.j
-        out = bytearray(len(data))
-        for k, byte in enumerate(data):
-            i = (i + 1) & 0xFF
-            j = (j + s[i]) & 0xFF
-            s[i], s[j] = s[j], s[i]
-            out[k] = byte ^ s[(s[i] + s[j]) & 0xFF]
-        self.i = i
-        self.j = j
-        return bytes(out)
-
-
-def rc4_ksa(key: bytes) -> Rc4State:
-    """Standard 256-iteration key schedule; the key must be 1..256 bytes."""
     if not 1 <= len(key) <= 256:
         raise ValueError(f"RC4 key length must be in 1..256, got {len(key)}")
     s = list(range(256))
@@ -41,17 +16,18 @@ def rc4_ksa(key: bytes) -> Rc4State:
     for i in range(256):
         j = (j + s[i] + key[i % klen]) & 0xFF
         s[i], s[j] = s[j], s[i]
-    return Rc4State(s)
+    return s
 
 
-def rc4_apply(state_or_key: Rc4State | bytes, data: bytes) -> bytes:
-    """XOR data with the keystream; encryption and decryption are the same.
-
-    A bytes argument is scheduled fresh, so the call is a pure function of
-    (key, data); an Rc4State argument is advanced in place.
-    """
-    if isinstance(state_or_key, Rc4State):
-        state = state_or_key
-    else:
-        state = rc4_ksa(state_or_key)
-    return state.apply(data)
+def rc4_apply(key: bytes, data: bytes) -> bytes:
+    """XOR data with the keystream of a freshly scheduled key; encryption
+    and decryption are the same pure function of (key, data)."""
+    s = rc4_ksa(key)
+    i = j = 0
+    out = bytearray(len(data))
+    for k, byte in enumerate(data):
+        i = (i + 1) & 0xFF
+        j = (j + s[i]) & 0xFF
+        s[i], s[j] = s[j], s[i]
+        out[k] = byte ^ s[(s[i] + s[j]) & 0xFF]
+    return bytes(out)

@@ -23,7 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from lotkip.codec import FrameLayout, lotkip_frame_classes, overhead_of
+from lotkip.codec import (
+    FrameLayout,
+    lotkip_frame_classes,
+    overhead_of,
+    parse_key_values,
+)
 from lotkip.cost import (
     DEFAULT_ENERGY_PARAMS,
     Case,
@@ -354,22 +359,10 @@ def emit_series(results: "SimResult | list[SimResult]") -> str:
 def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfig]:
     """Parse key=value lines into one topology config per requested placement
     plus the traffic config; '#' starts a comment."""
-    fields: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"scenario line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-
-    known = {"nodes", "area_w", "area_h", "placement", "R", "alpha", "P_list",
-             "packets", "scenarios", "scheme", "K", "ack", "seed"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ScenarioError(f"unknown scenario fields: {', '.join(sorted(unknown))}")
-
+    fields = parse_key_values(
+        text, ("nodes", "area_w", "area_h", "placement", "R", "alpha", "P_list",
+               "packets", "scenarios", "scheme", "K", "ack", "seed"),
+        ScenarioError)
     seed = int(fields.get("seed", "1"))
     placement = fields.get("placement", "grid")
     placements = ("grid", "random") if placement == "both" else (placement,)

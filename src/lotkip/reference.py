@@ -2,12 +2,13 @@
 
 Every primitive here is a second, deliberately separate expression of the
 algorithms in ``lotkip.crypto``: the CRC is computed bit-by-bit from the
-polynomial instead of by table, RC4 is a keystream generator instead of an
-in-place buffer cipher, the key-mixing substitution table is rebuilt from
-GF(2^8) arithmetic instead of embedded literals, and Michael is a
-straight-line transcription.  The test suite and the ``lotkip vectors``
-command compare the production code against these byte-for-byte; none of
-this module is imported by the production code paths.
+polynomial and checked against zlib, which the production code calls; RC4
+is a keystream generator instead of an in-place buffer cipher; the
+key-mixing substitution table is rebuilt from GF(2^8) arithmetic instead of
+embedded literals; and Michael is a straight-line transcription. The test
+suite and the ``lotkip vectors`` command compare the production code
+against these byte-for-byte; none of this module is imported by the
+production code paths.
 """
 
 from __future__ import annotations

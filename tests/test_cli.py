@@ -189,12 +189,31 @@ def test_vectors_detect_tampering(tmp_path, capsys):
     assert main(["vectors", "--dir", str(tmp_path)]) == 0
 
 
-def test_unknown_flags_rejected():
+def test_unknown_flags_rejected(tmp_path, session_file):
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--bogus"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"x")
+    for command, msdu_bytes in (("seal", "0"), ("open", "-5"), ("seal", "2305")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", session_file(), "--in", str(payload),
+                  "--out", str(tmp_path / "o.bin"), "--msdu-bytes", msdu_bytes])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["k = 5", "K = x", "key_id = 7", "priority = 300"])
+def test_seal_rejects_bad_session_config(tmp_path, session_file, capsys, line):
+    cfg = Path(session_file())
+    cfg.write_text(cfg.read_text() + line + "\n")
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"payload")
+    assert main(["seal", "--config", str(cfg), "--in", str(payload),
+                 "--out", str(tmp_path / "s.bin")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CodecError: ")
 
 
 def test_missing_files_exit_nonzero(tmp_path, capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lotkip.codec import (
+    PROBE_PAYLOAD,
     Blackout,
     Classification,
     CodecError,
@@ -40,6 +41,14 @@ from lotkip.codec import (
     overhead_of,
     parse_frame,
     parse_session_config,
+)
+
+from lotkip.reference import (
+    ref_crc32_bytes,
+    ref_michael_mic,
+    ref_phase1,
+    ref_phase2,
+    ref_rc4,
 )
 
 from conftest import symmetric_keys
@@ -677,6 +686,9 @@ def test_parse_session_config_errors():
         parse_session_config(base + "K = 0\n")
     with pytest.raises(CodecError):
         parse_session_config(base + "garbage line\n")
+    for line in ("k = 5", "K = x", "key_id = 7", "priority = 300"):
+        with pytest.raises(CodecError):
+            parse_session_config(base + line + "\n")
     assert parse_session_config(base).mode == "tkip"
 
 
@@ -697,3 +709,50 @@ def test_fragment_count_helper():
     assert fragment_count(300, 256) == 2
     assert fragment_count(0, 256) == 1
     assert fragment_count(2304, 256) == 10
+
+
+# ---------------------------------------------------------------------------
+# Sealed frames against the reference primitives
+# ---------------------------------------------------------------------------
+
+def _ref_frame_parts(keys, tsc: int, plain: bytes) -> tuple[bytes, bytes]:
+    """The WEP IV bytes and body the reference derives for one fragment."""
+    seed = ref_phase2(ref_phase1(keys.tk, keys.ta, tsc >> 16), keys.tk, tsc & 0xFFFF)
+    return seed[:3], ref_rc4(seed, plain + ref_crc32_bytes(plain))
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_sealed_frames_match_reference(rng, mode):
+    lotkip = mode == "lotkip"
+    for frag_threshold in (256, 2346):
+        for k in (1, 3):
+            sender, _ = sessions(mode, priority=5, frag_threshold=frag_threshold,
+                                 refresh_interval=k)
+            cfg = sender.config
+            keys = cfg.keys
+            for start in (0, EPOCH_FRAMES - 3):     # the second run crosses an epoch
+                sender.next_tsc = start
+                for _ in range(4):
+                    msdu = rng.randbytes(rng.randrange(700))
+                    msdu_tsc = sender.next_tsc
+                    mic = ref_michael_mic(keys.mic_key_tx, cfg.sa, cfg.da, cfg.priority,
+                                          msdu_tsc if lotkip else None, msdu)
+                    stream = msdu + mic
+                    frames = sender.seal(msdu)
+                    assert len(frames) == fragment_count(len(msdu), frag_threshold)
+                    for i, frame in enumerate(frames):
+                        tsc = msdu_tsc + i
+                        chunk = stream[i * frag_threshold:(i + 1) * frag_threshold]
+                        iv, body = _ref_frame_parts(keys, tsc, chunk)
+                        assert frame.tsc_low == tsc & 0xFFFF
+                        assert frame.tsc_hi in (None, tsc >> 16)
+                        assert frame.raw()[:3] == iv
+                        assert frame.body == body
+            assert sender.next_tsc > EPOCH_FRAMES
+            if lotkip:
+                tsc = sender.next_tsc
+                probe = sender.make_probe()
+                assert probe.layout is FrameLayout.PROBE
+                assert (probe.tsc_low, probe.tsc_hi) == (tsc & 0xFFFF, tsc >> 16)
+                assert (probe.raw()[:3], probe.body) == \
+                    _ref_frame_parts(keys, tsc, PROBE_PAYLOAD)

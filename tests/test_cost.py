@@ -5,7 +5,6 @@ import pytest
 
 from lotkip.cost import (
     Case,
-    CostWeights,
     DEFAULT_ENERGY_PARAMS,
     EnergyModelParams,
     OpCounts,
@@ -191,10 +190,7 @@ def test_opcounts_arithmetic():
     b = OpCounts(t_and=3, t_swap=4)
     assert a + b == OpCounts(t_and=4, t_or=2, t_swap=4)
     assert a.scaled(3) == OpCounts(t_and=3, t_or=6)
-    weights = CostWeights(w_and=2, w_or=0.5)
-    assert a.total(weights) == 3.0
-    with pytest.raises(ValueError):
-        CostWeights(w_mem=-1)
+    assert a.total() == 3
     with pytest.raises(ValueError):
         EnergyModelParams(cycle_energy=-0.1)
 

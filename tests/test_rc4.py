@@ -1,9 +1,9 @@
 """RC4: known keystream vectors, permutation and involution properties,
-state handling, and random equivalence against the reference generator."""
+key limits, and random equivalence against the reference generator."""
 
 import pytest
 
-from lotkip.crypto import Rc4State, rc4_apply, rc4_ksa
+from lotkip.crypto import rc4_apply, rc4_ksa
 from lotkip.reference import ref_rc4
 
 
@@ -15,16 +15,7 @@ def test_known_vectors():
 
 def test_ksa_produces_permutation(rng):
     for _ in range(50):
-        state = rc4_ksa(rng.randbytes(rng.randrange(1, 64)))
-        assert sorted(state.s) == list(range(256))
-        assert state.i == 0 and state.j == 0
-
-
-def test_permutation_preserved_during_stream(rng):
-    state = rc4_ksa(b"sample key")
-    for _ in range(16):
-        state.apply(rng.randbytes(32))
-        assert sorted(state.s) == list(range(256))
+        assert sorted(rc4_ksa(rng.randbytes(rng.randrange(1, 64)))) == list(range(256))
 
 
 def test_involution(rng):
@@ -35,11 +26,7 @@ def test_involution(rng):
 
 
 def test_empty_data_leaves_state_untouched():
-    state = rc4_ksa(b"k")
-    snapshot = list(state.s)
-    assert state.apply(b"") == b""
-    assert state.i == 0 and state.j == 0
-    assert state.s == snapshot
+    assert rc4_apply(b"k", b"") == b""
 
 
 def test_key_length_limits():
@@ -47,22 +34,9 @@ def test_key_length_limits():
         rc4_ksa(b"")
     with pytest.raises(ValueError):
         rc4_ksa(bytes(257))
+    with pytest.raises(ValueError):
+        rc4_apply(b"", b"data")
     rc4_ksa(bytes(256))  # upper bound allowed
-
-
-def test_chunked_apply_equals_single_apply():
-    one = rc4_ksa(b"chunky").apply(bytes(64))
-    state = rc4_ksa(b"chunky")
-    two = state.apply(bytes(20)) + state.apply(bytes(44))
-    assert one == two
-
-
-def test_state_argument_advances():
-    state = rc4_ksa(b"advance")
-    first = rc4_apply(state, bytes(8))
-    second = rc4_apply(state, bytes(8))
-    assert first != second
-    assert rc4_apply(b"advance", bytes(16)) == first + second
 
 
 def test_matches_reference_on_random_inputs(rng):
@@ -70,9 +44,3 @@ def test_matches_reference_on_random_inputs(rng):
         key = rng.randbytes(rng.randrange(1, 48))
         data = rng.randbytes(rng.randrange(256))
         assert rc4_apply(key, data) == ref_rc4(key, data)
-
-
-def test_state_constructor_roundtrip():
-    src = rc4_ksa(b"copy")
-    clone = Rc4State(list(src.s), src.i, src.j)
-    assert clone.apply(bytes(16)) == src.apply(bytes(16))
