@@ -2,12 +2,17 @@
 
 Stations are placed on a grid or uniformly at random; two stations at
 distance d are linked deterministically when d <= alpha*R, never when
-d > R, and with probability (R - d) / (R - alpha*R) in between (one draw
-per unordered pair).  Traffic scenarios pick random connected
-source/destination pairs, push a stream of fixed-size packets along the
-min-hop route, and charge every node its compute energy (encrypt at the
-source, decrypt at the destination -- forwarders only relay) plus the
-linear radio transmit/receive cost of each hop.
+d > R, and with probability (R - d) / (R - alpha*R) in between.  Only
+pairs in that uncertain band draw: one batched draw per band pair, in
+i<j row-major order, so the links equal those of `link_decide` called
+pair by pair.  Topology generation holds arrays over all n(n-1)/2 pairs
+and an n x n adjacency matrix, so its memory grows as O(n^2).
+
+Traffic scenarios pick random connected source/destination pairs, push a
+stream of fixed-size packets along the min-hop route, and charge every
+node its compute energy (encrypt at the source, decrypt at the
+destination -- forwarders only relay) plus the linear radio
+transmit/receive cost of each hop.
 
 Scenario randomness is derived from (seed, scenario index) only, so the
 same scenarios are replayed for every packet size and both encryption
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,8 +71,10 @@ class TopologyConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.placement not in ("grid", "random"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.radio_range <= 0:
+        if not self.radio_range > 0:
             raise ValueError("radio_range must be positive")
+        if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
+            raise ValueError("area_w and area_h must be positive and finite")
 
 
 @dataclass
@@ -85,7 +92,10 @@ class Topology:
 
 def link_decide(dist: float, radio_range: float, alpha: float,
                 rng: np.random.Generator) -> bool:
-    """Single link decision; draws from rng only inside the uncertain band."""
+    """Single link decision; draws from rng only inside the uncertain band.
+
+    The scalar form of the rule that `generate_topology` applies to all
+    pairs at once; tests use it as the reference."""
     if dist < 0:
         raise ValueError("distance must be non-negative")
     if dist <= alpha * radio_range:
@@ -102,11 +112,17 @@ def _grid_positions(cfg: TopologyConfig) -> np.ndarray:
         side += 1
     xs = np.linspace(0.0, cfg.area_w, side)
     ys = np.linspace(0.0, cfg.area_h, side)
-    coords = [(xs[k % side], ys[k // side]) for k in range(cfg.node_count)]
-    return np.asarray(coords, dtype=float)
+    k = np.arange(cfg.node_count)
+    return np.column_stack((xs[k % side], ys[k // side]))
 
 
 def generate_topology(cfg: TopologyConfig) -> Topology:
+    """Place the stations, then decide every i<j pair at once.
+
+    Makes the same decisions, from the same draws, as calling `link_decide`
+    on each pair in row-major i<j order: only band pairs draw, and
+    `rng.random(k)` returns the same values as k scalar `rng.random()` calls.
+    """
     rng = np.random.default_rng(cfg.seed)
     if cfg.placement == "grid":
         positions = _grid_positions(cfg)
@@ -114,15 +130,22 @@ def generate_topology(cfg: TopologyConfig) -> Topology:
         positions = rng.uniform((0.0, 0.0), (cfg.area_w, cfg.area_h),
                                 size=(cfg.node_count, 2))
     n = cfg.node_count
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = float(np.hypot(*(positions[i] - positions[j])))
-            if link_decide(dist, cfg.radio_range, cfg.alpha, rng):
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    for lst in neighbors:
-        lst.sort()
+    r = cfg.radio_range
+    near_range = cfg.alpha * r
+    i, j = np.triu_indices(n, 1)
+    x, y = positions.T
+    dist = np.hypot(x[i] - x[j], y[i] - y[j])
+    linked = dist <= near_range
+    band = ~linked & (dist <= r)
+    d = dist[band]
+    linked[band] = rng.random(d.size) < (r - d) / (r - near_range)
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[i[linked], j[linked]] = True
+    adjacent |= adjacent.T
+    rows, cols = np.nonzero(adjacent)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    neighbors = [cols[a:b] for a, b in zip(starts, starts[1:])]
     return Topology(positions, neighbors)
 
 
@@ -214,46 +237,61 @@ def packet_energy(scheme: str, packet_size: int, hop_count: int,
     return 2.0 * compute + radio
 
 
-def _charge_stream(per_node: np.ndarray, path: list[int], count: int,
-                   compute_each: float, size: int,
-                   params: EnergyModelParams,
-                   ack_enabled: bool, ack_size: int) -> None:
-    """Add the energy of `count` identical packets along `path` (microjoules)."""
-    if count <= 0:
-        return
-    tx = tx_energy(size, params)
-    rx = rx_energy(size, params)
-    per_node[path[0]] += count * (compute_each + tx)
-    for node in path[1:-1]:
-        per_node[node] += count * (rx + tx)
-    per_node[path[-1]] += count * (rx + compute_each)
-    if ack_enabled:
-        ack_tx = tx_energy(ack_size, params)
-        ack_rx = rx_energy(ack_size, params)
-        for a, b in zip(path, path[1:]):
-            per_node[b] += count * ack_tx
-            per_node[a] += count * ack_rx
+class _Stream(NamedTuple):
+    """Microjoules one scenario's stream of identical packets adds to the
+    source, to each relay and to the sink, plus per hop the ack's transmit
+    (at the hop's receiver) and receive (at its sender); no ack is None."""
+
+    source: float
+    relay: float
+    sink: float
+    ack: Optional[tuple[float, float]]
 
 
-def _scheme_charges(per_node: np.ndarray, path: list[int], packet_size: int,
-                    scheme: str, traffic: TrafficConfig,
-                    params: EnergyModelParams) -> None:
-    ack = traffic.ack_enabled
-    ack_size = traffic.ack_size
+def _scheme_streams(scheme: str, packet_size: int, traffic: TrafficConfig,
+                    params: EnergyModelParams) -> list[_Stream]:
+    """The packet streams every scenario charges for (scheme, packet_size);
+    they depend on neither the topology nor the route."""
     packets = traffic.packets_per_scenario
     if scheme == "tkip":
-        compute = tkip_energy(packet_size, Case.NO_CACHE, params=params)
-        size = frame_bytes(packet_size, FrameLayout.TKIP_BASELINE)
-        _charge_stream(per_node, path, packets, compute, size, params, ack, ack_size)
-        return
-    n_first, n_refresh, n_b = lotkip_frame_classes(packets, traffic.refresh_interval)
-    compute_first = tkip_energy(packet_size, Case.CACHE, True, params)
-    compute_cached = tkip_energy(packet_size, Case.CACHE, False, params)
-    size_a = frame_bytes(packet_size, FrameLayout.LOTKIP_TYPE_A)
-    size_b = frame_bytes(packet_size, FrameLayout.LOTKIP_TYPE_B)
-    _charge_stream(per_node, path, n_first, compute_first, size_a, params, ack, ack_size)
-    _charge_stream(per_node, path, n_refresh, compute_cached, size_a, params, ack, ack_size)
-    _charge_stream(per_node, path, n_b, compute_cached, size_b, params, ack, ack_size)
+        classes = [(packets, tkip_energy(packet_size, Case.NO_CACHE, params=params),
+                    FrameLayout.TKIP_BASELINE)]
+    else:
+        n_first, n_refresh, n_b = lotkip_frame_classes(packets, traffic.refresh_interval)
+        cached = tkip_energy(packet_size, Case.CACHE, False, params)
+        classes = [
+            (n_first, tkip_energy(packet_size, Case.CACHE, True, params),
+             FrameLayout.LOTKIP_TYPE_A),
+            (n_refresh, cached, FrameLayout.LOTKIP_TYPE_A),
+            (n_b, cached, FrameLayout.LOTKIP_TYPE_B),
+        ]
+    streams = []
+    for count, compute, layout in classes:
+        if count <= 0:
+            continue
+        size = frame_bytes(packet_size, layout)
+        tx = tx_energy(size, params)
+        rx = rx_energy(size, params)
+        ack = None
+        if traffic.ack_enabled:
+            ack = (count * tx_energy(traffic.ack_size, params),
+                   count * rx_energy(traffic.ack_size, params))
+        streams.append(_Stream(count * (compute + tx), count * (rx + tx),
+                               count * (rx + compute), ack))
+    return streams
+
+
+def _charge_stream(per_node: np.ndarray, path: list[int], stream: _Stream) -> None:
+    """Add one stream's energy to the nodes along `path`."""
+    per_node[path[0]] += stream.source
+    for node in path[1:-1]:
+        per_node[node] += stream.relay
+    per_node[path[-1]] += stream.sink
+    if stream.ack is not None:
+        ack_tx, ack_rx = stream.ack
+        for a, b in zip(path, path[1:]):
+            per_node[b] += ack_tx
+            per_node[a] += ack_rx
 
 
 @dataclass
@@ -305,14 +343,16 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
     params = DEFAULT_ENERGY_PARAMS
     accum = {(scheme, p): np.zeros(n)
              for scheme in traffic.schemes for p in traffic.packet_sizes}
+    streams = {(scheme, p): _scheme_streams(scheme, p, traffic, params)
+               for scheme, p in accum}
     topo_seed = _normalize_seed(topo_cfg.seed)
     for s in range(traffic.scenario_count):
         topology = generate_topology(replace(topo_cfg, seed=topo_seed + (s, 0)))
         pair_rng = np.random.default_rng((traffic.seed, s, 1))
         path, _ = _sample_pair(topology, pair_rng)
-        for p in traffic.packet_sizes:
-            for scheme in traffic.schemes:
-                _scheme_charges(accum[(scheme, p)], path, p, scheme, traffic, params)
+        for key, per_node in accum.items():
+            for stream in streams[key]:
+                _charge_stream(per_node, path, stream)
     per_node_j = {key: arr * 1e-6 / traffic.scenario_count
                   for key, arr in accum.items()}
     return SimResult(
@@ -356,6 +396,10 @@ def emit_series(results: "SimResult | list[SimResult]") -> str:
 # Scenario configuration files
 # ---------------------------------------------------------------------------
 
+_ACK_VALUES = {"on": True, "true": True, "1": True,
+              "off": False, "false": False, "0": False}
+
+
 def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfig]:
     """Parse key=value lines into one topology config per requested placement
     plus the traffic config; '#' starts a comment."""
@@ -363,10 +407,14 @@ def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfi
         text, ("nodes", "area_w", "area_h", "placement", "R", "alpha", "P_list",
                "packets", "scenarios", "scheme", "K", "ack", "seed"),
         ScenarioError)
-    seed = int(fields.get("seed", "1"))
     placement = fields.get("placement", "grid")
     placements = ("grid", "random") if placement == "both" else (placement,)
+    ack = fields.get("ack", "off")
+    if ack not in _ACK_VALUES:
+        raise ScenarioError(
+            f"invalid scenario config: ack must be one of {', '.join(_ACK_VALUES)}")
     try:
+        seed = int(fields.get("seed", "1"))
         topo_cfgs = [
             TopologyConfig(
                 node_count=int(fields.get("nodes", "49")),
@@ -389,7 +437,7 @@ def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfi
             scenario_count=int(fields.get("scenarios", "100")),
             scheme=fields.get("scheme", "both"),
             refresh_interval=int(fields.get("K", "256")),
-            ack_enabled=fields.get("ack", "off") in ("on", "true", "1"),
+            ack_enabled=_ACK_VALUES[ack],
             seed=seed,
         )
     except ValueError as exc:

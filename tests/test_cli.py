@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand end to end through main()."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -29,6 +30,14 @@ scenarios = 3
 scheme = both
 seed = 5
 """
+
+# The paper's default scenario: 49 stations, both placements, 100 scenarios.
+PAPER_SCENARIO_TEXT = (
+    "nodes = 49\narea_w = 500\narea_h = 500\nplacement = both\n"
+    "R = 120\nalpha = 0.75\nP_list = 256,512,768,1024,1280,1536,1792,2048\n"
+    "packets = 10000\nscenarios = 100\nscheme = both\nK = 256\n"
+    "ack = off\nseed = 1\n")
+PAPER_SIM_SHA256 = "fa253d684b4a677c7dfaffee19a4cb6e0f018bdc0cdef30389dd126c646c8135"
 
 
 @pytest.fixture
@@ -141,6 +150,16 @@ def test_sim_csv(tmp_path, capsys):
     first = out.read_bytes()
     assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+def test_sim_paper_scenario_csv_is_pinned(tmp_path):
+    # sim CSVs are a contract: the same seed gives the same bytes
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(PAPER_SCENARIO_TEXT)
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out),
+                 "--seed", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SIM_SHA256
 
 
 def test_sim_scheme_override_doubles_rows(tmp_path):

@@ -35,6 +35,12 @@ def test_topology_config_validation():
         TopologyConfig(placement="ring")
     with pytest.raises(ValueError):
         TopologyConfig(radio_range=0)
+    with pytest.raises(ValueError):
+        TopologyConfig(radio_range=math.nan)
+    for area in (dict(area_w=-5.0), dict(area_w=0.0), dict(area_h=-1.0),
+                 dict(area_h=0.0), dict(area_w=math.inf), dict(area_h=math.nan)):
+        with pytest.raises(ValueError, match="area_w and area_h"):
+            TopologyConfig(**area)
 
 
 def test_traffic_config_validation():
@@ -80,6 +86,46 @@ def test_topology_deterministic_and_symmetric():
         assert i not in nbrs
         for j in nbrs:
             assert i in a.neighbors[j]
+
+
+def _loop_topology(cfg):
+    """The scalar rule pair by pair: `link_decide` over i<j in row-major
+    order, from a generator seeded as `generate_topology` seeds its own."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.placement == "grid":
+        side = math.isqrt(cfg.node_count)
+        if side * side < cfg.node_count:
+            side += 1
+        xs = np.linspace(0.0, cfg.area_w, side)
+        ys = np.linspace(0.0, cfg.area_h, side)
+        positions = np.asarray([(xs[k % side], ys[k // side])
+                                for k in range(cfg.node_count)], dtype=float)
+    else:
+        positions = rng.uniform((0.0, 0.0), (cfg.area_w, cfg.area_h),
+                                size=(cfg.node_count, 2))
+    n = cfg.node_count
+    neighbors = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = float(np.hypot(*(positions[i] - positions[j])))
+            if link_decide(dist, cfg.radio_range, cfg.alpha, rng):
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return positions, neighbors
+
+
+@pytest.mark.parametrize("placement", ["grid", "random"])
+@pytest.mark.parametrize("n", [2, 3, 49, 50, 400])
+@pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
+def test_topology_matches_scalar_link_rule(placement, n, alpha):
+    # alpha = 1 leaves the band empty (and its probability denominator 0)
+    for seed in range(3):
+        cfg = TopologyConfig(node_count=n, placement=placement, alpha=alpha,
+                             seed=seed)
+        positions, neighbors = _loop_topology(cfg)
+        topo = generate_topology(cfg)
+        assert np.array_equal(topo.positions, positions)
+        assert topo.neighbors == neighbors
 
 
 def test_topology_respects_link_rules():
@@ -305,3 +351,13 @@ def test_parse_scenario_config_defaults_and_errors():
         parse_scenario_config("nodes = many")
     with pytest.raises(ScenarioError):
         parse_scenario_config("just a line")
+    with pytest.raises(ScenarioError):
+        parse_scenario_config("seed = x")
+    with pytest.raises(ScenarioError):
+        parse_scenario_config("ack = yes")
+    with pytest.raises(ScenarioError):
+        parse_scenario_config("area_w = -5")
+    for text, enabled in (("ack = off", False), ("ack = false", False),
+                          ("ack = 0", False), ("ack = true", True),
+                          ("ack = 1", True)):
+        assert parse_scenario_config(text)[1].ack_enabled is enabled
