@@ -103,12 +103,10 @@ def cmd_seal(args: argparse.Namespace) -> int:
             "frag_threshold": config.frag_threshold, "K": config.refresh_interval,
         })
         data = Path(getattr(args, "in")).read_bytes()
-        sender = SenderSession(config)
-        frames = []
-        for msdu in _split_msdus(data, args.msdu_bytes):
-            frames.extend(sender.seal(msdu))
+        sealed = SenderSession(config).seal_many(_split_msdus(data, args.msdu_bytes))
+        frames = [frame for msdu_frames in sealed for frame in msdu_frames]
         _write_output(args.out, frames_to_container(frames))
-    except (CodecError, OSError) as exc:
+    except (CodecError, OSError, UnicodeDecodeError) as exc:
         _say(f"{type(exc).__name__}: {exc}")
         return 1
     _say(f"sealed {len(frames)} frames")
@@ -124,22 +122,18 @@ def cmd_open(args: argparse.Namespace) -> int:
             "frag_threshold": config.frag_threshold,
         })
         frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
-        receiver = ReceiverSession(config, clock=time.monotonic)
         per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
-        recovered = bytearray()
+        groups = []
         pos = 0
         while pos < len(frames):
-            if frames[pos].layout is FrameLayout.PROBE:
-                receiver.open([frames[pos]])
-                pos += 1
-                continue
-            take = min(per_full_msdu, len(frames) - pos)
-            msdu = receiver.open(frames[pos:pos + take])
-            if msdu is not None:
-                recovered += msdu
+            take = 1 if frames[pos].layout is FrameLayout.PROBE else per_full_msdu
+            groups.append(frames[pos:pos + take])
             pos += take
-        _write_output(args.out, bytes(recovered))
-    except (CodecError, OSError) as exc:
+        receiver = ReceiverSession(config, clock=time.monotonic)
+        recovered = b"".join(msdu for msdu in receiver.open_many(groups)
+                             if msdu is not None)
+        _write_output(args.out, recovered)
+    except (CodecError, OSError, UnicodeDecodeError) as exc:
         _say(f"{type(exc).__name__}: {exc}")
         return 1
     _say(f"recovered {len(recovered)} bytes")

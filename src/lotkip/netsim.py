@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -116,6 +117,16 @@ def _grid_positions(cfg: TopologyConfig) -> np.ndarray:
     return np.column_stack((xs[k % side], ys[k // side]))
 
 
+@lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, shared by every topology of n stations and
+    so made read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def generate_topology(cfg: TopologyConfig) -> Topology:
     """Place the stations, then decide every i<j pair at once.
 
@@ -132,7 +143,7 @@ def generate_topology(cfg: TopologyConfig) -> Topology:
     n = cfg.node_count
     r = cfg.radio_range
     near_range = cfg.alpha * r
-    i, j = np.triu_indices(n, 1)
+    i, j = _pair_indices(n)
     x, y = positions.T
     dist = np.hypot(x[i] - x[j], y[i] - y[j])
     linked = dist <= near_range
@@ -281,7 +292,7 @@ def _scheme_streams(scheme: str, packet_size: int, traffic: TrafficConfig,
     return streams
 
 
-def _charge_stream(per_node: np.ndarray, path: list[int], stream: _Stream) -> None:
+def _charge_stream(per_node: list[float], path: list[int], stream: _Stream) -> None:
     """Add one stream's energy to the nodes along `path`."""
     per_node[path[0]] += stream.source
     for node in path[1:-1]:
@@ -341,7 +352,7 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
     """Average network energy over the configured random scenarios."""
     n = topo_cfg.node_count
     params = DEFAULT_ENERGY_PARAMS
-    accum = {(scheme, p): np.zeros(n)
+    accum = {(scheme, p): [0.0] * n
              for scheme in traffic.schemes for p in traffic.packet_sizes}
     streams = {(scheme, p): _scheme_streams(scheme, p, traffic, params)
                for scheme, p in accum}
@@ -353,8 +364,8 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
         for key, per_node in accum.items():
             for stream in streams[key]:
                 _charge_stream(per_node, path, stream)
-    per_node_j = {key: arr * 1e-6 / traffic.scenario_count
-                  for key, arr in accum.items()}
+    per_node_j = {key: np.array(uj) * 1e-6 / traffic.scenario_count
+                  for key, uj in accum.items()}
     return SimResult(
         placement=topo_cfg.placement,
         node_count=n,

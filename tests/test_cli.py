@@ -235,6 +235,19 @@ def test_seal_rejects_bad_session_config(tmp_path, session_file, capsys, line):
     assert len(err) == 1 and err[0].startswith("CodecError: ")
 
 
+@pytest.mark.parametrize("command", ["seal", "open"])
+def test_non_utf8_config_exits_with_one_line(tmp_path, session_file, capsys,
+                                             command):
+    cfg = Path(session_file())
+    cfg.write_bytes(b"# \xff\xfe\n" + cfg.read_bytes())
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"payload")
+    assert main([command, "--config", str(cfg), "--in", str(payload),
+                 "--out", str(tmp_path / "o.bin")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("UnicodeDecodeError: ")
+
+
 def test_missing_files_exit_nonzero(tmp_path, capsys):
     assert main(["seal", "--config", str(tmp_path / "nope.cfg"),
                  "--in", "x", "--out", "y"]) == 1

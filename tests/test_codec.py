@@ -15,6 +15,8 @@ from lotkip.codec import (
     FrameLayout,
     EPOCH_FRAMES,
     IcvMismatch,
+    LANES_BLOCK_MSDUS,
+    LANES_MIN_MSDUS,
     MalformedFrame,
     MicFailure,
     MpduFrame,
@@ -756,3 +758,145 @@ def test_sealed_frames_match_reference(rng, mode):
                 assert (probe.tsc_low, probe.tsc_hi) == (tsc & 0xFFFF, tsc >> 16)
                 assert (probe.raw()[:3], probe.body) == \
                     _ref_frame_parts(keys, tsc, PROBE_PAYLOAD)
+
+
+# ---------------------------------------------------------------------------
+# Whole-file seal/open in lanes against loops of seal/open
+# ---------------------------------------------------------------------------
+
+BATCH_COUNTS = (1, LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS, LANES_BLOCK_MSDUS + 1)
+
+
+def _sender_state(sender):
+    return (sender.next_tsc, sender.probe_mode, sender.since_type_a,
+            sender.ttak_cache.hi, sender.ttak_cache.calls)
+
+
+def _receiver_state(receiver):
+    return (list(receiver.window.recent), receiver.ttak_cache.hi,
+            receiver.ttak_cache.calls, receiver.cm_state)
+
+
+def _open_loop(receiver, groups):
+    """A loop of `open`: the results, or the first exception's type and
+    message."""
+    try:
+        return [receiver.open(g) for g in groups]
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def _open_many(receiver, groups):
+    try:
+        return receiver.open_many(groups)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_open_many_matches_loop(cfg, groups, clock=None):
+    loop, many = ReceiverSession(cfg, clock), ReceiverSession(cfg, clock)
+    expected = _open_loop(loop, groups)
+    assert _open_many(many, groups) == expected
+    assert _receiver_state(many) == _receiver_state(loop)
+    return expected
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+@pytest.mark.parametrize("frag_threshold", [256, 1024, 2346])
+@pytest.mark.parametrize("k", [1, 3, 256])
+def test_seal_many_open_many_equal_loops(rng, mode, frag_threshold, k):
+    cfg = config(mode, frag_threshold=frag_threshold, refresh_interval=k)
+    for count in BATCH_COUNTS:
+        lengths = [rng.randrange(300) for _ in range(count)]
+        lengths[:3] = [0, 2304, 1][:count]
+        msdus = [rng.randbytes(n) for n in lengths]
+        loop, many = SenderSession(cfg), SenderSession(cfg)
+        # the run crosses counter 0xFFFF -> 0x10000
+        loop.next_tsc = many.next_tsc = EPOCH_FRAMES - 7
+        groups = [loop.seal(m) for m in msdus]
+        assert many.seal_many(msdus) == groups
+        assert _sender_state(many) == _sender_state(loop)
+        if mode == "lotkip":
+            # a probe opens as a group of its own
+            groups.append([loop.make_probe()])
+        opened = _assert_open_many_matches_loop(cfg, groups)
+        assert [m for m in opened if m is not None] == msdus
+
+
+@pytest.mark.parametrize("mode, fault", [
+    (mode, fault) for mode in ("tkip", "lotkip")
+    for fault in ("bit_flip", "wrong_mic_key", "replay", "splice")
+] + [("lotkip", "type_b_first")])
+def test_open_many_failure_matches_loop(rng, mode, fault):
+    cfg = config(mode, refresh_interval=256)
+    sender = SenderSession(cfg)
+    start = EPOCH_FRAMES - 11
+    sender.next_tsc = start
+    count = LANES_MIN_MSDUS + 6
+    mid = count // 2
+    groups = [sender.seal(rng.randbytes(rng.randrange(260, 500)))
+              for _ in range(count)]
+    assert all(len(g) == 2 for g in groups)
+    if fault == "bit_flip":
+        frame = groups[mid][1]
+        body = bytearray(frame.body)
+        body[rng.randrange(len(body))] ^= 1 << rng.randrange(8)
+        groups[mid][1] = MpduFrame(frame.layout, frame.key_id, frame.tsc_low,
+                                   frame.tsc_hi, bytes(body))
+    elif fault == "wrong_mic_key":
+        keys = cfg.keys
+        other = SenderSession(config(mode, keys=SessionKeys(
+            keys.tk, bytes(8), bytes(8), keys.ta), refresh_interval=256))
+        other.next_tsc = start + 2 * mid
+        groups[mid] = other.seal(rng.randbytes(300))
+    elif fault == "replay":
+        groups[mid] = groups[mid - 1]
+    elif fault == "type_b_first":
+        groups = groups[1:]
+        assert groups[0][0].layout is FrameLayout.LOTKIP_TYPE_B
+    else:
+        groups[mid] = [groups[mid][0], groups[mid + 1][1]]
+    expected = {"bit_flip": IcvMismatch, "wrong_mic_key": MicFailure,
+                "replay": ReplayRejected, "type_b_first": NoEpochState,
+                "splice": MalformedFrame}[fault]
+    raised, _ = _assert_open_many_matches_loop(cfg, groups, clock=lambda: 7.0)
+    assert raised is expected
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
+    """Below LANES_MIN_MSDUS MSDUs nothing runs in lanes; from it on every
+    tag and body comes from the lanes, so no prediction missed."""
+    import lotkip.codec as codec
+    import lotkip.crypto.lanes as lanes
+
+    def fail(*args):
+        raise AssertionError("unexpected call")
+
+    cfg = config(mode, refresh_interval=3)
+    for count in (LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS):
+        msdus = [rng.randbytes(rng.randrange(600)) for _ in range(count)]
+        with monkeypatch.context() as patch:
+            if count >= LANES_MIN_MSDUS:
+                patch.setattr(codec, "michael_mic", fail)
+                patch.setattr(codec, "rc4_apply", fail)
+            else:
+                patch.setattr(lanes, "michael_mic_lanes", fail)
+                patch.setattr(lanes, "rc4_apply_lanes", fail)
+            sender = SenderSession(cfg)
+            sender.next_tsc = EPOCH_FRAMES - 5
+            groups = sender.seal_many(msdus)
+            assert ReceiverSession(cfg).open_many(groups) == msdus
+
+
+def test_seal_many_keeps_tags_and_bodies_apart(rng):
+    # an MSDU equal to its first fragment's plaintext (chunk + check value):
+    # its tag and that fragment's body share every input but the function
+    from lotkip.crypto import crc32_icv
+    cfg = config("lotkip")
+    chunk = rng.randbytes(cfg.frag_threshold)
+    msdus = [chunk + crc32_icv(chunk)] * LANES_MIN_MSDUS
+    groups = SenderSession(cfg).seal_many(msdus)
+    loop = SenderSession(cfg)
+    assert groups == [loop.seal(m) for m in msdus]
+    assert ReceiverSession(cfg).open_many(groups) == msdus
