@@ -1,21 +1,32 @@
 """MSDU/MPDU encapsulation for baseline TKIP and the low-overhead variant.
 
 Both modes run one pipeline, owned by `SenderSession` and `ReceiverSession`.
-Seal: the 8-byte Michael tag is appended to the MSDU, the result is split
-into fragments, and every fragment gets its own counter value, its own
-per-packet RC4 seed, and a CRC trailer before encryption.  Open runs the
-checks in a fixed order -- counter resolution, fragment counter continuity,
-replay window, key mixing, decrypt, CRC, reassembly, and the Michael verify
-last -- so that noise, replays and spliced fragments can never feed the
-MIC-failure countermeasures.
+`seal`/`open` run it on a block of one MSDU, `seal_many`/`open_many` on
+blocks of up to LANES_BLOCK_MSDUS, in three passes: check, compute, commit.
 
-`seal_many`/`open_many` handle a whole file of MSDUs through the same
-per-MSDU state machine.  For a block of enough MSDUs they first predict
-every frame's counter and compute the Michael tags and RC4 outputs for
-those counters in lanes (`lotkip.batch`), keyed by the inputs that
-determine them; the state machine looks each result up and computes it on
-the spot when the prediction missed.  Frames, results, session state and
-exceptions are therefore those of a loop of `seal`/`open`.
+Seal: the sender's state never depends on the crypto, so the check pass
+allocates each MSDU's counters, layouts and phase 1 keys in order, raising
+at the first failed check.  The compute pass appends each MSDU's Michael
+tag, splits the result into fragments, and encrypts each with a CRC
+trailer under its own per-packet RC4 seed.
+
+Open: the check pass is pure.  For each group of frames it checks layout,
+counter resolution, fragment counter continuity and the replay window,
+against the window and epoch that the block's earlier groups would leave if
+they committed.  The compute pass runs key mixing and RC4 for the groups
+that passed, checks each fragment's CRC once, and derives the tags of the
+data groups.  Either pass stops at the first failure and records it instead
+of raising it.  The commit pass then walks the groups in order, reading the
+clock and checking for blackout before each.  It verifies the probe
+payload or the Michael tag, and only then admits the group's counters to
+the window and takes its epoch into the phase 1 cache; at the failed group
+it raises the recorded failure.  So noise, replays, forgeries and spliced
+fragments can never move receiver state or feed the MIC-failure
+countermeasures, and a block's results, state and first exception are
+those of a loop of `seal`/`open`.
+
+Each crypto step runs in numpy lanes (`lotkip.crypto.lanes`) for a block of
+at least LANES_MIN_MSDUS MSDUs, and on the scalar functions otherwise.
 
 `SessionConfig.mode` selects the only three things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
@@ -40,7 +51,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from lotkip.crypto import (
@@ -122,30 +133,8 @@ class ProbingActive(CodecError):
 
 
 # ---------------------------------------------------------------------------
-# Counter and key material
+# Key material
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, order=True)
-class Tsc48:
-    """48-bit packet sequence counter; byte 0 is least significant."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= TSC_MAX:
-            raise ValueError("counter out of 48-bit range")
-
-    def byte(self, k: int) -> int:
-        return (self.value >> (8 * k)) & 0xFF
-
-    @property
-    def low16(self) -> int:
-        return self.value & 0xFFFF
-
-    @property
-    def high32(self) -> int:
-        return self.value >> 16
-
 
 @dataclass(frozen=True)
 class SessionKeys:
@@ -195,10 +184,11 @@ class MpduFrame:
     body: bytes
 
     @property
-    def tsc(self) -> Optional[Tsc48]:
+    def tsc(self) -> Optional[int]:
+        """The 48-bit counter, if the frame carries all of it."""
         if self.tsc_hi is None:
             return None
-        return Tsc48((self.tsc_hi << 16) | self.tsc_low)
+        return (self.tsc_hi << 16) | self.tsc_low
 
     def header(self) -> bytes:
         tsc1 = self.tsc_low >> 8
@@ -273,19 +263,24 @@ class ReplayWindow:
     def highest(self) -> Optional[int]:
         return max(self.recent) if self.recent else None
 
-    def classify(self, tsc: "int | Tsc48") -> Classification:
-        value = tsc.value if isinstance(tsc, Tsc48) else tsc
+    def check(self, value: int) -> Classification:
+        """How `classify` treats `value`, without admitting it."""
         if value in self.recent:
             return Classification.REJECT
         if not self.recent or value > max(self.recent):
-            self._admit(value)
             return Classification.ACCEPT
         if len(self.recent) >= REPLAY_WINDOW_SIZE and value < min(self.recent):
             return Classification.REJECT
-        self._admit(value)
         return Classification.WINDOW
 
-    def _admit(self, value: int) -> None:
+    def classify(self, value: int) -> Classification:
+        """`check`, then `admit` a value that is not rejected."""
+        verdict = self.check(value)
+        if verdict is not Classification.REJECT:
+            self.admit(value)
+        return verdict
+
+    def admit(self, value: int) -> None:
         self.recent.append(value)
         if len(self.recent) > REPLAY_WINDOW_SIZE:
             self.recent.remove(min(self.recent))
@@ -335,8 +330,11 @@ def _chunks(stream: bytes, frag_threshold: int) -> list[bytes]:
 
 
 class _TtakCache:
-    """Phase 1 results per upper-counter value, with an invocation counter
-    so tests can assert how often the mixing actually ran."""
+    """The phase 1 key of one upper-counter value, the epoch, and `calls`,
+    the number of keys it has taken, so tests can assert how often the
+    mixing ran.  A sender takes every key it derives; a receiver derives a
+    new epoch's key as a candidate and takes it once a group that uses it
+    has verified."""
 
     __slots__ = ("hi", "ttak", "calls")
 
@@ -345,62 +343,37 @@ class _TtakCache:
         self.ttak = None
         self.calls = 0
 
-    def get(self, keys: SessionKeys, hi: int):
-        if self.hi != hi:
-            self.ttak = phase1_mix(keys.tk, keys.ta, hi)
-            self.hi = hi
+    def candidate(self, keys: SessionKeys, hi: int):
+        """The phase 1 key of `hi`, derived without taking it."""
+        return phase1_mix(keys.tk, keys.ta, hi)
+
+    def take(self, hi: int, ttak) -> None:
+        if hi != self.hi:
+            self.hi, self.ttak = hi, ttak
             self.calls += 1
+
+    def get(self, keys: SessionKeys, hi: int):
+        """The phase 1 key of `hi`, taken into the cache."""
+        if hi != self.hi:
+            self.take(hi, self.candidate(keys, hi))
         return self.ttak
 
 
-# `pre` maps hold crypto results computed ahead in lanes for one session
-# direction, keyed by the inputs that determine them: ("rc4", counter, data)
-# -> RC4 of data under that counter's seed, ("mic", iv, msdu) -> the Michael
-# tag.  A missing key is computed on the spot.  `lotkip.batch` predicts the
-# inputs, and it and `lotkip.crypto.lanes` load on the first whole-file
-# call, so processes that only seal or open single MSDUs never load them.
+# `lotkip.crypto.lanes` loads on first use; lanes and scalar give the same bytes.
 
-def _rc4(keys: SessionKeys, ttak, tsc: Tsc48, data: bytes, pre: dict) -> bytes:
-    out = pre.get(("rc4", tsc.value, data)) if pre else None
-    if out is None:
-        out = rc4_apply(phase2_mix(ttak, keys.tk, tsc.low16), data)
-    return out
+def _michael_many(key: bytes, headers: list[MicHeader], msdus: list[bytes],
+                  lanes: bool) -> list[bytes]:
+    if lanes:
+        from lotkip.crypto.lanes import michael_mic_lanes
+        return michael_mic_lanes(key, list(zip(headers, msdus)))
+    return list(map(michael_mic, repeat(key), headers, msdus))
 
 
-def _mic(key: bytes, header: MicHeader, msdu: bytes, pre: dict) -> bytes:
-    tag = pre.get(("mic", header.iv, msdu)) if pre else None
-    if tag is None:
-        tag = michael_mic(key, header, msdu)
-    return tag
-
-
-def _rc4_lanes(keys: SessionKeys, counters: list[int], datas: list[bytes],
-               pre: dict) -> list[bytes]:
-    """RC4 of each data buffer under its counter's seed, computed in lanes
-    and stored in ``pre``."""
-    from lotkip.crypto.lanes import rc4_apply_lanes
-    ttaks: dict[int, tuple] = {}
-    seeds = []
-    for tsc in counters:
-        hi = tsc >> 16
-        if hi not in ttaks:
-            ttaks[hi] = phase1_mix(keys.tk, keys.ta, hi)
-        seeds.append(phase2_mix(ttaks[hi], keys.tk, tsc & 0xFFFF))
-    outs = rc4_apply_lanes(seeds, datas)
-    pre.update(((("rc4", tsc, data), out)
-                for tsc, data, out in zip(counters, datas, outs)))
-    return outs
-
-
-def _mic_lanes(key: bytes, messages: list[tuple[MicHeader, bytes]],
-               pre: dict) -> list[bytes]:
-    """Michael tags of (header, msdu) pairs, computed in lanes and stored
-    in ``pre``."""
-    from lotkip.crypto.lanes import michael_mic_lanes
-    tags = michael_mic_lanes(key, messages)
-    pre.update(((("mic", header.iv, msdu), tag)
-                for (header, msdu), tag in zip(messages, tags)))
-    return tags
+def _rc4_many(seeds: list[bytes], datas: list[bytes], lanes: bool) -> list[bytes]:
+    if lanes:
+        from lotkip.crypto.lanes import rc4_apply_lanes
+        return rc4_apply_lanes(seeds, datas)
+    return list(map(rc4_apply, seeds, datas))
 
 
 def _blocks(items: Iterable) -> Iterator[list]:
@@ -409,18 +382,12 @@ def _blocks(items: Iterable) -> Iterator[list]:
         yield block
 
 
-def _seal_body(keys: SessionKeys, ttak, tsc: Tsc48, chunk: bytes,
-               pre: dict) -> bytes:
-    return _rc4(keys, ttak, tsc, chunk + crc32_icv(chunk), pre)
-
-
-def _open_body(keys: SessionKeys, ttak, tsc: Tsc48, body: bytes,
-               pre: dict) -> bytes:
-    plain = _rc4(keys, ttak, tsc, bytes(body), pre)
+def _strip_icv(plain: bytes) -> bytes:
+    """A decrypted fragment without its check value, once that matches."""
     if len(plain) < ICV_BYTES:
         raise IcvMismatch("fragment too short to carry a check value")
-    chunk, icv = plain[:-ICV_BYTES], plain[-ICV_BYTES:]
-    if crc32_icv(chunk) != icv:
+    chunk = plain[:-ICV_BYTES]
+    if crc32_icv(chunk) != plain[-ICV_BYTES:]:
         raise IcvMismatch("fragment check value mismatch")
     return chunk
 
@@ -657,19 +624,18 @@ class SenderSession:
         self.since_type_a = 0
         self.ttak_cache = _TtakCache()
 
-    def _alloc(self) -> Tsc48:
+    def _alloc(self) -> int:
         if self.next_tsc > TSC_MAX:
             raise TscExhausted("counter space exhausted; rekey required")
-        tsc = Tsc48(self.next_tsc)
         self.next_tsc += 1
-        return tsc
+        return self.next_tsc - 1
 
-    def _next_frame(self) -> tuple[Tsc48, FrameLayout, tuple]:
+    def _next_frame(self) -> tuple[int, FrameLayout, tuple]:
         """Counter, layout and phase 1 key of the next data frame."""
         cfg = self.config
         tsc = self._alloc()
-        epoch_changed = self.ttak_cache.hi != tsc.high32
-        ttak = self.ttak_cache.get(cfg.keys, tsc.high32)
+        epoch_changed = self.ttak_cache.hi != tsc >> 16
+        ttak = self.ttak_cache.get(cfg.keys, tsc >> 16)
         if cfg.mode == "tkip":
             layout = FrameLayout.TKIP_BASELINE
         elif is_type_a(self.probe_mode is SenderMode.INITIAL, epoch_changed,
@@ -686,42 +652,49 @@ class SenderSession:
         """Encapsulate one MSDU into frames with consecutive counters.  In
         LOTKIP mode the tag also covers the 48-bit counter of the MSDU's
         first fragment, since most frames do not carry its upper bits."""
-        return self._seal_one(msdu, {})
+        return self._seal_block([msdu])[0]
 
     def seal_many(self, msdus: Iterable[bytes]) -> list[list[MpduFrame]]:
-        """`seal` of each MSDU in order; one frame list per MSDU.
+        """`seal` of each MSDU in order; one frame list per MSDU.  Frames,
+        sender state and any exception are those of a loop of `seal`."""
+        return [frames for block in _blocks(msdus)
+                for frames in self._seal_block(block)]
 
-        In every block of at least LANES_MIN_MSDUS MSDUs, the tags and
-        bodies for the counters the MSDUs will get are first computed in
-        lanes; `seal` of each MSDU then looks them up.  Frames, sender
-        state and any exception are those of a loop of `seal`.
-        """
-        from lotkip.batch import seal_block
-        sealed = []
-        for block in _blocks(msdus):
-            pre = seal_block(self, block) if len(block) >= LANES_MIN_MSDUS else {}
-            for msdu in block:
-                sealed.append(self._seal_one(msdu, pre))
-        return sealed
-
-    def _seal_one(self, msdu: bytes, pre: dict) -> list[MpduFrame]:
+    def _seal_block(self, block: list[bytes]) -> list[list[MpduFrame]]:
         cfg = self.config
         keys = cfg.keys
-        if self.probe_mode is SenderMode.PROBING:
-            raise ProbingActive("sender is probing; data transmission stopped")
-        if len(msdu) > MSDU_MAX_BYTES:
-            raise OversizeMsdu(f"MSDU of {len(msdu)} bytes exceeds {MSDU_MAX_BYTES}")
-        if self.next_tsc + fragment_count(len(msdu), cfg.frag_threshold) - 1 > TSC_MAX:
-            raise TscExhausted("counter would overflow; rekey required")
-        msdu = bytes(msdu)
-        mic = _mic(keys.mic_key_tx, cfg.mic_header(self.next_tsc), msdu, pre)
-        frames = []
-        for chunk in _chunks(msdu + mic, cfg.frag_threshold):
-            tsc, layout, ttak = self._next_frame()
-            hi = None if layout is FrameLayout.LOTKIP_TYPE_B else tsc.high32
-            frames.append(MpduFrame(layout, keys.key_id, tsc.low16, hi,
-                                    _seal_body(keys, ttak, tsc, chunk, pre)))
-        return frames
+        # check each MSDU and allocate its frames; sender state never
+        # depends on the crypto, so a failed check raises at once
+        headers, msdus, allocs = [], [], []
+        for msdu in block:
+            if self.probe_mode is SenderMode.PROBING:
+                raise ProbingActive("sender is probing; data transmission stopped")
+            if len(msdu) > MSDU_MAX_BYTES:
+                raise OversizeMsdu(f"MSDU of {len(msdu)} bytes exceeds {MSDU_MAX_BYTES}")
+            count = fragment_count(len(msdu), cfg.frag_threshold)
+            if self.next_tsc + count - 1 > TSC_MAX:
+                raise TscExhausted("counter would overflow; rekey required")
+            headers.append(cfg.mic_header(self.next_tsc))
+            msdus.append(bytes(msdu))
+            allocs.append([self._next_frame() for _ in range(count)])
+        # compute every tag, one check value per chunk, then every body
+        lanes = len(block) >= LANES_MIN_MSDUS
+        tags = _michael_many(keys.mic_key_tx, headers, msdus, lanes)
+        seeds, plains = [], []
+        for msdu, tag, frames in zip(msdus, tags, allocs):
+            for chunk, (tsc, _, ttak) in zip(_chunks(msdu + tag, cfg.frag_threshold),
+                                             frames):
+                seeds.append(phase2_mix(ttak, keys.tk, tsc & 0xFFFF))
+                plains.append(chunk + crc32_icv(chunk))
+        bodies = iter(_rc4_many(seeds, plains, lanes))
+        sealed = []
+        for frames in allocs:
+            out = []
+            for tsc, layout, _ in frames:
+                hi = tsc >> 16 if layout in _EXTENDED_LAYOUTS else None
+                out.append(MpduFrame(layout, keys.key_id, tsc & 0xFFFF, hi, next(bodies)))
+            sealed.append(out)
+        return sealed
 
     def probe_cycle(self, event: ProbeEvent) -> None:
         """Advance the loss-recovery machine.
@@ -742,14 +715,16 @@ class SenderSession:
         fixed zero payload with its check value."""
         keys = self.config.keys
         tsc = self._alloc()
-        ttak = self.ttak_cache.get(keys, tsc.high32)
-        body = _seal_body(keys, ttak, tsc, PROBE_PAYLOAD, {})
-        return MpduFrame(FrameLayout.PROBE, keys.key_id, tsc.low16, tsc.high32, body)
+        seed = phase2_mix(self.ttak_cache.get(keys, tsc >> 16), keys.tk, tsc & 0xFFFF)
+        body = rc4_apply(seed, PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD))
+        return MpduFrame(FrameLayout.PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
 
 
 class ReceiverSession:
     """Owns the replay window, the countermeasure state, and the phase 1
-    cache, whose upper counter value is the epoch type B frames resolve to."""
+    cache, whose upper counter value is the epoch type B frames resolve to.
+    Only a group that passes every check, the Michael verify or the probe
+    payload last, moves the window or the epoch."""
 
     def __init__(self, config: SessionConfig, clock: Optional[Clock] = None) -> None:
         self.config = config
@@ -761,68 +736,116 @@ class ReceiverSession:
     def open(self, frames: "MpduFrame | Iterable[MpduFrame]") -> Optional[bytes]:
         """Decapsulate the fragments of one MSDU, or validate a lone LOTKIP
         probe and return None; raises on the first failed check."""
-        return self._open_one(frames, {})
+        return self._open_block([frames])[0]
 
     def open_many(self, groups: Iterable["MpduFrame | Iterable[MpduFrame]"]
                   ) -> list[Optional[bytes]]:
         """`open` of each group (the fragments of one MSDU, or a lone probe)
-        in order; one result per group.
+        in order; one result per group.  Results, receiver state and any
+        exception are those of a loop of `open`."""
+        return [msdu for block in _blocks(groups)
+                for msdu in self._open_block(block)]
 
-        In every block of at least LANES_MIN_MSDUS groups, the plaintexts
-        and tags for the counters the frames are predicted to resolve to
-        are first computed in lanes; `open` of each group then looks them
-        up.  Results, receiver state and any exception are those of a loop
-        of `open`.
-        """
-        from lotkip.batch import open_block
-        opened = []
-        for block in _blocks(groups):
-            block = [[g] if isinstance(g, MpduFrame) else list(g) for g in block]
-            pre = open_block(self, block) if len(block) >= LANES_MIN_MSDUS else {}
-            for frames in block:
-                opened.append(self._open_one(frames, pre))
-        return opened
-
-    def _open_one(self, frames: "MpduFrame | Iterable[MpduFrame]",
-                  pre: dict) -> Optional[bytes]:
-        cfg = self.config
-        keys = cfg.keys
+    def _now(self) -> float:
+        """The clock's time, unless countermeasures suspend traffic then."""
         now = self.clock() if self.clock is not None else 0.0
         if self.cm_state.in_blackout(now):
             raise Blackout("countermeasures active; frame dropped")
-        frame_list = _as_frame_list(frames)
-        probe = cfg.mode == "lotkip" and frame_list[0].layout is FrameLayout.PROBE
-        if probe and len(frame_list) != 1:
-            raise MalformedFrame("probe frames are not fragmented")
-        accepted = (FrameLayout.PROBE,) if probe else _DATA_LAYOUTS[cfg.mode]
+        return now
 
-        chunks = []
-        for i, frame in enumerate(frame_list):
-            if frame.layout not in accepted:
-                raise MalformedFrame(f"unexpected layout {frame.layout.value}")
-            if frame.tsc_hi is not None:
-                tsc = frame.tsc
-            elif self.ttak_cache.hi is None:
-                raise NoEpochState("type B frame before any type A frame")
+    def _check(self, block: list) -> tuple[list, Optional[CodecError]]:
+        """(frames, counters, probe) of each group up to the first that fails
+        a header check, and that failure.  Each group is checked against the
+        window and epoch its earlier groups leave, as if they had committed:
+        the first against the session's window, which checking leaves as it
+        is, the later ones against a trial copy."""
+        mode = self.config.mode
+        window = self.window
+        hi = self.ttak_cache.hi
+        plans = []
+        try:
+            for group in block:
+                if plans:
+                    if window is self.window:
+                        window = ReplayWindow(list(window.recent))
+                    for tsc in plans[-1][1]:
+                        window.admit(tsc)
+                frames = _as_frame_list(group)
+                probe = mode == "lotkip" and frames[0].layout is FrameLayout.PROBE
+                if probe and len(frames) != 1:
+                    raise MalformedFrame("probe frames are not fragmented")
+                accepted = (FrameLayout.PROBE,) if probe else _DATA_LAYOUTS[mode]
+                counters = []
+                for frame in frames:
+                    if frame.layout not in accepted:
+                        raise MalformedFrame(f"unexpected layout {frame.layout.value}")
+                    if frame.tsc_hi is not None:
+                        hi = frame.tsc_hi
+                    elif hi is None:
+                        raise NoEpochState("type B frame before any type A frame")
+                    # a shifted field is non-zero if it is too large or negative
+                    if frame.tsc_low >> 16 or hi >> 32:
+                        raise MalformedFrame("counter field out of range")
+                    tsc = (hi << 16) | frame.tsc_low
+                    if counters and tsc != counters[-1] + 1:
+                        raise MalformedFrame("fragment counters are not consecutive")
+                    # admitting the group's own earlier counters, which are
+                    # consecutive and lower, could not change this verdict
+                    if window.check(tsc) is Classification.REJECT:
+                        raise ReplayRejected(f"counter {tsc:#014x} rejected")
+                    counters.append(tsc)
+                plans.append((frames, counters, probe))
+        except CodecError as exc:
+            return plans, exc
+        return plans, None
+
+    def _open_block(self, block: list) -> list[Optional[bytes]]:
+        cfg = self.config
+        keys = cfg.keys
+        cache = self.ttak_cache
+        plans, error = self._check(block)
+        # compute every frame's plaintext and check value, then the tag of
+        # every data group whose fragments all check out
+        ttaks = {cache.hi: cache.ttak}
+        seeds, bodies = [], []
+        for frames, counters, _ in plans:
+            for frame, tsc in zip(frames, counters):
+                hi = tsc >> 16
+                if hi not in ttaks:
+                    ttaks[hi] = cache.candidate(keys, hi)
+                seeds.append(phase2_mix(ttaks[hi], keys.tk, tsc & 0xFFFF))
+                bodies.append(frame.body)
+        lanes = len(block) >= LANES_MIN_MSDUS
+        plains = iter(_rc4_many(seeds, bodies, lanes))
+        streams, headers, msdus = [], [], []
+        try:
+            for frames, counters, probe in plans:
+                stream = b"".join(map(_strip_icv, islice(plains, len(frames))))
+                streams.append(stream)
+                if not probe and len(stream) >= MIC_BYTES:
+                    headers.append(cfg.mic_header(counters[0]))
+                    msdus.append(stream[:-MIC_BYTES])
+        except IcvMismatch as exc:
+            error = exc         # raised in place of this group and the rest
+        tags = iter(_michael_many(keys.mic_key_rx, headers, msdus, lanes))
+        # verify each group in order, then commit its counters and epoch
+        opened = []
+        for (_, counters, probe), stream in zip(plans, streams):
+            now = self._now()
+            if probe:
+                if stream != PROBE_PAYLOAD:
+                    raise MalformedFrame("probe payload mismatch")
+                opened.append(None)
+            elif len(stream) >= MIC_BYTES and stream[-MIC_BYTES:] == next(tags):
+                opened.append(stream[:-MIC_BYTES])
             else:
-                tsc = Tsc48((self.ttak_cache.hi << 16) | frame.tsc_low)
-            if i == 0:
-                first = tsc
-            elif tsc.value != first.value + i:
-                raise MalformedFrame("fragment counters are not consecutive")
-            if self.window.classify(tsc) is Classification.REJECT:
-                raise ReplayRejected(f"counter {tsc.value:#014x} rejected")
-            ttak = self.ttak_cache.get(keys, tsc.high32)
-            chunks.append(_open_body(keys, ttak, tsc, frame.body, pre))
-        if probe:
-            if chunks[0] != PROBE_PAYLOAD:
-                raise MalformedFrame("probe payload mismatch")
-            return None
-
-        stream = b"".join(chunks)
-        msdu, tag = stream[:-MIC_BYTES], stream[-MIC_BYTES:]
-        if len(stream) < MIC_BYTES or tag != _mic(
-                keys.mic_key_rx, cfg.mic_header(first.value), msdu, pre):
-            self.cm_state.record_failure(now)
-            raise MicFailure("Michael tag mismatch")
-        return msdu
+                self.cm_state.record_failure(now)
+                raise MicFailure("Michael tag mismatch")
+            for tsc in counters:
+                self.window.admit(tsc)
+            hi = counters[-1] >> 16
+            cache.take(hi, ttaks[hi])
+        if error is not None:
+            self._now()
+            raise error
+        return opened

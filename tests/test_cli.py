@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from lotkip.cli import main
-from lotkip.codec import FrameLayout, container_to_frames
+from lotkip.codec import (
+    FrameLayout,
+    ProbeEvent,
+    ReceiverSession,
+    SenderSession,
+    container_to_frames,
+    frames_to_container,
+    parse_session_config,
+)
 
 SESSION_TEXT = """
 tk = 000102030405060708090a0b0c0d0e0f
@@ -160,6 +168,53 @@ def test_sim_paper_scenario_csv_is_pinned(tmp_path):
     assert main(["sim", "--scenario", str(scenario), "--csv", str(out),
                  "--seed", "1"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SIM_SHA256
+
+
+# SHA-256 of the sealed corpus below: sealed container bytes are a contract.
+SEALED_CORPUS_SHA256 = "77e955f9247be7c113ad83e7ece78d8cdf7e13267ca9f4582b45c0ded5359d9b"
+
+
+def _library_corpus(mode: str) -> bytes:
+    """Containers of 40 MSDUs sealed across counter 0xFFFF -> 0x10000 with
+    a probe and resume halfway, each checked to open again."""
+    rng = random.Random(f"corpus:{mode}")
+    cfg = parse_session_config(SESSION_TEXT.format(mode=mode))
+    sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
+    sender.next_tsc = 0xFFFF - 30
+    msdus = [rng.randbytes(rng.choice((0, 1, 255, 700, 2304))) for _ in range(40)]
+    groups = sender.seal_many(msdus[:20])
+    if mode == "lotkip":
+        sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+        groups.append([sender.make_probe()])
+        sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    groups += [sender.seal(m) for m in msdus[20:25]] + sender.seal_many(msdus[25:])
+    assert sender.next_tsc > 0x10000
+    assert [m for m in receiver.open_many(groups) if m is not None] == msdus
+    return frames_to_container(f for g in groups for f in g)
+
+
+def test_sealed_corpus_is_pinned(tmp_path):
+    # both modes x fragmentation thresholds x K, over files of 0, 1 and
+    # ~7 000 bytes and one of 11 MSDUs, whose crypto runs in lanes
+    rng = random.Random(6)
+    payloads = {"empty": b"", "one": b"\x5a", "small": rng.randbytes(6929),
+                "lanes": rng.randbytes(10 * 2304 + 1960)}
+    digest = hashlib.sha256()
+    for mode in ("tkip", "lotkip"):
+        for frag_threshold in (256, 1024, 2346):
+            for k in (1, 3, 256):
+                cfg = tmp_path / "session.cfg"
+                cfg.write_text(SESSION_TEXT.format(mode=mode).replace(
+                    "K = 4", f"K = {k}").replace(
+                    "frag_threshold = 256", f"frag_threshold = {frag_threshold}"))
+                for name, data in payloads.items():
+                    payload, sealed = tmp_path / f"{name}.bin", tmp_path / "s.bin"
+                    payload.write_bytes(data)
+                    assert main(["seal", "--config", str(cfg), "--in", str(payload),
+                                 "--out", str(sealed)]) == 0
+                    digest.update(sealed.read_bytes())
+        digest.update(_library_corpus(mode))
+    assert digest.hexdigest() == SEALED_CORPUS_SHA256
 
 
 def test_sim_scheme_override_doubles_rows(tmp_path):

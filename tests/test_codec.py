@@ -32,7 +32,6 @@ from lotkip.codec import (
     SenderSession,
     SessionConfig,
     SessionKeys,
-    Tsc48,
     TSC_MAX,
     TscExhausted,
     WEP_OVERHEAD_BYTES,
@@ -69,22 +68,6 @@ def sessions(mode="tkip", keys=None, clock=None, **fields):
     """Sender and receiver sessions sharing one config."""
     cfg = config(mode, keys, **fields)
     return SenderSession(cfg), ReceiverSession(cfg, clock)
-
-
-# ---------------------------------------------------------------------------
-# Counter type
-# ---------------------------------------------------------------------------
-
-def test_tsc48_accessors():
-    tsc = Tsc48(0x0102030405F6)
-    assert [tsc.byte(k) for k in range(6)] == [0xF6, 0x05, 0x04, 0x03, 0x02, 0x01]
-    assert tsc.low16 == 0x05F6
-    assert tsc.high32 == 0x01020304
-    assert Tsc48(3) < Tsc48(4)
-    with pytest.raises(ValueError):
-        Tsc48(-1)
-    with pytest.raises(ValueError):
-        Tsc48(1 << 48)
 
 
 def test_session_keys_validation():
@@ -169,7 +152,7 @@ def test_fragmentation_split():
     sender, _ = sessions()
     frames = sender.seal(b"y" * 300)
     assert len(frames) == 2
-    assert [f.tsc.value for f in frames] == [0, 1]
+    assert [f.tsc for f in frames] == [0, 1]
     # the tag rides at the tail of the stream, split across fragments
     assert len(frames[0].body) == 256 + 4
     assert len(frames[1].body) == 52 + 4
@@ -218,7 +201,7 @@ def _check_exhaustion(mode):
     with pytest.raises(TscExhausted):
         sender.seal(bytes(300))                     # second fragment past the end
     # last usable counter value still seals
-    assert sender.seal(b"z")[0].tsc.value == TSC_MAX
+    assert sender.seal(b"z")[0].tsc == TSC_MAX
     with pytest.raises(TscExhausted):
         sender.seal(b"z")
 
@@ -251,9 +234,12 @@ def test_spliced_fragments_rejected_before_mic(mode):
     # passes its check value, so only the counter gap can stop it before
     # the Michael check feeds the countermeasures
     sender, receiver = sessions(mode)
-    msdus = [sender.seal(bytes([i]) * 300) for i in range(4)]
+    msdus = [sender.seal(bytes([i]) * 300) for i in range(5)]
     assert all(len(frames) == 2 for frames in msdus)
-    for first, second in ((0, 1), (2, 3)):
+    # a genuine MSDU gives the receiver its epoch, so the type B fragments
+    # below resolve and reach the continuity check
+    assert receiver.open(msdus[0]) == bytes(300)
+    for first, second in ((1, 2), (3, 4)):
         with pytest.raises(MalformedFrame):
             receiver.open([msdus[first][0], msdus[second][1]])
     cm = receiver.cm_state
@@ -304,6 +290,53 @@ def test_wrong_mic_key_fails_after_icv_passes():
     with pytest.raises(MicFailure):
         receiver.open(frames)
     assert receiver.cm_state.last_failure == 1.0
+    # the failure is recorded, but the unauthenticated counter is not admitted
+    assert receiver.window.recent == []
+    assert receiver.ttak_cache.hi is None
+
+
+def _forged_frame(mode, tsc_hi, tsc_low=0):
+    """A full-counter data frame made without any key: 40 zero body bytes."""
+    layout = FrameLayout.LOTKIP_TYPE_A if mode == "lotkip" else FrameLayout.TKIP_BASELINE
+    return MpduFrame(layout, 0, tsc_low, tsc_hi, bytes(40))
+
+
+def test_forged_type_a_frame_moves_no_receiver_state():
+    sender, receiver = sessions("lotkip", refresh_interval=256)
+    msdus = [bytes([i]) * 50 for i in range(40)]
+    groups = [sender.seal(m) for m in msdus]
+    for frames, msdu in zip(groups[:5], msdus):
+        assert receiver.open(frames) == msdu
+    before = (receiver.ttak_cache.hi, receiver.ttak_cache.calls,
+              list(receiver.window.recent))
+    with pytest.raises(IcvMismatch):
+        receiver.open(_forged_frame("lotkip", tsc_hi=7))
+    assert (receiver.ttak_cache.hi, receiver.ttak_cache.calls,
+            receiver.window.recent) == before
+    # the 35 later genuine MSDUs, mostly type B frames, still resolve
+    assert [receiver.open(g) for g in groups[5:]] == msdus[5:]
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_forged_high_counters_cannot_fill_the_window(mode):
+    sender, receiver = sessions(mode)
+    assert receiver.open(sender.seal(b"first")) == b"first"
+    recent = list(receiver.window.recent)
+    for k in range(16):
+        with pytest.raises(IcvMismatch):
+            receiver.open(_forged_frame(mode, tsc_hi=1000 + k))
+    assert receiver.window.recent == recent
+    assert receiver.open(sender.seal(b"next")) == b"next"
+
+
+@pytest.mark.parametrize("tsc_low, tsc_hi", [
+    (0, 1 << 32), (0, -1), (0x10000, 0), (-1, 0)])
+def test_counter_fields_out_of_range_are_malformed(tsc_low, tsc_hi):
+    frame = _forged_frame("tkip", tsc_hi, tsc_low)
+    with pytest.raises(MalformedFrame):
+        ReceiverSession(config()).open(frame)
+    with pytest.raises(MalformedFrame):
+        ReceiverSession(config()).open_many([[frame]])
 
 
 def test_open_rejects_foreign_layout():
@@ -392,10 +425,25 @@ def test_replay_matches_brute_force_reference(rng):
             assert window.classify(value) is reference.classify(value)
 
 
-def test_tsc48_accepted_by_classify():
-    window = ReplayWindow()
-    assert window.classify(Tsc48(9)) is Classification.ACCEPT
-    assert window.classify(Tsc48(9)) is Classification.REJECT
+def test_group_counters_need_no_admits_between_checks(rng):
+    # the receiver checks a group's consecutive counters against a window
+    # that does not hold the group's earlier counters yet; the first one it
+    # rejects must be the first a loop of `classify` rejects
+    def first_reject(verdicts):
+        return next((i for i, v in enumerate(verdicts) if v is Classification.REJECT),
+                    None)
+
+    for _ in range(2000):
+        window = ReplayWindow()
+        value = rng.randrange(40)
+        for _ in range(rng.randrange(30)):
+            value = max(0, value + rng.randrange(-6, 10))
+            window.classify(value)
+        start = rng.randrange(80)
+        group = range(start, start + rng.randrange(1, 11))
+        loop = ReplayWindow(list(window.recent))
+        assert first_reject([window.check(v) for v in group]) == \
+            first_reject([loop.classify(v) for v in group])
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +509,7 @@ def test_type_a_schedule_matches_closed_form(refresh):
     mismatched = []
     for n in range(1, 2 * EPOCH_FRAMES + 1000):
         tsc, layout, _ = sender._next_frame()
-        if tsc.low16 == 0:
+        if tsc & 0xFFFF == 0:
             first += layout is FrameLayout.LOTKIP_TYPE_A
         else:
             refreshed += layout is FrameLayout.LOTKIP_TYPE_A
@@ -533,10 +581,10 @@ def test_lotkip_mic_covers_counter():
     from lotkip.crypto import phase2_mix, rc4_apply
     ttak = sender.ttak_cache.ttak
     plain = rc4_apply(phase2_mix(ttak, keys.tk, frame.tsc_low), frame.body)
-    moved_tsc = Tsc48(frame.tsc.value + 1)
-    moved_body = rc4_apply(phase2_mix(ttak, keys.tk, moved_tsc.low16), plain)
+    moved_tsc = frame.tsc + 1
+    moved_body = rc4_apply(phase2_mix(ttak, keys.tk, moved_tsc & 0xFFFF), plain)
     moved = MpduFrame(FrameLayout.LOTKIP_TYPE_A, frame.key_id,
-                      moved_tsc.low16, moved_tsc.high32, moved_body)
+                      moved_tsc & 0xFFFF, moved_tsc >> 16, moved_body)
     with pytest.raises(MicFailure):
         receiver.open(moved)
 
@@ -825,7 +873,7 @@ def test_seal_many_open_many_equal_loops(rng, mode, frag_threshold, k):
 
 @pytest.mark.parametrize("mode, fault", [
     (mode, fault) for mode in ("tkip", "lotkip")
-    for fault in ("bit_flip", "wrong_mic_key", "replay", "splice")
+    for fault in ("bit_flip", "wrong_mic_key", "replay", "splice", "forged")
 ] + [("lotkip", "type_b_first")])
 def test_open_many_failure_matches_loop(rng, mode, fault):
     cfg = config(mode, refresh_interval=256)
@@ -851,6 +899,8 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
         groups[mid] = other.seal(rng.randbytes(300))
     elif fault == "replay":
         groups[mid] = groups[mid - 1]
+    elif fault == "forged":
+        groups[mid] = [_forged_frame(mode, tsc_hi=7)]
     elif fault == "type_b_first":
         groups = groups[1:]
         assert groups[0][0].layout is FrameLayout.LOTKIP_TYPE_B
@@ -858,7 +908,7 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
         groups[mid] = [groups[mid][0], groups[mid + 1][1]]
     expected = {"bit_flip": IcvMismatch, "wrong_mic_key": MicFailure,
                 "replay": ReplayRejected, "type_b_first": NoEpochState,
-                "splice": MalformedFrame}[fault]
+                "splice": MalformedFrame, "forged": IcvMismatch}[fault]
     raised, _ = _assert_open_many_matches_loop(cfg, groups, clock=lambda: 7.0)
     assert raised is expected
 
