@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Subcommands: seal/open byte streams through a session config, reproduce the
-complexity table, evaluate the energy formulas, run network simulations, and
-regenerate or validate the golden vector files.  Diagnostics go to stderr;
-data goes to the output file or stdout.
+complexity table, evaluate the energy formulas, and run network simulations.
+Diagnostics go to stderr; data goes to the output file or stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from lotkip import codec, cost, netsim, vectors
+from lotkip import codec, cost, netsim
 from lotkip.codec import (
     CodecError,
     FrameLayout,
@@ -147,21 +146,21 @@ def cmd_open(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
-    params = replace(cost.DEFAULT_ENERGY_PARAMS, cycle_energy=args.cycle_energy)
+    try:
+        params = replace(cost.DEFAULT_ENERGY_PARAMS, cycle_energy=args.cycle_energy)
+        cycles = cost.tkip_energy_cycles(args.m, case, first)
+        lines = [f"cycles={cycles}", f"compute_uJ={cycles * params.cycle_energy:.4f}"]
+        if args.frame_bytes is not None:
+            lines += [f"tx_uJ={cost.tx_energy(args.frame_bytes, params):.4f}",
+                      f"rx_uJ={cost.rx_energy(args.frame_bytes, params):.4f}"]
+    except ValueError as exc:
+        _say(f"ValueError: {exc}")
+        return 1
     _print_resolved("energy", {
         "m": args.m, "case": args.case, "first_packet": first,
         "cycle_energy": args.cycle_energy, "frame_bytes": args.frame_bytes,
     })
-    try:
-        cycles = cost.tkip_energy_cycles(args.m, case, first)
-    except ValueError as exc:
-        _say(f"ValueError: {exc}")
-        return 1
-    print(f"cycles={cycles}")
-    print(f"compute_uJ={cycles * params.cycle_energy:.4f}")
-    if args.frame_bytes is not None:
-        print(f"tx_uJ={cost.tx_energy(args.frame_bytes, params):.4f}")
-        print(f"rx_uJ={cost.rx_energy(args.frame_bytes, params):.4f}")
+    print("\n".join(lines))
     return 0
 
 
@@ -195,30 +194,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
     except (netsim.ScenarioError, ValueError, OSError) as exc:
         _say(f"{type(exc).__name__}: {exc}")
         return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
-
-def cmd_vectors(args: argparse.Namespace) -> int:
-    directory = Path(args.dir)
-    _print_resolved("vectors", {"dir": args.dir, "write": args.write})
-    if args.write:
-        try:
-            written = vectors.write_dir(directory)
-        except OSError as exc:
-            _say(f"IO error: {exc}")
-            return 1
-        _say(f"wrote {', '.join(written)}")
-        return 0
-    problems = vectors.validate_dir(directory)
-    if problems:
-        for problem in problems:
-            _say(f"vector mismatch: {problem}")
-        return 1
-    _say("all vector files match the reference implementations")
     return 0
 
 
@@ -266,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("tkip", "lotkip", "both"), default=None)
     p.add_argument("--placement", choices=("grid", "random", "both"), default=None)
     p.set_defaults(func=cmd_sim)
-
-    p = sub.add_parser("vectors", help="validate or regenerate golden vectors")
-    p.add_argument("--dir", default="vectors", help="vector directory")
-    p.add_argument("--write", action="store_true", help="regenerate the files")
-    p.set_defaults(func=cmd_vectors)
 
     return parser
 

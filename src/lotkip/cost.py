@@ -14,6 +14,7 @@ TABLE1_NOTES rather than silently matched.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,8 +78,9 @@ class EnergyModelParams:
 
     def __post_init__(self) -> None:
         for name in ("cycle_energy", "tx_fixed", "tx_per_byte", "rx_fixed", "rx_per_byte"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 DEFAULT_ENERGY_PARAMS = EnergyModelParams()

@@ -6,7 +6,7 @@ polynomial and checked against zlib, which the production code calls; RC4
 is a keystream generator instead of an in-place buffer cipher; the
 key-mixing substitution table is rebuilt from GF(2^8) arithmetic instead of
 embedded literals; and Michael is a straight-line transcription. The test
-suite and the ``lotkip vectors`` command compare the production code
+suite and ``perfbench``'s output checks compare the production code
 against these byte-for-byte; none of this module is imported by the
 production code paths.
 """

@@ -193,6 +193,8 @@ def test_opcounts_arithmetic():
     assert a.total() == 3
     with pytest.raises(ValueError):
         EnergyModelParams(cycle_energy=-0.1)
+    with pytest.raises(ValueError):
+        EnergyModelParams(cycle_energy=float("nan"))
 
 
 def test_fit_helpers():
