@@ -8,6 +8,7 @@ Diagnostics go to stderr; data goes to the output file or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -149,13 +150,19 @@ def cmd_energy(args: argparse.Namespace) -> int:
     try:
         params = replace(cost.DEFAULT_ENERGY_PARAMS, cycle_energy=args.cycle_energy)
         cycles = cost.tkip_energy_cycles(args.m, case, first)
-        lines = [f"cycles={cycles}", f"compute_uJ={cycles * params.cycle_energy:.4f}"]
+        energies = {"compute_uJ": cycles * params.cycle_energy}
         if args.frame_bytes is not None:
-            lines += [f"tx_uJ={cost.tx_energy(args.frame_bytes, params):.4f}",
-                      f"rx_uJ={cost.rx_energy(args.frame_bytes, params):.4f}"]
-    except ValueError as exc:
-        _say(f"ValueError: {exc}")
+            energies["tx_uJ"] = cost.tx_energy(args.frame_bytes, params)
+            energies["rx_uJ"] = cost.rx_energy(args.frame_bytes, params)
+        for name, value in energies.items():
+            # finite inputs can still overflow to inf in the product
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite ({value}); reduce the inputs")
+    except (ValueError, OverflowError) as exc:
+        _say(f"{type(exc).__name__}: {exc}")
         return 1
+    lines = [f"cycles={cycles}"]
+    lines += [f"{name}={value:.4f}" for name, value in energies.items()]
     _print_resolved("energy", {
         "m": args.m, "case": args.case, "first_packet": first,
         "cycle_energy": args.cycle_energy, "frame_bytes": args.frame_bytes,

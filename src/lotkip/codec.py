@@ -82,12 +82,12 @@ PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 LANES_BLOCK_MSDUS = 128
 # Smallest block whose crypto runs in lanes.  A lane step costs about the
 # same for 1 lane as for 100, so lanes pay off only with enough MSDUs.
-# seal_many + open_many, lanes against scalar, best of 9 on a 2-vCPU VM
-# (Python 3.11, numpy 2.4): one 2304 B MSDU took 31 ms against 3 ms; lanes
-# broke even near 8 MSDUs of 2304 B at threshold 1024, 12 at threshold
-# 2346, 10 to 14 of 300 B, and 16 of 60 B, where RC4's 256-step key
-# schedule dominates.
-LANES_MIN_MSDUS = 10
+# seal_many + open_many in LOTKIP mode, lanes against scalar, best of 11,
+# two runs on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4): lanes
+# broke even near 12 to 14 MSDUs of 2304 B at threshold 1024, 18 at
+# threshold 2346, 18 to 20 of 300 B, and 18 to 22 of 60 B, where RC4's
+# 256-step key schedule dominates.
+LANES_MIN_MSDUS = 18
 
 Clock = Callable[[], float]
 
@@ -169,8 +169,14 @@ class FrameLayout(enum.Enum):
     PROBE = "probe"
 
 
-_EXTENDED_LAYOUTS = (FrameLayout.TKIP_BASELINE, FrameLayout.LOTKIP_TYPE_A,
-                     FrameLayout.PROBE)
+# Module-level names for the members: the per-frame code reads these, since
+# a plain global loads several times faster than an enum attribute.
+_BASELINE = FrameLayout.TKIP_BASELINE
+_TYPE_A = FrameLayout.LOTKIP_TYPE_A
+_TYPE_B = FrameLayout.LOTKIP_TYPE_B
+_PROBE = FrameLayout.PROBE
+
+_EXTENDED_LAYOUTS = (_BASELINE, _TYPE_A, _PROBE)
 
 
 @dataclass
@@ -193,8 +199,8 @@ class MpduFrame:
     def header(self) -> bytes:
         tsc1 = self.tsc_low >> 8
         extiv = self.layout in _EXTENDED_LAYOUTS
-        type_a = self.layout in (FrameLayout.LOTKIP_TYPE_A, FrameLayout.PROBE)
-        probe = self.layout is FrameLayout.PROBE
+        type_a = self.layout in (_TYPE_A, _PROBE)
+        probe = self.layout is _PROBE
         flags = (self.key_id << 6) | (extiv << 5) | (type_a << 4) | (probe << 3)
         head = bytes((tsc1, (tsc1 | 0x20) & 0x7F, self.tsc_low & 0xFF, flags))
         if extiv:
@@ -226,15 +232,15 @@ def parse_frame(raw: bytes) -> MpduFrame:
         tsc_hi = int.from_bytes(raw[4:8], "little")
         body = raw[8:]
         if probe:
-            layout = FrameLayout.PROBE
+            layout = _PROBE
         elif type_a:
-            layout = FrameLayout.LOTKIP_TYPE_A
+            layout = _TYPE_A
         else:
-            layout = FrameLayout.TKIP_BASELINE
+            layout = _BASELINE
     else:
         tsc_hi = None
         body = raw[4:]
-        layout = FrameLayout.LOTKIP_TYPE_B
+        layout = _TYPE_B
     return MpduFrame(layout, key_id, tsc_low, tsc_hi, body)
 
 
@@ -246,6 +252,11 @@ class Classification(enum.Enum):
     ACCEPT = "accept"
     REJECT = "reject"
     WINDOW = "window"
+
+
+_ACCEPT = Classification.ACCEPT
+_REJECT = Classification.REJECT
+_WINDOW = Classification.WINDOW
 
 
 @dataclass
@@ -266,17 +277,17 @@ class ReplayWindow:
     def check(self, value: int) -> Classification:
         """How `classify` treats `value`, without admitting it."""
         if value in self.recent:
-            return Classification.REJECT
+            return _REJECT
         if not self.recent or value > max(self.recent):
-            return Classification.ACCEPT
+            return _ACCEPT
         if len(self.recent) >= REPLAY_WINDOW_SIZE and value < min(self.recent):
-            return Classification.REJECT
-        return Classification.WINDOW
+            return _REJECT
+        return _WINDOW
 
     def classify(self, value: int) -> Classification:
         """`check`, then `admit` a value that is not rejected."""
         verdict = self.check(value)
-        if verdict is not Classification.REJECT:
+        if verdict is not _REJECT:
             self.admit(value)
         return verdict
 
@@ -451,9 +462,9 @@ class OverheadLedger:
 
 
 def overhead_of(layout: FrameLayout) -> OverheadLedger:
-    if layout is FrameLayout.LOTKIP_TYPE_B:
+    if layout is _TYPE_B:
         return OverheadLedger(iv_keyid=4, extiv=0, mic=8, icv=4)
-    if layout in (FrameLayout.TKIP_BASELINE, FrameLayout.LOTKIP_TYPE_A):
+    if layout in (_BASELINE, _TYPE_A):
         return OverheadLedger(iv_keyid=4, extiv=4, mic=8, icv=4)
     raise ValueError("probe frames carry no data and are not accounted")
 
@@ -539,6 +550,16 @@ class SessionConfig:
                          first_tsc if self.mode == "lotkip" else None)
 
 
+def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:
+    """`config.mic_header` as a session built now uses it.  A TKIP header
+    holds no counter, so it is built once per session: here, not in the
+    config, whose mode `lotkip seal/open --mode` sets after parsing."""
+    if config.mode == "lotkip":
+        return config.mic_header
+    header = config.mic_header(0)
+    return lambda first_tsc: header
+
+
 def parse_key_values(text: str, known: Iterable[str],
                      error: type[Exception]) -> dict[str, str]:
     """Parse key=value lines; '#' starts a comment.  A line without '=' or
@@ -600,6 +621,11 @@ class SenderMode(enum.Enum):
     PROBING = "probing"      # data stopped, only probe frames go out
 
 
+_INITIAL = SenderMode.INITIAL
+_STREAMING = SenderMode.STREAMING
+_PROBING = SenderMode.PROBING
+
+
 class ProbeEvent(enum.Enum):
     ACK_RECEIVED = "ack_received"
     ACK_TIMEOUT = "ack_timeout"
@@ -608,8 +634,8 @@ class ProbeEvent(enum.Enum):
 # Data frame layouts each mode's receiver accepts; a low-overhead receiver
 # also accepts a lone probe.
 _DATA_LAYOUTS = {
-    "tkip": (FrameLayout.TKIP_BASELINE,),
-    "lotkip": (FrameLayout.LOTKIP_TYPE_A, FrameLayout.LOTKIP_TYPE_B),
+    "tkip": (_BASELINE,),
+    "lotkip": (_TYPE_A, _TYPE_B),
 }
 
 
@@ -620,9 +646,10 @@ class SenderSession:
     def __init__(self, config: SessionConfig) -> None:
         self.config = config
         self.next_tsc = 0
-        self.probe_mode = SenderMode.INITIAL
+        self.probe_mode = _INITIAL
         self.since_type_a = 0
         self.ttak_cache = _TtakCache()
+        self._mic_header = _session_mic_header(config)
 
     def _alloc(self) -> int:
         if self.next_tsc > TSC_MAX:
@@ -637,15 +664,15 @@ class SenderSession:
         epoch_changed = self.ttak_cache.hi != tsc >> 16
         ttak = self.ttak_cache.get(cfg.keys, tsc >> 16)
         if cfg.mode == "tkip":
-            layout = FrameLayout.TKIP_BASELINE
-        elif is_type_a(self.probe_mode is SenderMode.INITIAL, epoch_changed,
+            layout = _BASELINE
+        elif is_type_a(self.probe_mode is _INITIAL, epoch_changed,
                        self.since_type_a, cfg.refresh_interval):
-            layout = FrameLayout.LOTKIP_TYPE_A
+            layout = _TYPE_A
             self.since_type_a = 1
         else:
-            layout = FrameLayout.LOTKIP_TYPE_B
+            layout = _TYPE_B
             self.since_type_a += 1
-        self.probe_mode = SenderMode.STREAMING
+        self.probe_mode = _STREAMING
         return tsc, layout, ttak
 
     def seal(self, msdu: bytes) -> list[MpduFrame]:
@@ -667,14 +694,14 @@ class SenderSession:
         # depends on the crypto, so a failed check raises at once
         headers, msdus, allocs = [], [], []
         for msdu in block:
-            if self.probe_mode is SenderMode.PROBING:
+            if self.probe_mode is _PROBING:
                 raise ProbingActive("sender is probing; data transmission stopped")
             if len(msdu) > MSDU_MAX_BYTES:
                 raise OversizeMsdu(f"MSDU of {len(msdu)} bytes exceeds {MSDU_MAX_BYTES}")
             count = fragment_count(len(msdu), cfg.frag_threshold)
             if self.next_tsc + count - 1 > TSC_MAX:
                 raise TscExhausted("counter would overflow; rekey required")
-            headers.append(cfg.mic_header(self.next_tsc))
+            headers.append(self._mic_header(self.next_tsc))
             msdus.append(bytes(msdu))
             allocs.append([self._next_frame() for _ in range(count)])
         # compute every tag, one check value per chunk, then every body
@@ -704,11 +731,11 @@ class SenderSession:
         frame; an ack while already re-armed simply resumes streaming.
         """
         if event is ProbeEvent.ACK_TIMEOUT:
-            self.probe_mode = SenderMode.PROBING
-        elif self.probe_mode is SenderMode.PROBING:
-            self.probe_mode = SenderMode.INITIAL
-        elif self.probe_mode is SenderMode.INITIAL:
-            self.probe_mode = SenderMode.STREAMING
+            self.probe_mode = _PROBING
+        elif self.probe_mode is _PROBING:
+            self.probe_mode = _INITIAL
+        elif self.probe_mode is _INITIAL:
+            self.probe_mode = _STREAMING
 
     def make_probe(self) -> MpduFrame:
         """A 16-byte keep-alive: full-counter header plus an encrypted
@@ -717,7 +744,7 @@ class SenderSession:
         tsc = self._alloc()
         seed = phase2_mix(self.ttak_cache.get(keys, tsc >> 16), keys.tk, tsc & 0xFFFF)
         body = rc4_apply(seed, PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD))
-        return MpduFrame(FrameLayout.PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
+        return MpduFrame(_PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
 
 
 class ReceiverSession:
@@ -732,6 +759,7 @@ class ReceiverSession:
         self.window = ReplayWindow()
         self.cm_state = CountermeasureState()
         self.ttak_cache = _TtakCache()
+        self._mic_header = _session_mic_header(config)
 
     def open(self, frames: "MpduFrame | Iterable[MpduFrame]") -> Optional[bytes]:
         """Decapsulate the fragments of one MSDU, or validate a lone LOTKIP
@@ -771,10 +799,10 @@ class ReceiverSession:
                     for tsc in plans[-1][1]:
                         window.admit(tsc)
                 frames = _as_frame_list(group)
-                probe = mode == "lotkip" and frames[0].layout is FrameLayout.PROBE
+                probe = mode == "lotkip" and frames[0].layout is _PROBE
                 if probe and len(frames) != 1:
                     raise MalformedFrame("probe frames are not fragmented")
-                accepted = (FrameLayout.PROBE,) if probe else _DATA_LAYOUTS[mode]
+                accepted = (_PROBE,) if probe else _DATA_LAYOUTS[mode]
                 counters = []
                 for frame in frames:
                     if frame.layout not in accepted:
@@ -791,7 +819,7 @@ class ReceiverSession:
                         raise MalformedFrame("fragment counters are not consecutive")
                     # admitting the group's own earlier counters, which are
                     # consecutive and lower, could not change this verdict
-                    if window.check(tsc) is Classification.REJECT:
+                    if window.check(tsc) is _REJECT:
                         raise ReplayRejected(f"counter {tsc:#014x} rejected")
                     counters.append(tsc)
                 plans.append((frames, counters, probe))
@@ -823,7 +851,7 @@ class ReceiverSession:
                 stream = b"".join(map(_strip_icv, islice(plains, len(frames))))
                 streams.append(stream)
                 if not probe and len(stream) >= MIC_BYTES:
-                    headers.append(cfg.mic_header(counters[0]))
+                    headers.append(self._mic_header(counters[0]))
                     msdus.append(stream[:-MIC_BYTES])
         except IcvMismatch as exc:
             error = exc         # raised in place of this group and the rest

@@ -9,6 +9,8 @@ RC4 seed whose first three bytes travel in clear as the WEP IV.
 
 from __future__ import annotations
 
+import struct
+
 # Loop bound of the phase 1 mixing loop.
 PHASE1_LOOP_COUNT = 8
 
@@ -50,23 +52,26 @@ TKIP_SBOX = (
 )
 
 
+# TKIP_SBOX with the bytes of each entry swapped, so that
+# S(v) = TKIP_SBOX[lo8(v)] ^ _SBOX_SWAPPED[hi8(v)] is two lookups.
+_SBOX_SWAPPED = tuple(((v & 0xFF) << 8) | (v >> 8) for v in TKIP_SBOX)
+
+# The temporal key as eight little-endian 16-bit words: word n is
+# Mk16(TK[2n+1], TK[2n]).
+_TK_WORDS = struct.Struct("<8H")
+# The RC4 seed: the three WEP IV bytes, one byte derived from P5, then
+# P0..P5 little-endian.
+_SEED = struct.Struct("<4B6H")
+
+
 def tkip_sbox16(v: int) -> int:
-    left = TKIP_SBOX[v & 0xFF]
-    right = TKIP_SBOX[(v >> 8) & 0xFF]
-    return left ^ (((right & 0xFF) << 8) | (right >> 8))
+    return TKIP_SBOX[v & 0xFF] ^ _SBOX_SWAPPED[(v >> 8) & 0xFF]
 
 
-def _mk16(x: int, y: int) -> int:
-    return (256 * x + y) & 0xFFFF
-
-
-def _rotr1(v: int) -> int:
-    return ((v >> 1) | (v << 15)) & 0xFFFF
-
-
-def _check_tk(tk: bytes) -> None:
+def _tk_words(tk: bytes) -> tuple[int, ...]:
     if len(tk) != 16:
         raise ValueError(f"temporal key must be 16 bytes, got {len(tk)}")
+    return _TK_WORDS.unpack(tk)
 
 
 def phase1_mix(tk: bytes, ta: bytes, tsc_hi: int) -> tuple[int, int, int, int, int]:
@@ -75,68 +80,68 @@ def phase1_mix(tk: bytes, ta: bytes, tsc_hi: int) -> tuple[int, int, int, int, i
     Pure in its arguments, so the result can be cached for an entire
     low-16-bit counter epoch.
     """
-    _check_tk(tk)
+    k = _tk_words(tk)
     if len(ta) != 6:
         raise ValueError(f"transmitter address must be 6 bytes, got {len(ta)}")
     if not 0 <= tsc_hi <= 0xFFFFFFFF:
         raise ValueError("tsc_hi must be a 32-bit value")
 
-    tsc2 = tsc_hi & 0xFF
-    tsc3 = (tsc_hi >> 8) & 0xFF
-    tsc4 = (tsc_hi >> 16) & 0xFF
-    tsc5 = tsc_hi >> 24
+    t0 = tsc_hi & 0xFFFF
+    t1 = tsc_hi >> 16
+    t2, t3, t4 = struct.unpack("<3H", ta)
 
-    t0 = _mk16(tsc3, tsc2)
-    t1 = _mk16(tsc5, tsc4)
-    t2 = _mk16(ta[1], ta[0])
-    t3 = _mk16(ta[3], ta[2])
-    t4 = _mk16(ta[5], ta[4])
-
-    s = tkip_sbox16
+    lo, hi = TKIP_SBOX, _SBOX_SWAPPED
+    # even rounds use TK words 0, 2, 4, 6 and odd rounds 1, 3, 5, 7
+    even, odd = k[0::2], k[1::2]
     for i in range(PHASE1_LOOP_COUNT):
-        j = 2 * (i & 1)
-        t0 = (t0 + s(t4 ^ _mk16(tk[1 + j], tk[0 + j]))) & 0xFFFF
-        t1 = (t1 + s(t0 ^ _mk16(tk[5 + j], tk[4 + j]))) & 0xFFFF
-        t2 = (t2 + s(t1 ^ _mk16(tk[9 + j], tk[8 + j]))) & 0xFFFF
-        t3 = (t3 + s(t2 ^ _mk16(tk[13 + j], tk[12 + j]))) & 0xFFFF
-        t4 = (t4 + s(t3 ^ _mk16(tk[1 + j], tk[0 + j])) + i) & 0xFFFF
+        a, b, c, d = odd if i & 1 else even
+        v = t4 ^ a
+        t0 = (t0 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+        v = t0 ^ b
+        t1 = (t1 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+        v = t1 ^ c
+        t2 = (t2 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+        v = t2 ^ d
+        t3 = (t3 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+        v = t3 ^ a
+        t4 = (t4 + (lo[v & 0xFF] ^ hi[v >> 8]) + i) & 0xFFFF
     return t0, t1, t2, t3, t4
 
 
 def phase2_mix(ttak: tuple[int, int, int, int, int], tk: bytes, tsc_lo: int) -> bytes:
     """16-byte RC4 seed for one packet; bytes 0-2 are the on-air WEP IV."""
-    _check_tk(tk)
+    k0, k1, k2, k3, k4, k5, k6, k7 = _tk_words(tk)
     if len(ttak) != 5:
         raise ValueError("ttak must hold five 16-bit words")
     if not 0 <= tsc_lo <= 0xFFFF:
         raise ValueError("tsc_lo must be a 16-bit value")
 
-    tsc0 = tsc_lo & 0xFF
-    tsc1 = tsc_lo >> 8
-
+    lo, hi = TKIP_SBOX, _SBOX_SWAPPED
     p0, p1, p2, p3, p4 = ttak
-    p5 = (p4 + _mk16(tsc1, tsc0)) & 0xFFFF
+    p5 = (p4 + tsc_lo) & 0xFFFF
+    v = p5 ^ k0
+    p0 = (p0 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    v = p0 ^ k1
+    p1 = (p1 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    v = p1 ^ k2
+    p2 = (p2 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    v = p2 ^ k3
+    p3 = (p3 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    v = p3 ^ k4
+    p4 = (p4 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    v = p4 ^ k5
+    p5 = (p5 + (lo[v & 0xFF] ^ hi[v >> 8])) & 0xFFFF
+    # a 16-bit rotate right by one; v >> 1 and v << 15 share no bits, and
+    # the final mask drops what v << 15 carries past bit 15
+    v = p5 ^ k6
+    p0 = (p0 + (v >> 1 | v << 15)) & 0xFFFF
+    v = p0 ^ k7
+    p1 = (p1 + (v >> 1 | v << 15)) & 0xFFFF
+    p2 = (p2 + (p1 >> 1 | p1 << 15)) & 0xFFFF
+    p3 = (p3 + (p2 >> 1 | p2 << 15)) & 0xFFFF
+    p4 = (p4 + (p3 >> 1 | p3 << 15)) & 0xFFFF
+    p5 = (p5 + (p4 >> 1 | p4 << 15)) & 0xFFFF
 
-    s = tkip_sbox16
-    p0 = (p0 + s(p5 ^ _mk16(tk[1], tk[0]))) & 0xFFFF
-    p1 = (p1 + s(p0 ^ _mk16(tk[3], tk[2]))) & 0xFFFF
-    p2 = (p2 + s(p1 ^ _mk16(tk[5], tk[4]))) & 0xFFFF
-    p3 = (p3 + s(p2 ^ _mk16(tk[7], tk[6]))) & 0xFFFF
-    p4 = (p4 + s(p3 ^ _mk16(tk[9], tk[8]))) & 0xFFFF
-    p5 = (p5 + s(p4 ^ _mk16(tk[11], tk[10]))) & 0xFFFF
-    p0 = (p0 + _rotr1(p5 ^ _mk16(tk[13], tk[12]))) & 0xFFFF
-    p1 = (p1 + _rotr1(p0 ^ _mk16(tk[15], tk[14]))) & 0xFFFF
-    p2 = (p2 + _rotr1(p1)) & 0xFFFF
-    p3 = (p3 + _rotr1(p2)) & 0xFFFF
-    p4 = (p4 + _rotr1(p3)) & 0xFFFF
-    p5 = (p5 + _rotr1(p4)) & 0xFFFF
-
-    seed = bytearray(16)
-    seed[0] = tsc1
-    seed[1] = (tsc1 | 0x20) & 0x7F
-    seed[2] = tsc0
-    seed[3] = ((p5 ^ _mk16(tk[1], tk[0])) >> 1) & 0xFF
-    for i, word in enumerate((p0, p1, p2, p3, p4, p5)):
-        seed[4 + 2 * i] = word & 0xFF
-        seed[5 + 2 * i] = word >> 8
-    return bytes(seed)
+    tsc1 = tsc_lo >> 8
+    return _SEED.pack(tsc1, (tsc1 | 0x20) & 0x7F, tsc_lo & 0xFF,
+                      ((p5 ^ k0) >> 1) & 0xFF, p0, p1, p2, p3, p4, p5)

@@ -11,33 +11,30 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-_M32 = 0xFFFFFFFF
+# (L, R) as two little-endian 32-bit words: the key and the tag
+_TAG = struct.Struct("<2I")
 
 
-def _rotl32(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & _M32
-
-
-def _rotr32(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _M32
-
-
-def _xswap(x: int) -> int:
-    # swap the upper and lower 16-bit halves
-    return ((x & 0xFFFF) << 16) | (x >> 16)
+def _absorb(l: int, r: int, words) -> tuple[int, int]:
+    """XOR each word into L and run the b() mixing round: rotates, a
+    half-word swap, and mod-2^32 adds.  The only copy of the round; the
+    mask is a literal because a constant loads faster than a global."""
+    for word in words:
+        l ^= word
+        r ^= ((l << 17) | (l >> 15)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l & 0xFFFF) << 16) | (l >> 16)
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l << 3) | (l >> 29)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l >> 2) | (l << 30)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+    return l, r
 
 
 def michael_block(l: int, r: int) -> tuple[int, int]:
-    """The b() mixing round: rotates, a half-word swap, and mod-2^32 adds."""
-    r ^= _rotl32(l, 17)
-    l = (l + r) & _M32
-    r ^= _xswap(l)
-    l = (l + r) & _M32
-    r ^= _rotl32(l, 3)
-    l = (l + r) & _M32
-    r ^= _rotr32(l, 2)
-    l = (l + r) & _M32
-    return l, r
+    """The b() mixing round alone: `_absorb` of one all-zero word."""
+    return _absorb(l, r, (0,))
 
 
 def michael_pad(message: bytes) -> list[int]:
@@ -57,7 +54,7 @@ def michael_key_words(key: bytes) -> tuple[int, int]:
     """Split the 8-byte key into its two little-endian 32-bit words."""
     if len(key) != 8:
         raise ValueError(f"Michael key must be 8 bytes, got {len(key)}")
-    return struct.unpack("<2I", key)
+    return _TAG.unpack(key)
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,4 @@ class MicHeader:
 def michael_mic(key: bytes, header: MicHeader, data: bytes) -> bytes:
     """8-byte tag over header.packed() || data, serialized (L, R) little-endian."""
     l, r = michael_key_words(key)
-    for word in michael_pad(header.packed() + data):
-        l ^= word
-        l, r = michael_block(l, r)
-    return l.to_bytes(4, "little") + r.to_bytes(4, "little")
+    return _TAG.pack(*_absorb(l, r, michael_pad(header.packed() + data)))

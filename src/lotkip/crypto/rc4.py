@@ -8,14 +8,17 @@ def rc4_ksa(key: bytes) -> list[int]:
 
     Returns the scheduled permutation of 0..255.
     """
-    if not 1 <= len(key) <= 256:
-        raise ValueError(f"RC4 key length must be in 1..256, got {len(key)}")
+    klen = len(key)
+    if not 1 <= klen <= 256:
+        raise ValueError(f"RC4 key length must be in 1..256, got {klen}")
     s = list(range(256))
     j = 0
-    klen = len(key)
-    for i in range(256):
-        j = (j + s[i] + key[i % klen]) & 0xFF
-        s[i], s[j] = s[j], s[i]
+    # key[i % klen] for i in 0..255, as one slice of the repeated key
+    for i, k in enumerate((key * -(-256 // klen))[:256]):
+        t = s[i]
+        j = (j + t + k) & 0xFF
+        s[i] = s[j]
+        s[j] = t
     return s
 
 
@@ -23,11 +26,17 @@ def rc4_apply(key: bytes, data: bytes) -> bytes:
     """XOR data with the keystream of a freshly scheduled key; encryption
     and decryption are the same pure function of (key, data)."""
     s = rc4_ksa(key)
+    n = len(data)
+    stream = bytearray(n)
     i = j = 0
-    out = bytearray(len(data))
-    for k, byte in enumerate(data):
+    for k in range(n):
         i = (i + 1) & 0xFF
-        j = (j + s[i]) & 0xFF
-        s[i], s[j] = s[j], s[i]
-        out[k] = byte ^ s[(s[i] + s[j]) & 0xFF]
-    return bytes(out)
+        t = s[i]
+        j = (j + t) & 0xFF
+        u = s[j]
+        s[i] = u
+        s[j] = t
+        stream[k] = s[(t + u) & 0xFF]
+    # one XOR of the whole buffer as a big integer, not one per byte
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(n, "little")

@@ -153,7 +153,9 @@ def test_energy_command(capsys):
     ["--m", "16", "--frame-bytes", "-1"],
     ["--m", "16", "--cycle-energy", "-1"],
     ["--m", "16", "--cycle-energy", "nan"],
-], ids=["m-0", "frame-bytes-neg", "cycle-energy-neg", "cycle-energy-nan"])
+    ["--m", "16", "--cycle-energy", "1e308"],
+], ids=["m-0", "frame-bytes-neg", "cycle-energy-neg", "cycle-energy-nan",
+        "compute-overflow"])
 def test_energy_rejects_bad_m(capsys, flags):
     # every value is checked before anything is printed
     assert main(["energy", *flags]) == 1
@@ -161,6 +163,18 @@ def test_energy_rejects_bad_m(capsys, flags):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--m", str(10 ** 400)],
+    ["--m", "16", "--frame-bytes", str(10 ** 400)],
+], ids=["m", "frame-bytes"])
+def test_energy_rejects_ints_too_large_for_a_float(capsys, flags):
+    assert main(["energy", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("OverflowError: ")
 
 
 def test_sim_csv(tmp_path, capsys):

@@ -589,6 +589,33 @@ def test_lotkip_mic_covers_counter():
         receiver.open(moved)
 
 
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_michael_header_built_once_per_tkip_session(mode):
+    # TKIP's header holds no counter, so each session builds it once;
+    # LOTKIP's carries the counter of each MSDU's first fragment
+    cfg = config(mode)
+    built = []
+    original = cfg.mic_header
+    cfg.mic_header = lambda first_tsc: built.append(first_tsc) or original(first_tsc)
+    sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
+    msdus = [bytes([n]) * 300 for n in range(5)]
+    assert [receiver.open(sender.seal(m)) for m in msdus] == msdus
+    assert receiver.open_many(sender.seal_many(msdus)) == msdus
+    assert len(built) == (2 if mode == "tkip" else 4 * len(msdus))
+
+
+@pytest.mark.parametrize("parsed, chosen", [("tkip", "lotkip"), ("lotkip", "tkip")])
+def test_mode_set_after_config_reaches_michael_header(parsed, chosen):
+    # `lotkip seal/open --mode` set the mode on a parsed config, before
+    # the sessions are built
+    late = config(parsed)
+    late.mode = chosen
+    msdus = [bytes(range(n, n + 40)) for n in range(3)]
+    sealed = SenderSession(late).seal_many(msdus)
+    assert sealed == SenderSession(config(chosen)).seal_many(msdus)
+    assert ReceiverSession(config(chosen)).open_many(sealed) == msdus
+
+
 def test_lotkip_fragmented_round_trip():
     sender, receiver = sessions("lotkip", refresh_interval=3)
     msdu = bytes(range(256)) * 5

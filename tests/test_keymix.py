@@ -128,3 +128,16 @@ def test_matches_reference_on_random_inputs(rng):
         ttak = phase1_mix(tk, ta, tsc_hi)
         assert ttak == ref_phase1(tk, ta, tsc_hi)
         assert phase2_mix(ttak, tk, tsc_lo) == ref_phase2(ttak, tk, tsc_lo)
+
+
+def test_sbox16_matches_reference_on_every_value():
+    from lotkip.reference import ref_sbox16
+    assert [tkip_sbox16(v) for v in range(1 << 16)] == \
+        [ref_sbox16(v) for v in range(1 << 16)]
+
+
+def test_phase2_matches_reference_for_every_counter(rng):
+    tk = rng.randbytes(16)
+    ttak = tuple(rng.getrandbits(16) for _ in range(5))
+    for tsc_lo in range(1 << 16):
+        assert phase2_mix(ttak, tk, tsc_lo) == ref_phase2(ttak, tk, tsc_lo)

@@ -89,3 +89,16 @@ def test_matches_reference_on_random_inputs(rng):
         data = rng.randbytes(rng.randrange(200))
         assert michael_mic(key, MicHeader(sa, da, priority, iv), data) == \
             ref_michael_mic(key, sa, da, priority, iv, data)
+
+
+@pytest.mark.parametrize("with_iv", [False, True], ids=["no-iv", "iv"])
+def test_matches_reference_at_every_short_length(rng, with_iv):
+    # every padding phase of the word loop, and one maximum-size MSDU
+    key, sa, da = rng.randbytes(8), rng.randbytes(6), rng.randbytes(6)
+    priority = rng.randrange(256)
+    iv = rng.getrandbits(48) if with_iv else None
+    header = MicHeader(sa, da, priority, iv)
+    for length in [*range(65), 2304]:
+        data = rng.randbytes(length)
+        assert michael_mic(key, header, data) == \
+            ref_michael_mic(key, sa, da, priority, iv, data)

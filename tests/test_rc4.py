@@ -44,3 +44,14 @@ def test_matches_reference_on_random_inputs(rng):
         key = rng.randbytes(rng.randrange(1, 48))
         data = rng.randbytes(rng.randrange(256))
         assert rc4_apply(key, data) == ref_rc4(key, data)
+
+
+@pytest.mark.parametrize("key_len", [1, 3, 5, 16, 100, 255, 256])
+def test_matches_reference_at_key_lengths(rng, key_len):
+    # lengths that do and do not divide 256: the schedule walks the key
+    # repeated to 256 bytes
+    key = rng.randbytes(key_len)
+    assert sorted(rc4_ksa(key)) == list(range(256))
+    for data_len in (0, 1, 255, 256, 257, 2304, rng.randrange(2305)):
+        data = rng.randbytes(data_len)
+        assert rc4_apply(key, data) == ref_rc4(key, data)
