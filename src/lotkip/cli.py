@@ -76,7 +76,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def _load_session(args: argparse.Namespace) -> codec.SessionConfig:
     config = parse_session_config(Path(args.config).read_text())
     if args.mode:
-        config.mode = args.mode
+        config = replace(config, mode=args.mode)
     return config
 
 
@@ -148,12 +148,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
     try:
-        params = replace(cost.DEFAULT_ENERGY_PARAMS, cycle_energy=args.cycle_energy)
+        if not (math.isfinite(args.cycle_energy) and args.cycle_energy >= 0):
+            raise ValueError("cycle_energy must be finite and non-negative, "
+                             f"got {args.cycle_energy}")
         cycles = cost.tkip_energy_cycles(args.m, case, first)
-        energies = {"compute_uJ": cycles * params.cycle_energy}
+        energies = {"compute_uJ": cycles * args.cycle_energy}
         if args.frame_bytes is not None:
-            energies["tx_uJ"] = cost.tx_energy(args.frame_bytes, params)
-            energies["rx_uJ"] = cost.rx_energy(args.frame_bytes, params)
+            energies["tx_uJ"] = cost.tx_energy(args.frame_bytes)
+            energies["rx_uJ"] = cost.rx_energy(args.frame_bytes)
         for name, value in energies.items():
             # finite inputs can still overflow to inf in the product
             if not math.isfinite(value):
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
     p.add_argument("--subsequent", action="store_true",
                    help="case 2 with the phase-1 cache already warm")
-    p.add_argument("--cycle-energy", type=float, default=0.0198,
+    p.add_argument("--cycle-energy", type=float, default=cost.CYCLE_ENERGY_UJ,
                    dest="cycle_energy", help="microjoules per cycle")
     p.add_argument("--frame-bytes", type=int, default=None, dest="frame_bytes",
                    help="also print radio tx/rx energy for this frame size")

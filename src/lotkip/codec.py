@@ -510,7 +510,7 @@ def _parse_hex(value: str, expect_len: int, key: str) -> bytes:
     return raw
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
     """Parsed session description shared by both endpoints of a link.
 
@@ -518,7 +518,8 @@ class SessionConfig:
     must match on both sides; they default to the transmitter address, the
     broadcast address, and zero.  The mode, the fragmentation threshold, the
     refresh interval K and the priority are validated here, once for the
-    whole session.
+    whole session; the config is frozen, so a changed copy comes from
+    `dataclasses.replace`, which validates it again.
     """
 
     keys: SessionKeys
@@ -541,7 +542,7 @@ class SessionConfig:
         if not 0 <= self.priority <= 0xFF:
             raise CodecError(f"priority must be in 0..255, got {self.priority}")
         if not self.sa:
-            self.sa = self.keys.ta
+            object.__setattr__(self, "sa", self.keys.ta)
 
     def mic_header(self, first_tsc: int) -> MicHeader:
         """Michael pseudo-header of an MSDU whose first fragment has counter
@@ -551,9 +552,8 @@ class SessionConfig:
 
 
 def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:
-    """`config.mic_header` as a session built now uses it.  A TKIP header
-    holds no counter, so it is built once per session: here, not in the
-    config, whose mode `lotkip seal/open --mode` sets after parsing."""
+    """`config.mic_header` as a session uses it.  A TKIP header holds no
+    counter, so the session builds it once, here."""
     if config.mode == "lotkip":
         return config.mic_header
     header = config.mic_header(0)

@@ -14,7 +14,6 @@ TABLE1_NOTES rather than silently matched.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,25 +64,13 @@ class OpCounts:
                 + self.t_rot + self.t_swap + self.t_sub)
 
 
-@dataclass(frozen=True)
-class EnergyModelParams:
-    """Device energy constants: per-cycle compute cost and the linear
-    transmit/receive radio models (fixed microjoules plus per-byte slope)."""
-
-    cycle_energy: float = 0.0198
-    tx_fixed: float = 431.0
-    tx_per_byte: float = 0.48
-    rx_fixed: float = 316.0
-    rx_per_byte: float = 0.12
-
-    def __post_init__(self) -> None:
-        for name in ("cycle_energy", "tx_fixed", "tx_per_byte", "rx_fixed", "rx_per_byte"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
-DEFAULT_ENERGY_PARAMS = EnergyModelParams()
+# Device energy constants in microjoules: the compute cost of one cycle and
+# the linear transmit/receive radio models (fixed cost plus per-byte slope).
+CYCLE_ENERGY_UJ = 0.0198
+TX_FIXED_UJ = 431.0
+TX_PER_BYTE_UJ = 0.48
+RX_FIXED_UJ = 316.0
+RX_PER_BYTE_UJ = 0.12
 
 # Case 1 key mixing per byte encrypted.
 _KEYMIX_PER_BYTE = OpCounts(t_and=3495, t_or=1748, t_mem=6, t_rot=12)
@@ -176,24 +163,23 @@ def tkip_energy_cycles(m: int, case: Case, first_packet: bool = True) -> int:
     return 175 * n + coeff * m + 2835
 
 
-def tkip_energy(m: int, case: Case, first_packet: bool = True,
-                params: EnergyModelParams = DEFAULT_ENERGY_PARAMS) -> float:
+def tkip_energy(m: int, case: Case, first_packet: bool = True) -> float:
     """Per-packet compute energy in microjoules."""
-    return tkip_energy_cycles(m, case, first_packet) * params.cycle_energy
+    return tkip_energy_cycles(m, case, first_packet) * CYCLE_ENERGY_UJ
 
 
-def tx_energy(size: int, params: EnergyModelParams = DEFAULT_ENERGY_PARAMS) -> float:
+def tx_energy(size: int) -> float:
     """Microjoules to transmit a frame of `size` bytes."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    return params.tx_fixed + params.tx_per_byte * size
+    return TX_FIXED_UJ + TX_PER_BYTE_UJ * size
 
 
-def rx_energy(size: int, params: EnergyModelParams = DEFAULT_ENERGY_PARAMS) -> float:
+def rx_energy(size: int) -> float:
     """Microjoules to receive a frame of `size` bytes."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    return params.rx_fixed + params.rx_per_byte * size
+    return RX_FIXED_UJ + RX_PER_BYTE_UJ * size
 
 
 class Table1Row(NamedTuple):

@@ -8,11 +8,14 @@ i<j row-major order, so the links equal those of `link_decide` called
 pair by pair.  Topology generation holds arrays over all n(n-1)/2 pairs
 and an n x n adjacency matrix, so its memory grows as O(n^2).
 
-Traffic scenarios pick random connected source/destination pairs, push a
-stream of fixed-size packets along the min-hop route, and charge every
-node its compute energy (encrypt at the source, decrypt at the
-destination -- forwarders only relay) plus the linear radio
-transmit/receive cost of each hop.
+Traffic scenarios pick random connected source/destination pairs and push
+a stream of fixed-size packets along the min-hop route.  A node's energy
+in one scenario depends only on its role in that route: the source
+encrypts and transmits, each relay receives and transmits, the sink
+receives and decrypts, and every other node spends nothing.  With acks on,
+each hop's receiver also transmits an ack that its sender receives.  So
+`run_experiment` counts how often each node held each role and charges
+the counts at the per-scenario rate of the role.
 
 Scenario randomness is derived from (seed, scenario index) only, so the
 same scenarios are replayed for every packet size and both encryption
@@ -25,7 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,16 +38,10 @@ from lotkip.codec import (
     overhead_of,
     parse_key_values,
 )
-from lotkip.cost import (
-    DEFAULT_ENERGY_PARAMS,
-    Case,
-    EnergyModelParams,
-    rx_energy,
-    tkip_energy,
-    tx_energy,
-)
+from lotkip.cost import Case, rx_energy, tkip_energy, tx_energy
 
 MAC_OVERHEAD_BYTES = 34
+ACK_BYTES = 14
 PACKET_SIZE_MIN = 256
 PACKET_SIZE_MAX = 2312
 DEFAULT_PACKET_SIZES = tuple(range(256, 2049, 256))
@@ -193,10 +190,13 @@ class TrafficConfig:
     scheme: str = "both"               # "tkip", "lotkip", or "both"
     refresh_interval: int = 256
     ack_enabled: bool = False
-    ack_size: int = 14
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if not self.packet_sizes:
+            raise ValueError("packet sizes must not be empty")
+        if len(set(self.packet_sizes)) < len(self.packet_sizes):
+            raise ValueError(f"packet sizes repeat in {self.packet_sizes}")
         for p in self.packet_sizes:
             if not PACKET_SIZE_MIN <= p <= PACKET_SIZE_MAX:
                 raise ValueError(
@@ -220,9 +220,8 @@ def frame_bytes(packet_size: int, layout: FrameLayout) -> int:
 
 def packet_energy(scheme: str, packet_size: int, hop_count: int,
                   first_packet: bool = False,
-                  params: EnergyModelParams = DEFAULT_ENERGY_PARAMS,
                   layout: Optional[FrameLayout] = None,
-                  ack_enabled: bool = False, ack_size: int = 14) -> float:
+                  ack_enabled: bool = False) -> float:
     """Total microjoules one packet costs the network end to end.
 
     Compute energy is charged twice (encrypt at the source, decrypt at the
@@ -232,77 +231,52 @@ def packet_energy(scheme: str, packet_size: int, hop_count: int,
     if hop_count < 1:
         raise ValueError("hop_count must be at least 1")
     if scheme == "tkip":
-        compute = tkip_energy(packet_size, Case.NO_CACHE, params=params)
+        compute = tkip_energy(packet_size, Case.NO_CACHE)
         layout = layout or FrameLayout.TKIP_BASELINE
     elif scheme == "lotkip":
-        compute = tkip_energy(packet_size, Case.CACHE, first_packet, params)
+        compute = tkip_energy(packet_size, Case.CACHE, first_packet)
         if layout is None:
             layout = (FrameLayout.LOTKIP_TYPE_A if first_packet
                       else FrameLayout.LOTKIP_TYPE_B)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     size = frame_bytes(packet_size, layout)
-    radio = hop_count * (tx_energy(size, params) + rx_energy(size, params))
+    radio = hop_count * (tx_energy(size) + rx_energy(size))
     if ack_enabled:
-        radio += hop_count * (tx_energy(ack_size, params) + rx_energy(ack_size, params))
+        radio += hop_count * (tx_energy(ACK_BYTES) + rx_energy(ACK_BYTES))
     return 2.0 * compute + radio
 
 
-class _Stream(NamedTuple):
-    """Microjoules one scenario's stream of identical packets adds to the
-    source, to each relay and to the sink, plus per hop the ack's transmit
-    (at the hop's receiver) and receive (at its sender); no ack is None."""
-
-    source: float
-    relay: float
-    sink: float
-    ack: Optional[tuple[float, float]]
-
-
-def _scheme_streams(scheme: str, packet_size: int, traffic: TrafficConfig,
-                    params: EnergyModelParams) -> list[_Stream]:
-    """The packet streams every scenario charges for (scheme, packet_size);
-    they depend on neither the topology nor the route."""
+def _role_rates(scheme: str, packet_size: int,
+                traffic: TrafficConfig) -> tuple[float, float, float]:
+    """Microjoules one scenario's packets cost the route's source, each of
+    its relays and its sink; they depend on neither the topology nor the
+    route.  On each hop the receiver transmits the ack and the sender
+    receives it."""
     packets = traffic.packets_per_scenario
     if scheme == "tkip":
-        classes = [(packets, tkip_energy(packet_size, Case.NO_CACHE, params=params),
+        classes = [(packets, tkip_energy(packet_size, Case.NO_CACHE),
                     FrameLayout.TKIP_BASELINE)]
     else:
         n_first, n_refresh, n_b = lotkip_frame_classes(packets, traffic.refresh_interval)
-        cached = tkip_energy(packet_size, Case.CACHE, False, params)
+        cached = tkip_energy(packet_size, Case.CACHE, False)
         classes = [
-            (n_first, tkip_energy(packet_size, Case.CACHE, True, params),
+            (n_first, tkip_energy(packet_size, Case.CACHE, True),
              FrameLayout.LOTKIP_TYPE_A),
             (n_refresh, cached, FrameLayout.LOTKIP_TYPE_A),
             (n_b, cached, FrameLayout.LOTKIP_TYPE_B),
         ]
-    streams = []
+    ack_tx = ack_rx = 0.0
+    if traffic.ack_enabled:
+        ack_tx, ack_rx = tx_energy(ACK_BYTES), rx_energy(ACK_BYTES)
+    source = relay = sink = 0.0
     for count, compute, layout in classes:
-        if count <= 0:
-            continue
         size = frame_bytes(packet_size, layout)
-        tx = tx_energy(size, params)
-        rx = rx_energy(size, params)
-        ack = None
-        if traffic.ack_enabled:
-            ack = (count * tx_energy(traffic.ack_size, params),
-                   count * rx_energy(traffic.ack_size, params))
-        streams.append(_Stream(count * (compute + tx), count * (rx + tx),
-                               count * (rx + compute), ack))
-    return streams
-
-
-def _charge_stream(per_node: list[float], path: list[int], stream: _Stream) -> None:
-    """Add one stream's energy to the nodes along `path`."""
-    per_node[path[0]] += stream.source
-    for node in path[1:-1]:
-        per_node[node] += stream.relay
-    per_node[path[-1]] += stream.sink
-    if stream.ack is not None:
-        ack_tx, ack_rx = stream.ack
-        for a, b in zip(path, path[1:]):
-            per_node[b] += ack_tx
-            per_node[a] += ack_rx
+        tx, rx = tx_energy(size), rx_energy(size)
+        source += count * (compute + tx + ack_rx)
+        relay += count * (rx + tx + ack_tx + ack_rx)
+        sink += count * (rx + compute + ack_tx)
+    return source, relay, sink
 
 
 @dataclass
@@ -351,21 +325,23 @@ def _sample_pair(topology: Topology, rng: np.random.Generator,
 def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResult:
     """Average network energy over the configured random scenarios."""
     n = topo_cfg.node_count
-    params = DEFAULT_ENERGY_PARAMS
-    accum = {(scheme, p): [0.0] * n
-             for scheme in traffic.schemes for p in traffic.packet_sizes}
-    streams = {(scheme, p): _scheme_streams(scheme, p, traffic, params)
-               for scheme, p in accum}
+    source, relay, sink = [0] * n, [0] * n, [0] * n
     topo_seed = _normalize_seed(topo_cfg.seed)
     for s in range(traffic.scenario_count):
         topology = generate_topology(replace(topo_cfg, seed=topo_seed + (s, 0)))
         pair_rng = np.random.default_rng((traffic.seed, s, 1))
         path, _ = _sample_pair(topology, pair_rng)
-        for key, per_node in accum.items():
-            for stream in streams[key]:
-                _charge_stream(per_node, path, stream)
-    per_node_j = {key: np.array(uj) * 1e-6 / traffic.scenario_count
-                  for key, uj in accum.items()}
+        source[path[0]] += 1
+        for node in path[1:-1]:
+            relay[node] += 1
+        sink[path[-1]] += 1
+    source, relay, sink = (np.array(c, dtype=float) for c in (source, relay, sink))
+    per_node_j = {}
+    for scheme in traffic.schemes:
+        for p in traffic.packet_sizes:
+            a, b, c = _role_rates(scheme, p, traffic)
+            per_node_j[(scheme, p)] = ((a * source + b * relay + c * sink)
+                                       * 1e-6 / traffic.scenario_count)
     return SimResult(
         placement=topo_cfg.placement,
         node_count=n,

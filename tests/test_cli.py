@@ -199,6 +199,32 @@ def test_sim_paper_scenario_csv_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SIM_SHA256
 
 
+# Scenarios the paper's default leaves out: acks over relays, K = 1 and
+# K = 999, an epoch crossing (over 65 536 packets), one packet per
+# scenario, single schemes, and n = 30 to 400.
+WIDE_SIM_SCENARIOS = (
+    "placement = both\nack = on\nK = 3\nscenarios = 20\n",
+    "nodes = 50\nplacement = random\nalpha = 1\nscheme = tkip\npackets = 1\n"
+    "scenarios = 20\n",
+    "nodes = 400\nplacement = random\nalpha = 0\npackets = 70000\nK = 999\n"
+    "scenarios = 5\narea_w = 2000\narea_h = 2000\nack = on\n",
+    "nodes = 30\nplacement = grid\nP_list = 256,300,2312\npackets = 65537\n"
+    "K = 1\nack = on\nscenarios = 20\nscheme = lotkip\n",
+)
+WIDE_SIM_SHA256 = "b4c9cb8770f682ce6aee9c7022a45a7eb574733ba84468460f1db44be3052ab3"
+
+
+def test_sim_wide_scenarios_csv_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for text in WIDE_SIM_SCENARIOS:
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(text)
+        out = tmp_path / "sim.csv"
+        assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == WIDE_SIM_SHA256
+
+
 # SHA-256 of the sealed corpus below: sealed container bytes are a contract.
 SEALED_CORPUS_SHA256 = "77e955f9247be7c113ad83e7ece78d8cdf7e13267ca9f4582b45c0ded5359d9b"
 
@@ -274,6 +300,17 @@ def test_sim_rejects_bad_scenario(tmp_path, capsys):
     scenario.write_text("martians = 4")
     assert main(["sim", "--scenario", str(scenario), "--csv", "-"]) == 1
     assert "ScenarioError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p_list", [",", "256,256"], ids=["empty", "repeated"])
+def test_sim_rejects_bad_packet_sizes(tmp_path, capsys, p_list):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT.replace("P_list = 256,512", f"P_list = {p_list}"))
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ScenarioError: ")
 
 
 def test_cli_import_leaves_oracle_and_lanes_unloaded():

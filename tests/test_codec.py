@@ -3,6 +3,7 @@ modes, replay window, countermeasures, the type A schedule and probe
 machinery, overhead accounting, and the container/config formats."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -590,13 +591,14 @@ def test_lotkip_mic_covers_counter():
 
 
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
-def test_michael_header_built_once_per_tkip_session(mode):
+def test_michael_header_built_once_per_tkip_session(monkeypatch, mode):
     # TKIP's header holds no counter, so each session builds it once;
     # LOTKIP's carries the counter of each MSDU's first fragment
     cfg = config(mode)
     built = []
-    original = cfg.mic_header
-    cfg.mic_header = lambda first_tsc: built.append(first_tsc) or original(first_tsc)
+    original = SessionConfig.mic_header
+    monkeypatch.setattr(SessionConfig, "mic_header", lambda self, first_tsc:
+                        built.append(first_tsc) or original(self, first_tsc))
     sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
     msdus = [bytes([n]) * 300 for n in range(5)]
     assert [receiver.open(sender.seal(m)) for m in msdus] == msdus
@@ -606,10 +608,9 @@ def test_michael_header_built_once_per_tkip_session(mode):
 
 @pytest.mark.parametrize("parsed, chosen", [("tkip", "lotkip"), ("lotkip", "tkip")])
 def test_mode_set_after_config_reaches_michael_header(parsed, chosen):
-    # `lotkip seal/open --mode` set the mode on a parsed config, before
-    # the sessions are built
-    late = config(parsed)
-    late.mode = chosen
+    # `lotkip seal/open --mode` replace the mode of a parsed config,
+    # before the sessions are built
+    late = replace(config(parsed), mode=chosen)
     msdus = [bytes(range(n, n + 40)) for n in range(3)]
     sealed = SenderSession(late).seal_many(msdus)
     assert sealed == SenderSession(config(chosen)).seal_many(msdus)
@@ -720,6 +721,21 @@ def test_container_truncation_rejected():
         container_to_frames(blob[:-1])
     with pytest.raises(MalformedFrame):
         container_to_frames(blob + b"\x00\x00")
+
+
+def test_session_config_is_frozen():
+    # a session reads its config on every frame, so the config cannot
+    # change under it; a changed copy is validated again
+    cfg = config("tkip")
+    for field, value in (("mode", "lotkip"), ("frag_threshold", 3),
+                         ("refresh_interval", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, value)
+    with pytest.raises(CodecError):
+        replace(cfg, frag_threshold=3)
+    assert replace(cfg, mode="lotkip").sa == cfg.sa == SA
+    keys = symmetric_keys()
+    assert replace(SessionConfig(keys=keys), mode="lotkip").sa == keys.ta
 
 
 def test_parse_session_config():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lotkip import netsim
 from lotkip.codec import FrameLayout, lotkip_frame_classes
 from lotkip.cost import Case, rx_energy, tkip_energy, tx_energy
 from lotkip.netsim import (
@@ -48,6 +49,10 @@ def test_traffic_config_validation():
         TrafficConfig(packet_sizes=(128,))
     with pytest.raises(ValueError):
         TrafficConfig(packet_sizes=(2400,))
+    with pytest.raises(ValueError, match="empty"):
+        TrafficConfig(packet_sizes=())
+    with pytest.raises(ValueError, match="repeat"):
+        TrafficConfig(packet_sizes=(256, 512, 256))
     with pytest.raises(ValueError):
         TrafficConfig(scheme="wep")
     assert TrafficConfig().schemes == ("tkip", "lotkip")
@@ -217,7 +222,7 @@ def test_lotkip_packet_energy_layouts():
 
 
 def test_ack_energy_added_per_hop():
-    with_ack = packet_energy("tkip", 256, 3, ack_enabled=True, ack_size=14)
+    with_ack = packet_energy("tkip", 256, 3, ack_enabled=True)
     without = packet_energy("tkip", 256, 3)
     assert with_ack - without == pytest.approx(3 * (tx_energy(14) + rx_energy(14)))
 
@@ -290,6 +295,53 @@ def test_two_node_lotkip_class_aggregation():
                                           layout=FrameLayout.LOTKIP_TYPE_A)
               + n_b * packet_energy("lotkip", 256, 1)) * 1e-6
     assert result.network_energy("lotkip", 256) == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("scheme", ["tkip", "lotkip"])
+def test_energy_lands_on_route_nodes(monkeypatch, scheme):
+    # each node's joules, recomputed hop by hop along every scenario's route:
+    # compute at both ends, a frame's tx/rx and an ack's rx/tx on each hop
+    paths = []
+    sample_pair = netsim._sample_pair
+
+    def recording(*args, **kwargs):
+        path, hops = sample_pair(*args, **kwargs)
+        paths.append(path)
+        return path, hops
+
+    monkeypatch.setattr(netsim, "_sample_pair", recording)
+    packets, k, n = 600, 7, 30
+    traffic = _small_traffic(scheme=scheme, packets_per_scenario=packets,
+                             refresh_interval=k, ack_enabled=True, scenario_count=6)
+    result = run_experiment(TopologyConfig(node_count=n, placement="random", seed=3),
+                            traffic)
+    assert len(paths) == 6 and any(len(path) > 2 for path in paths)
+    on_route = {node for path in paths for node in path}
+    for p in traffic.packet_sizes:
+        if scheme == "tkip":
+            classes = [(packets, tkip_energy(p, Case.NO_CACHE),
+                        FrameLayout.TKIP_BASELINE)]
+        else:
+            n_first, n_refresh, n_b = lotkip_frame_classes(packets, k)
+            assert n_refresh > 0
+            cached = tkip_energy(p, Case.CACHE, False)
+            classes = [(n_first, tkip_energy(p, Case.CACHE, True),
+                        FrameLayout.LOTKIP_TYPE_A),
+                       (n_refresh, cached, FrameLayout.LOTKIP_TYPE_A),
+                       (n_b, cached, FrameLayout.LOTKIP_TYPE_B)]
+        expect = [0.0] * n
+        for path in paths:
+            for count, compute, layout in classes:
+                size = frame_bytes(p, layout)
+                expect[path[0]] += count * compute
+                expect[path[-1]] += count * compute
+                for sender, receiver in zip(path, path[1:]):
+                    expect[sender] += count * (tx_energy(size) + rx_energy(14))
+                    expect[receiver] += count * (rx_energy(size) + tx_energy(14))
+        per_node = result.per_node_j[(scheme, p)]
+        np.testing.assert_allclose(per_node, np.array(expect) * 1e-6 / len(paths),
+                                   rtol=1e-12)
+        assert {int(i) for i in np.flatnonzero(per_node)} == on_route
 
 
 def test_single_scheme_has_no_efficiency():
