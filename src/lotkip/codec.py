@@ -562,8 +562,8 @@ def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:
 
 def parse_key_values(text: str, known: Iterable[str],
                      error: type[Exception]) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment.  A line without '=' or
-    a key outside ``known`` raises ``error``."""
+    """Parse key=value lines; '#' starts a comment.  A line without '=', a
+    key given twice or a key outside ``known`` raises ``error``."""
     fields: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -572,7 +572,10 @@ def parse_key_values(text: str, known: Iterable[str],
         if "=" not in line:
             raise error(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise error(f"config line {lineno}: {key} is already set")
+        fields[key] = value.strip()
     unknown = set(fields) - set(known)
     if unknown:
         raise error(f"unknown config fields: {', '.join(sorted(unknown))}")

@@ -9,7 +9,7 @@ stream always ends in exactly one all-zero word.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # (L, R) as two little-endian 32-bit words: the key and the tag
 _TAG = struct.Struct("<2I")
@@ -70,6 +70,8 @@ class MicHeader:
     da: bytes
     priority: int = 0
     iv: int | None = None
+    # the header's bytes, built once: a session reuses one header per MSDU
+    _packed: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.sa) != 6 or len(self.da) != 6:
@@ -78,15 +80,16 @@ class MicHeader:
             raise ValueError("priority must fit in one byte")
         if self.iv is not None and not 0 <= self.iv < 1 << 48:
             raise ValueError("iv must be a 48-bit value")
-
-    def packed(self) -> bytes:
         out = bytearray(self.sa)
         out += self.da
         out.append(self.priority)
         out += b"\x00\x00\x00"
         if self.iv is not None:
             out += self.iv.to_bytes(6, "little")
-        return bytes(out)
+        object.__setattr__(self, "_packed", bytes(out))
+
+    def packed(self) -> bytes:
+        return self._packed
 
 
 def michael_mic(key: bytes, header: MicHeader, data: bytes) -> bytes:

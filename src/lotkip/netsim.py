@@ -5,8 +5,11 @@ distance d are linked deterministically when d <= alpha*R, never when
 d > R, and with probability (R - d) / (R - alpha*R) in between.  Only
 pairs in that uncertain band draw: one batched draw per band pair, in
 i<j row-major order, so the links equal those of `link_decide` called
-pair by pair.  Topology generation holds arrays over all n(n-1)/2 pairs
-and an n x n adjacency matrix, so its memory grows as O(n^2).
+pair by pair.  `run_experiment` decides its scenarios' topologies in
+chunks, as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station pairs,
+so its arrays take O(budget) memory per chunk.  From n = 256 stations a
+chunk holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix
+take O(n^2).
 
 Traffic scenarios pick random connected source/destination pairs and push
 a stream of fixed-size packets along the min-hop route.  A node's energy
@@ -25,8 +28,9 @@ schemes; energy comparisons therefore use common random numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -46,10 +50,24 @@ PACKET_SIZE_MIN = 256
 PACKET_SIZE_MAX = 2312
 DEFAULT_PACKET_SIZES = tuple(range(256, 2049, 256))
 SCHEMES = ("tkip", "lotkip")
+# Station pairs `run_experiment` decides in one chunk of scenarios; see
+# `_scenarios_per_chunk`.
+TOPOLOGY_PAIR_BUDGET = 1 << 15
 
 
 class ScenarioError(Exception):
     """Raised when a scenario cannot be set up (e.g. no connected pair)."""
+
+
+def _normalize_seed(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
+    return seed if isinstance(seed, tuple) else (seed,)
+
+
+def _check_seed(seed: "int | tuple[int, ...]") -> None:
+    """numpy seeds a generator only from non-negative integers."""
+    if not all(isinstance(v, numbers.Integral) and v >= 0
+               for v in _normalize_seed(seed)):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,7 @@ class TopologyConfig:
             raise ValueError("radio_range must be positive")
         if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
             raise ValueError("area_w and area_h must be positive and finite")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -124,37 +143,68 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def generate_topology(cfg: TopologyConfig) -> Topology:
-    """Place the stations, then decide every i<j pair at once.
+def _decide_topologies(cfg: TopologyConfig,
+                       seeds: "list[int | tuple[int, ...]]") -> list[Topology]:
+    """The topology of ``cfg`` under each seed, all seeds' pairs at once.
 
-    Makes the same decisions, from the same draws, as calling `link_decide`
-    on each pair in row-major i<j order: only band pairs draw, and
-    `rng.random(k)` returns the same values as k scalar `rng.random()` calls.
+    Each seed has its own generator, drawn exactly as if its topology were
+    decided alone: the random positions first, then one draw per band pair
+    in i<j row-major order.  So each topology makes the same decisions, from
+    the same draws, as calling `link_decide` on its pairs in that order:
+    only band pairs draw, and `rng.random(k)` returns the same values as k
+    scalar `rng.random()` calls.  `rng.random((n, 2)) * (w, h)` returns the
+    bits of `rng.uniform((0, 0), (w, h), (n, 2))` at a fraction of its cost.
+    Grid positions do not depend on the seed, so their distances and masks
+    are computed once and repeated.  Pair arrays are flat and seed-major.
     """
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.placement == "grid":
-        positions = _grid_positions(cfg)
-    else:
-        positions = rng.uniform((0.0, 0.0), (cfg.area_w, cfg.area_h),
-                                size=(cfg.node_count, 2))
     n = cfg.node_count
+    count = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if cfg.placement == "grid":
+        positions = [_grid_positions(cfg)] * count
+        xy = positions[0][None]
+    else:
+        area = np.array((cfg.area_w, cfg.area_h))
+        positions = [rng.random((n, 2)) * area for rng in rngs]
+        xy = np.stack(positions)
     r = cfg.radio_range
     near_range = cfg.alpha * r
     i, j = _pair_indices(n)
-    x, y = positions.T
-    dist = np.hypot(x[i] - x[j], y[i] - y[j])
+    pairs = i.size
+    x, y = xy.transpose(2, 0, 1)
+    dx = x.take(i, axis=1) - x.take(j, axis=1)
+    dy = y.take(i, axis=1) - y.take(j, axis=1)
+    dist = np.hypot(dx, dy, out=dx).ravel()
     linked = dist <= near_range
     band = ~linked & (dist <= r)
-    d = dist[band]
-    linked[band] = rng.random(d.size) < (r - d) / (r - near_range)
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[i[linked], j[linked]] = True
-    adjacent |= adjacent.T
-    rows, cols = np.nonzero(adjacent)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
+    prob = (r - dist[band]) / (r - near_range)
+    if len(xy) < count:
+        linked, band, prob = (np.tile(a, count) for a in (linked, band, prob))
+    counts = band.reshape(count, pairs).sum(axis=1).tolist()
+    draws = [rng.random(k) for rng, k in zip(rngs, counts)]
+    linked[band] = np.concatenate(draws) < prob
+    # one scatter into all seeds' adjacency matrices, count*n rows of n, in
+    # which seed s numbers its stations from s*n
+    k = np.flatnonzero(linked)
+    s = k // pairs
+    pair = k - s * pairs
+    u, v = i[pair], j[pair]
+    adjacent = np.zeros(count * n * n, dtype=bool)
+    adjacent[(s * n + u) * n + v] = True
+    adjacent[(s * n + v) * n + u] = True
+    k = np.flatnonzero(adjacent)
+    rows = k // n
+    cols = (k - rows * n).tolist()
+    starts = np.searchsorted(rows, np.arange(count * n + 1)).tolist()
     neighbors = [cols[a:b] for a, b in zip(starts, starts[1:])]
-    return Topology(positions, neighbors)
+    return [Topology(pos, neighbors[s * n:(s + 1) * n])
+            for s, pos in enumerate(positions)]
+
+
+def generate_topology(cfg: TopologyConfig) -> Topology:
+    """Place the stations, then decide every i<j pair at once; the topology
+    that `run_experiment` decides for a scenario seeded ``cfg.seed``."""
+    return _decide_topologies(cfg, [cfg.seed])[0]
 
 
 def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
@@ -207,6 +257,7 @@ class TrafficConfig:
             raise ValueError("packet and scenario counts must be positive")
         if self.refresh_interval < 1:
             raise ValueError("refresh_interval must be positive")
+        _check_seed(self.seed)
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -304,10 +355,6 @@ class SimResult:
                 / self.network_energy("lotkip", packet_size))
 
 
-def _normalize_seed(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
-    return seed if isinstance(seed, tuple) else (seed,)
-
-
 def _sample_pair(topology: Topology, rng: np.random.Generator,
                  max_tries: int = 1000) -> tuple[list[int], int]:
     n = topology.node_count
@@ -322,19 +369,35 @@ def _sample_pair(topology: Topology, rng: np.random.Generator,
     raise ScenarioError("no connected node pair found after bounded resampling")
 
 
+def _scenarios_per_chunk(n: int) -> int:
+    """As many scenarios of n stations as fit in `TOPOLOGY_PAIR_BUDGET`, and
+    at least one.  A scenario counts as its pairs plus 64 for its generator
+    and neighbour lists, so tiny topologies do not pile up thousands of
+    generators in one chunk."""
+    return max(1, TOPOLOGY_PAIR_BUDGET // (n * (n - 1) // 2 + 64))
+
+
 def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResult:
-    """Average network energy over the configured random scenarios."""
+    """Average network energy over the configured random scenarios.
+
+    Scenario s's topology is `generate_topology` seeded ``seed + (s, 0)``,
+    decided with the other scenarios of its chunk."""
     n = topo_cfg.node_count
     source, relay, sink = [0] * n, [0] * n, [0] * n
     topo_seed = _normalize_seed(topo_cfg.seed)
-    for s in range(traffic.scenario_count):
-        topology = generate_topology(replace(topo_cfg, seed=topo_seed + (s, 0)))
-        pair_rng = np.random.default_rng((traffic.seed, s, 1))
-        path, _ = _sample_pair(topology, pair_rng)
-        source[path[0]] += 1
-        for node in path[1:-1]:
-            relay[node] += 1
-        sink[path[-1]] += 1
+    count = traffic.scenario_count
+    chunk = _scenarios_per_chunk(n)
+    for first in range(0, count, chunk):
+        scenarios = range(first, min(first + chunk, count))
+        topologies = _decide_topologies(
+            topo_cfg, [topo_seed + (s, 0) for s in scenarios])
+        for s, topology in zip(scenarios, topologies):
+            pair_rng = np.random.default_rng((traffic.seed, s, 1))
+            path, _ = _sample_pair(topology, pair_rng)
+            source[path[0]] += 1
+            for node in path[1:-1]:
+                relay[node] += 1
+            sink[path[-1]] += 1
     source, relay, sink = (np.array(c, dtype=float) for c in (source, relay, sink))
     per_node_j = {}
     for scheme in traffic.schemes:
@@ -415,7 +478,10 @@ def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfi
             for pl in placements
         ]
         if "P_list" in fields:
-            sizes = tuple(int(v) for v in fields["P_list"].split(",") if v.strip())
+            items = [v.strip() for v in fields["P_list"].split(",")]
+            if "" in items:
+                raise ValueError("P_list has an empty item")
+            sizes = tuple(map(int, items))
         else:
             sizes = DEFAULT_PACKET_SIZES
         traffic = TrafficConfig(

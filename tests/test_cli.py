@@ -302,7 +302,8 @@ def test_sim_rejects_bad_scenario(tmp_path, capsys):
     assert "ScenarioError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("p_list", [",", "256,256"], ids=["empty", "repeated"])
+@pytest.mark.parametrize("p_list", [",", "256,,512", "256,256"],
+                         ids=["empty", "empty-item", "repeated"])
 def test_sim_rejects_bad_packet_sizes(tmp_path, capsys, p_list):
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO_TEXT.replace("P_list = 256,512", f"P_list = {p_list}"))
@@ -311,6 +312,21 @@ def test_sim_rejects_bad_packet_sizes(tmp_path, capsys, p_list):
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ScenarioError: ")
+
+
+@pytest.mark.parametrize("line, args, error", [
+    ("seed = -1", [], "ScenarioError: invalid scenario config: seed must be"),
+    ("", ["--seed", "-5"], "ValueError: seed must be"),
+    ("nodes = 49", [], "ScenarioError: config line 11: nodes is already set"),
+], ids=["file-seed", "flag-seed", "repeated-key"])
+def test_sim_rejects_bad_seed_and_repeated_key(tmp_path, capsys, line, args, error):
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT.replace("seed = 5", "") + line + "\n")
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out), *args]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(error)
 
 
 def test_cli_import_leaves_oracle_and_lanes_unloaded():
@@ -341,7 +357,8 @@ def test_unknown_flags_rejected(tmp_path, session_file):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("line", ["k = 5", "K = x", "key_id = 7", "priority = 300"])
+@pytest.mark.parametrize("line", ["k = 5", "K = x", "key_id = 7", "priority = 300",
+                                  "K = 9"])
 def test_seal_rejects_bad_session_config(tmp_path, session_file, capsys, line):
     cfg = Path(session_file())
     cfg.write_text(cfg.read_text() + line + "\n")

@@ -2,6 +2,7 @@
 energy composition, and experiment determinism/aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lotkip.cost import Case, rx_energy, tkip_energy, tx_energy
 from lotkip.netsim import (
     DEFAULT_PACKET_SIZES,
     MAC_OVERHEAD_BYTES,
+    TOPOLOGY_PAIR_BUDGET,
     ScenarioError,
     Topology,
     TopologyConfig,
@@ -42,6 +44,9 @@ def test_topology_config_validation():
                  dict(area_h=0.0), dict(area_w=math.inf), dict(area_h=math.nan)):
         with pytest.raises(ValueError, match="area_w and area_h"):
             TopologyConfig(**area)
+    for seed in (-1, (1, -2, 0), 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            TopologyConfig(seed=seed)
 
 
 def test_traffic_config_validation():
@@ -55,6 +60,8 @@ def test_traffic_config_validation():
         TrafficConfig(packet_sizes=(256, 512, 256))
     with pytest.raises(ValueError):
         TrafficConfig(scheme="wep")
+    with pytest.raises(ValueError, match="seed"):
+        TrafficConfig(seed=-1)
     assert TrafficConfig().schemes == ("tkip", "lotkip")
     assert TrafficConfig(scheme="lotkip").schemes == ("lotkip",)
 
@@ -344,6 +351,53 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
         assert {int(i) for i in np.flatnonzero(per_node)} == on_route
 
 
+def _scenario_loop(cfg, traffic):
+    """Each scenario decided alone: its topology from `generate_topology`
+    seeded as `run_experiment` seeds scenario s, then its pair and route."""
+    seed = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
+    runs = []
+    for s in range(traffic.scenario_count):
+        topo = generate_topology(replace(cfg, seed=seed + (s, 0)))
+        path, _ = netsim._sample_pair(topo, np.random.default_rng((traffic.seed, s, 1)))
+        runs.append((topo, path))
+    return runs
+
+
+@pytest.mark.parametrize("placement", ["grid", "random"])
+@pytest.mark.parametrize("n, full_chunks", [(49, 3), (257, 2)])
+def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_chunks):
+    # n = 49: three full chunks and a partial fourth; n = 257 has more pairs
+    # than the budget, so every chunk holds one scenario
+    per_chunk = netsim._scenarios_per_chunk(n)
+    assert (per_chunk == 1) == (n * (n - 1) // 2 > TOPOLOGY_PAIR_BUDGET)
+    last = (per_chunk + 1) // 2
+    chunks, runs = [], []
+    decide, sample_pair = netsim._decide_topologies, netsim._sample_pair
+
+    def recording_decide(cfg, seeds):
+        chunks.append(len(seeds))
+        return decide(cfg, seeds)
+
+    def recording_sample(topology, rng):
+        path, hops = sample_pair(topology, rng)
+        runs.append((topology, path))
+        return path, hops
+
+    monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
+    monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
+    cfg = TopologyConfig(node_count=n, placement=placement, seed=(4, 2))
+    traffic = _small_traffic(scenario_count=full_chunks * per_chunk + last)
+    run_experiment(cfg, traffic)
+    monkeypatch.undo()
+    assert chunks == [per_chunk] * full_chunks + [last]
+    expected = _scenario_loop(cfg, traffic)
+    assert len(runs) == len(expected) == traffic.scenario_count
+    for (topo, path), (ref_topo, ref_path) in zip(runs, expected):
+        assert np.array_equal(topo.positions, ref_topo.positions)
+        assert topo.neighbors == ref_topo.neighbors
+        assert path == ref_path
+
+
 def test_single_scheme_has_no_efficiency():
     result = run_experiment(TopologyConfig(seed=2), _small_traffic(scheme="tkip"))
     assert result.efficiency_factor(256) is None
@@ -409,6 +463,13 @@ def test_parse_scenario_config_defaults_and_errors():
         parse_scenario_config("ack = yes")
     with pytest.raises(ScenarioError):
         parse_scenario_config("area_w = -5")
+    with pytest.raises(ScenarioError, match="seed"):
+        parse_scenario_config("seed = -1")
+    with pytest.raises(ScenarioError, match="nodes is already set"):
+        parse_scenario_config("nodes = 16\nnodes = 49")
+    for p_list in ("256,,512", "256,512,", ""):
+        with pytest.raises(ScenarioError, match="P_list has an empty item"):
+            parse_scenario_config(f"P_list = {p_list}")
     for text, enabled in (("ack = off", False), ("ack = false", False),
                           ("ack = 0", False), ("ack = true", True),
                           ("ack = 1", True)):
