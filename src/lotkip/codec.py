@@ -11,9 +11,11 @@ tag, splits the result into fragments, and encrypts each with a CRC
 trailer under its own per-packet RC4 seed.
 
 Open: the check pass is pure.  For each group of frames it checks layout,
-counter resolution, fragment counter continuity and the replay window,
+counter resolution, fragment counter continuity and the replay counter,
 against the window and epoch that the block's earlier groups would leave if
-they committed.  The compute pass runs key mixing and RC4 for the groups
+they committed.  TKIP, as in 802.11, admits only a counter above the
+highest it has admitted; LOTKIP admits any counter its `ReplayWindow` does
+not reject.  The compute pass runs key mixing and RC4 for the groups
 that passed, checks each fragment's CRC once, and derives the tags of the
 data groups.  Either pass stops at the first failure and records it instead
 of raising it.  The commit pass then walks the groups in order, reading the
@@ -754,7 +756,9 @@ class ReceiverSession:
     """Owns the replay window, the countermeasure state, and the phase 1
     cache, whose upper counter value is the epoch type B frames resolve to.
     Only a group that passes every check, the Michael verify or the probe
-    payload last, moves the window or the epoch."""
+    payload last, moves the window or the epoch.  In TKIP mode a counter
+    must exceed the window's highest; the window's own `WINDOW` verdict,
+    an unseen counter below it, counts as a replay."""
 
     def __init__(self, config: SessionConfig, clock: Optional[Clock] = None) -> None:
         self.config = config
@@ -791,6 +795,8 @@ class ReceiverSession:
         the first against the session's window, which checking leaves as it
         is, the later ones against a trial copy."""
         mode = self.config.mode
+        # 802.11 TKIP keeps one strictly increasing counter per priority
+        replays = (_REJECT, _WINDOW) if mode == "tkip" else (_REJECT,)
         window = self.window
         hi = self.ttak_cache.hi
         plans = []
@@ -822,7 +828,7 @@ class ReceiverSession:
                         raise MalformedFrame("fragment counters are not consecutive")
                     # admitting the group's own earlier counters, which are
                     # consecutive and lower, could not change this verdict
-                    if window.check(tsc) is _REJECT:
+                    if window.check(tsc) in replays:
                         raise ReplayRejected(f"counter {tsc:#014x} rejected")
                     counters.append(tsc)
                 plans.append((frames, counters, probe))

@@ -5,33 +5,43 @@ distance d are linked deterministically when d <= alpha*R, never when
 d > R, and with probability (R - d) / (R - alpha*R) in between.  Only
 pairs in that uncertain band draw: one batched draw per band pair, in
 i<j row-major order, so the links equal those of `link_decide` called
-pair by pair.  `run_experiment` decides its scenarios' topologies in
-chunks, as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station pairs,
-so its arrays take O(budget) memory per chunk.  From n = 256 stations a
-chunk holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix
-take O(n^2).
+pair by pair.  A topology keeps its links as one integer bit mask per
+station, bit j set when the station is linked to station j.
 
 Traffic scenarios pick random connected source/destination pairs and push
-a stream of fixed-size packets along the min-hop route.  A node's energy
-in one scenario depends only on its role in that route: the source
-encrypts and transmits, each relay receives and transmits, the sink
-receives and decrypts, and every other node spends nothing.  With acks on,
-each hop's receiver also transmits an ack that its sender receives.  So
+a stream of fixed-size packets along the min-hop route that `route`
+finds, which also states how it breaks ties.  A node's energy in one
+scenario depends only on its role in that route: the source encrypts and
+transmits, each relay receives and transmits, the sink receives and
+decrypts, and every other node spends nothing.  With acks on, each hop's
+receiver also transmits an ack that its sender receives.  So
 `run_experiment` counts how often each node held each role and charges
 the counts at the per-scenario rate of the role.
 
 Scenario randomness is derived from (seed, scenario index) only, so the
 same scenarios are replayed for every packet size and both encryption
-schemes; energy comparisons therefore use common random numbers.
+schemes; energy comparisons therefore use common random numbers.  Each
+scenario draws from two streams, its topology's, seeded ``seed + (s, 0)``,
+and its pair's, seeded ``(traffic seed, s, 1)``, each exactly as
+``np.random.default_rng(seed)`` would draw it.  `run_experiment` does not
+build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
+seeding fixed, so it hashes both streams' seeds for at least
+`_SEED_BATCH` scenarios at a time (`_pcg64_states`) and sets each state
+on a reused generator, one per run for the pairs and one per chunk for
+the topologies.  It decides topologies in chunks of as many scenarios as fit
+in `TOPOLOGY_PAIR_BUDGET` station pairs.  So its memory does not grow with
+the scenario count: O(budget) per chunk, plus the seed states of one
+batch.  From n = 256 stations a chunk holds one scenario, whose n(n-1)/2
+pairs and n x n adjacency matrix take O(n^2).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -53,6 +63,9 @@ SCHEMES = ("tkip", "lotkip")
 # Station pairs `run_experiment` decides in one chunk of scenarios; see
 # `_scenarios_per_chunk`.
 TOPOLOGY_PAIR_BUDGET = 1 << 15
+# Scenarios whose seeds `run_experiment` hashes in one `_pcg64_states` call,
+# rounded up to whole chunks: a call costs ~100 us however few seeds it has.
+_SEED_BATCH = 256
 
 
 class ScenarioError(Exception):
@@ -94,17 +107,31 @@ class TopologyConfig:
         _check_seed(self.seed)
 
 
-@dataclass
 class Topology:
-    positions: np.ndarray              # (n, 2) coordinates in meters
-    neighbors: list[list[int]]         # sorted adjacency lists
+    """Station positions, in meters, and links.  Bit j of ``masks[i]`` is
+    set when stations i and j are linked; a topology can also be built from
+    sorted neighbour lists, and ``neighbors`` lists each station's links in
+    ascending order."""
+
+    def __init__(self, positions: np.ndarray,
+                 neighbors: Optional[list[list[int]]] = None, *,
+                 masks: Optional[list[int]] = None) -> None:
+        self.positions = positions
+        if masks is None:
+            masks = [sum(1 << j for j in nbrs) for nbrs in neighbors]
+        self.masks = masks
 
     @property
     def node_count(self) -> int:
-        return len(self.neighbors)
+        return len(self.masks)
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        stations = range(len(self.masks))
+        return [[j for j in stations if mask >> j & 1] for mask in self.masks]
 
     def degree(self, node: int) -> int:
-        return len(self.neighbors[node])
+        return self.masks[node].bit_count()
 
 
 def link_decide(dist: float, radio_range: float, alpha: float,
@@ -143,30 +170,146 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _decide_topologies(cfg: TopologyConfig,
-                       seeds: "list[int | tuple[int, ...]]") -> list[Topology]:
-    """The topology of ``cfg`` under each seed, all seeds' pairs at once.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
+# constants, fixed by NEP 19
+_POOL_WORDS = 4
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
-    Each seed has its own generator, drawn exactly as if its topology were
-    decided alone: the random positions first, then one draw per band pair
-    in i<j row-major order.  So each topology makes the same decisions, from
-    the same draws, as calling `link_decide` on its pairs in that order:
-    only band pairs draw, and `rng.random(k)` returns the same values as k
-    scalar `rng.random()` calls.  `rng.random((n, 2)) * (w, h)` returns the
-    bits of `rng.uniform((0, 0), (w, h), (n, 2))` at a fraction of its cost.
-    Grid positions do not depend on the seed, so their distances and masks
-    are computed once and repeated.  Pair arrays are flat and seed-major.
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2^32 for k < count, the multipliers a
+    SeedSequence hash steps through."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _seed_words(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
+    """SeedSequence's entropy words: each value's 32-bit words, least
+    significant first, with 0 as one word."""
+    seed = _normalize_seed(seed)
+    if max(seed, default=0) <= _MASK32:
+        return seed
+    words = []
+    for value in seed:
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return tuple(words)
+
+
+def _pcg64_states(seeds: "list[int | tuple[int, ...]]") -> list[dict]:
+    """The PCG64 state ``np.random.default_rng(seed).bit_generator.state``
+    starts from, for every seed, without building a generator.
+
+    One row per seed runs SeedSequence's hash on uint32 columns: its
+    `hashmix` of each entropy word into a pool of four, the `mix` of every
+    pool word into every other, the `mix` of each word beyond the fourth
+    into every pool word (skipped for the rows of shorter seeds), then
+    `generate_state(4, np.uint64)`.  PCG64 seeds from those words
+    ``w0..w3``: with ``inc = (w2:w3) << 1 | 1`` it steps from 0, adds
+    ``w0:w1``, and steps again.  A row's hash multipliers depend only on how
+    many hashes came before, so all rows share them."""
+    rows = [_seed_words(seed) for seed in seeds]
+    lengths = np.array([len(row) for row in rows])
+    width = max(_POOL_WORDS, int(lengths.max()))
+    entropy = np.zeros((len(rows), width), dtype=np.uint32)
+    entropy[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(rows))
+    hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * width + 1)
+    used = 0
+
+    def hashmix(values: np.ndarray, k: int) -> np.ndarray:
+        # k hashes in a row, column c the (used + c)-th of the run
+        nonlocal used
+        v = (values ^ hashes[used:used + k]) * hashes[used + 1:used + k + 1]
+        used += k
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ (r >> _XSHIFT)
+
+    pool = hashmix(entropy[:, :_POOL_WORDS], _POOL_WORDS)
+    for src in range(_POOL_WORDS):
+        # the other words, in order; each mixes in the same source word
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], len(dst)))
+    for src in range(_POOL_WORDS, width):
+        mixed = mix(pool, hashmix(entropy[:, src, None], _POOL_WORDS))
+        pool = np.where((src < lengths)[:, None], mixed, pool)
+    state_hashes = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+    v = (np.tile(pool, 2) ^ state_hashes[:-1]) * state_hashes[1:]
+    v = (v ^ (v >> _XSHIFT)).astype(np.uint64)
+    states = []
+    for w0, w1, w2, w3 in (v[:, 0::2] | v[:, 1::2] << np.uint64(32)).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _reseedable_generator() -> np.random.Generator:
+    """A PCG64 generator for callers that set its state before each use."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _link_masks(adjacent: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an integer, bit j from column j."""
+    rows, n = adjacent.shape
+    packed = np.packbits(adjacent, axis=1, bitorder="little")
+    words = -(-n // 64)
+    padded = np.zeros((rows, 8 * words), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    columns = padded.view("<u8").T.tolist()
+    masks = columns[0]
+    for shift, column in enumerate(columns[1:], 1):
+        masks = [m | c << 64 * shift for m, c in zip(masks, column)]
+    return masks
+
+
+def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology]:
+    """The topology of ``cfg`` under each seed's PCG64 state (`_pcg64_states`),
+    all seeds' pairs at once.
+
+    Each seed's stream is drawn exactly as if its topology were decided
+    alone: the random positions first, then one draw per band pair in i<j
+    row-major order.  So each topology makes the same decisions, from the
+    same draws, as calling `link_decide` on its pairs in that order: only
+    band pairs draw, and `rng.random(k)` returns the same values as k
+    scalar `rng.random()` calls.  One generator takes each seed's state in
+    turn; a random placement's band draws skip its 2n position draws with
+    `advance`.  `rng.random((n, 2)) * (w, h)` returns the bits of
+    `rng.uniform((0, 0), (w, h), (n, 2))` at a fraction of its cost.  Grid
+    positions do not depend on the seed, so their distances and band
+    decisions are computed once and repeated.  Pair arrays are flat and
+    seed-major.
     """
     n = cfg.node_count
-    count = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    count = len(states)
+    rng = _reseedable_generator()
+    bits = rng.bit_generator
     if cfg.placement == "grid":
         positions = [_grid_positions(cfg)] * count
         xy = positions[0][None]
+        skip = 0
     else:
         area = np.array((cfg.area_w, cfg.area_h))
-        positions = [rng.random((n, 2)) * area for rng in rngs]
+        positions = []
+        for state in states:
+            bits.state = state
+            positions.append(rng.random((n, 2)) * area)
         xy = np.stack(positions)
+        skip = 2 * n
     r = cfg.radio_range
     near_range = cfg.alpha * r
     i, j = _pair_indices(n)
@@ -180,8 +323,12 @@ def _decide_topologies(cfg: TopologyConfig,
     prob = (r - dist[band]) / (r - near_range)
     if len(xy) < count:
         linked, band, prob = (np.tile(a, count) for a in (linked, band, prob))
-    counts = band.reshape(count, pairs).sum(axis=1).tolist()
-    draws = [rng.random(k) for rng, k in zip(rngs, counts)]
+    draws = []
+    for state, k in zip(states, band.reshape(count, pairs).sum(axis=1).tolist()):
+        bits.state = state
+        if skip:
+            bits.advance(skip)
+        draws.append(rng.random(k))
     linked[band] = np.concatenate(draws) < prob
     # one scatter into all seeds' adjacency matrices, count*n rows of n, in
     # which seed s numbers its stations from s*n
@@ -192,39 +339,49 @@ def _decide_topologies(cfg: TopologyConfig,
     adjacent = np.zeros(count * n * n, dtype=bool)
     adjacent[(s * n + u) * n + v] = True
     adjacent[(s * n + v) * n + u] = True
-    k = np.flatnonzero(adjacent)
-    rows = k // n
-    cols = (k - rows * n).tolist()
-    starts = np.searchsorted(rows, np.arange(count * n + 1)).tolist()
-    neighbors = [cols[a:b] for a, b in zip(starts, starts[1:])]
-    return [Topology(pos, neighbors[s * n:(s + 1) * n])
+    masks = _link_masks(adjacent.reshape(count * n, n))
+    return [Topology(pos, masks=masks[s * n:(s + 1) * n])
             for s, pos in enumerate(positions)]
 
 
 def generate_topology(cfg: TopologyConfig) -> Topology:
     """Place the stations, then decide every i<j pair at once; the topology
     that `run_experiment` decides for a scenario seeded ``cfg.seed``."""
-    return _decide_topologies(cfg, [cfg.seed])[0]
+    return _decide_topologies(cfg, _pcg64_states([cfg.seed]))[0]
 
 
 def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
-    """Minimum-hop path, ties broken toward lower node indices; None if
-    the pair is disconnected."""
+    """Minimum-hop path, or None if the pair is disconnected.
+
+    Breadth first from ``src``: stations leave the queue in the order they
+    joined it, and each joins it once, from the first station it is
+    linked to, in ascending index order among that station's new
+    neighbours.  So of several min-hop paths this is the one whose
+    stations joined the queue first.  A station's path is fixed when it
+    joins, so the search stops when ``dst`` would join."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    parent: dict[int, int] = {src: src}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        if node == dst:
+    masks = topology.masks
+    parent = {src: src}
+    reached = 1 << src
+    target = 1 << dst
+    queue = [src]
+    for node in queue:              # the loop also visits what it appends
+        new = masks[node] & ~reached
+        if new & target:
             path = [dst]
-            while path[-1] != src:
-                path.append(parent[path[-1]])
+            while node != src:
+                path.append(node)
+                node = parent[node]
+            path.append(src)
             return path[::-1]
-        for nxt in topology.neighbors[node]:
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
+        reached |= new
+        while new:
+            low = new & -new
+            nxt = low.bit_length() - 1
+            parent[nxt] = node
+            queue.append(nxt)
+            new ^= low
     return None
 
 
@@ -371,9 +528,9 @@ def _sample_pair(topology: Topology, rng: np.random.Generator,
 
 def _scenarios_per_chunk(n: int) -> int:
     """As many scenarios of n stations as fit in `TOPOLOGY_PAIR_BUDGET`, and
-    at least one.  A scenario counts as its pairs plus 64 for its generator
-    and neighbour lists, so tiny topologies do not pile up thousands of
-    generators in one chunk."""
+    at least one.  A scenario counts as its pairs plus 64 for its seed state
+    and link masks, so tiny topologies do not pile up thousands of
+    scenarios in one chunk."""
     return max(1, TOPOLOGY_PAIR_BUDGET // (n * (n - 1) // 2 + 64))
 
 
@@ -381,23 +538,32 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
     """Average network energy over the configured random scenarios.
 
     Scenario s's topology is `generate_topology` seeded ``seed + (s, 0)``,
-    decided with the other scenarios of its chunk."""
+    decided with the other scenarios of its chunk, and its pair is
+    `_sample_pair` drawing from ``np.random.default_rng((traffic.seed, s,
+    1))``.  Both streams' seeds are hashed for whole chunks of at least
+    `_SEED_BATCH` scenarios at once, and the pairs draw from one generator
+    that takes each scenario's state in turn."""
     n = topo_cfg.node_count
     source, relay, sink = [0] * n, [0] * n, [0] * n
     topo_seed = _normalize_seed(topo_cfg.seed)
     count = traffic.scenario_count
     chunk = _scenarios_per_chunk(n)
-    for first in range(0, count, chunk):
-        scenarios = range(first, min(first + chunk, count))
-        topologies = _decide_topologies(
-            topo_cfg, [topo_seed + (s, 0) for s in scenarios])
-        for s, topology in zip(scenarios, topologies):
-            pair_rng = np.random.default_rng((traffic.seed, s, 1))
-            path, _ = _sample_pair(topology, pair_rng)
-            source[path[0]] += 1
-            for node in path[1:-1]:
-                relay[node] += 1
-            sink[path[-1]] += 1
+    batch = chunk * -(-_SEED_BATCH // chunk)
+    pair_rng = _reseedable_generator()
+    for first in range(0, count, batch):
+        scenarios = range(first, min(first + batch, count))
+        states = _pcg64_states([topo_seed + (s, 0) for s in scenarios]
+                               + [(traffic.seed, s, 1) for s in scenarios])
+        topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
+        for c in range(0, len(scenarios), chunk):
+            topologies = _decide_topologies(topo_cfg, topo_states[c:c + chunk])
+            for topology, state in zip(topologies, pair_states[c:c + chunk]):
+                pair_rng.bit_generator.state = state
+                path, _ = _sample_pair(topology, pair_rng)
+                source[path[0]] += 1
+                for node in path[1:-1]:
+                    relay[node] += 1
+                sink[path[-1]] += 1
     source, relay, sink = (np.array(c, dtype=float) for c in (source, relay, sink))
     per_node_j = {}
     for scheme in traffic.schemes:

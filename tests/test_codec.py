@@ -392,6 +392,31 @@ def test_replay_below_partial_window_admits():
     assert window.classify(3) is Classification.WINDOW
 
 
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_out_of_order_counter_strict_for_tkip_only(mode):
+    # two MSDUs opened in reverse order: TKIP admits only a counter above
+    # the highest it has admitted, as 802.11 does; LOTKIP's window admits
+    # an unseen counter below it (every LOTKIP frame is type A here, so
+    # each carries its whole counter)
+    sender, receiver = sessions(mode, refresh_interval=1)
+    first, second, third = (sender.seal(bytes([i]) * 40) for i in range(3))
+    batch = ReceiverSession(receiver.config)
+    assert receiver.open(second) == bytes([1]) * 40
+    if mode == "tkip":
+        with pytest.raises(ReplayRejected):
+            receiver.open(first)
+        with pytest.raises(ReplayRejected):
+            batch.open_many([second, first])
+        assert receiver.window.recent == batch.window.recent == [second[0].tsc]
+    else:
+        assert receiver.open(first) == bytes([0]) * 40
+        assert batch.open_many([second, first]) == [bytes([1]) * 40, bytes([0]) * 40]
+    assert receiver.open(third) == bytes([2]) * 40
+    for replay in (first, second, third):
+        with pytest.raises(ReplayRejected):
+            receiver.open(replay)
+
+
 class BruteForceWindow:
     """Reference model: keeps every accepted value and recomputes the
     largest-16 set from scratch for each decision."""

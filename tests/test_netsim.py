@@ -2,6 +2,7 @@
 energy composition, and experiment determinism/aggregation."""
 
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,58 @@ def test_route_disconnected_returns_none():
     topo = Topology(positions=np.zeros((4, 2)),
                     neighbors=[[1], [0], [3], [2]])
     assert route(topo, 0, 3) is None
+
+
+def _list_route(neighbors, src, dst):
+    """Breadth first over sorted neighbour lists with a FIFO queue: the
+    reference for `route`'s paths and tie-break."""
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        node = queue.popleft()
+        if node == dst:
+            path = [dst]
+            while path[-1] != src:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for nxt in neighbors[node]:
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
+# (stations, placement, side of the square area, radio range, seeds): masks
+# of one, two, three and seven 64-bit words; the grids have many min-hop
+# paths of equal length, and the short ranges leave pairs disconnected and
+# keep the 400-station searches small
+_ROUTE_TOPOLOGIES = [
+    (2, "grid", 100.0, 120.0, range(2)), (2, "random", 100.0, 120.0, range(2)),
+    (2, "random", 500.0, 120.0, range(2)),
+    (49, "grid", 500.0, 120.0, range(4)), (49, "random", 500.0, 120.0, range(10)),
+    (49, "random", 500.0, 70.0, range(9)),
+    (65, "grid", 500.0, 100.0, range(2)), (65, "random", 500.0, 90.0, range(6)),
+    (65, "random", 500.0, 60.0, range(4)),
+    (130, "grid", 500.0, 70.0, range(1)), (130, "random", 500.0, 45.0, range(6)),
+    (400, "grid", 500.0, 29.0, range(1)), (400, "random", 500.0, 18.0, range(1)),
+]
+
+
+def test_route_matches_list_reference_on_every_pair():
+    topologies = disconnected = 0
+    for n, placement, side, r, seeds in _ROUTE_TOPOLOGIES:
+        for seed in seeds:
+            topo = generate_topology(TopologyConfig(
+                node_count=n, placement=placement, area_w=side, area_h=side,
+                radio_range=r, seed=seed))
+            topologies += 1
+            for src in range(n):
+                for dst in range(n):
+                    if src != dst:
+                        path = route(topo, src, dst)
+                        assert path == _list_route(topo.neighbors, src, dst)
+                        disconnected += path is None
+    assert topologies >= 50 and disconnected > 0
 
 
 def test_packet_energy_frozen_composition():
@@ -396,6 +449,29 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
         assert np.array_equal(topo.positions, ref_topo.positions)
         assert topo.neighbors == ref_topo.neighbors
         assert path == ref_path
+
+
+def test_hashed_seed_states_match_default_rng():
+    # the seeds run_experiment hashes, word-boundary values alone and inside
+    # tuples, the empty tuple, and seeds of more than four 32-bit words, all
+    # in one batch
+    edges = [0, 2**32 - 1, 2**32, 2**64 + 1, ()]
+    seeds = [(1, s, 0) for s in range(4000)] + [(7, s, 1) for s in range(4000)]
+    seeds += [(4, 2, s, 0) for s in range(1000)] + [(s, 0) for s in range(500)]
+    seeds += edges + [(v, s, 1) for v in edges[:-1] for s in range(50)]
+    seeds += [(2**64 + 1, s, 0) for s in range(100)]
+    seeds += [tuple(range(s, s + k)) for k in range(5, 10) for s in range(50)]
+    seeds += [2**128 + s for s in range(50)] + [2**300 - s for s in range(50)]
+    assert len(seeds) >= 10_000
+    states = netsim._pcg64_states(seeds)
+    assert states == [np.random.default_rng(seed).bit_generator.state
+                      for seed in seeds]
+    rng = np.random.default_rng(0)
+    for seed, state in list(zip(seeds, states))[::1000]:
+        rng.bit_generator.state = state
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.random(7), ref.random(7))
+        assert rng.integers(49, size=5).tolist() == ref.integers(49, size=5).tolist()
 
 
 def test_single_scheme_has_no_efficiency():
