@@ -73,13 +73,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # seal / open
 # ---------------------------------------------------------------------------
 
-def _load_session(args: argparse.Namespace) -> codec.SessionConfig:
-    config = parse_session_config(Path(args.config).read_text())
-    if args.mode:
-        config = replace(config, mode=args.mode)
-    return config
-
-
 def _msdu_bytes(text: str) -> int:
     value = int(text)
     if not 1 <= value <= codec.MSDU_MAX_BYTES:
@@ -96,7 +89,7 @@ def _split_msdus(data: bytes, msdu_bytes: int) -> list[bytes]:
 
 def cmd_seal(args: argparse.Namespace) -> int:
     try:
-        config = _load_session(args)
+        config = parse_session_config(Path(args.config).read_text())
         _print_resolved("seal", {
             "config": args.config, "in": getattr(args, "in"), "out": args.out,
             "mode": config.mode, "msdu_bytes": args.msdu_bytes,
@@ -115,7 +108,7 @@ def cmd_seal(args: argparse.Namespace) -> int:
 
 def cmd_open(args: argparse.Namespace) -> int:
     try:
-        config = _load_session(args)
+        config = parse_session_config(Path(args.config).read_text())
         _print_resolved("open", {
             "config": args.config, "in": getattr(args, "in"), "out": args.out,
             "mode": config.mode, "msdu_bytes": args.msdu_bytes,
@@ -148,11 +141,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
     try:
-        if not (math.isfinite(args.cycle_energy) and args.cycle_energy >= 0):
-            raise ValueError("cycle_energy must be finite and non-negative, "
-                             f"got {args.cycle_energy}")
         cycles = cost.tkip_energy_cycles(args.m, case, first)
-        energies = {"compute_uJ": cycles * args.cycle_energy}
+        energies = {"compute_uJ": cycles * cost.CYCLE_ENERGY_UJ}
         if args.frame_bytes is not None:
             energies["tx_uJ"] = cost.tx_energy(args.frame_bytes)
             energies["rx_uJ"] = cost.rx_energy(args.frame_bytes)
@@ -167,7 +157,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     lines += [f"{name}={value:.4f}" for name, value in energies.items()]
     _print_resolved("energy", {
         "m": args.m, "case": args.case, "first_packet": first,
-        "cycle_energy": args.cycle_energy, "frame_bytes": args.frame_bytes,
+        "frame_bytes": args.frame_bytes,
     })
     print("\n".join(lines))
     return 0
@@ -184,12 +174,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
         if args.seed is not None:
             topo_cfgs = [replace(tc, seed=args.seed) for tc in topo_cfgs]
             traffic = replace(traffic, seed=args.seed)
-        if args.scheme:
-            traffic = replace(traffic, scheme=args.scheme)
-        if args.placement:
-            placements = (("grid", "random") if args.placement == "both"
-                          else (args.placement,))
-            topo_cfgs = [replace(topo_cfgs[0], placement=pl) for pl in placements]
         _print_resolved("sim", {
             "scenario": args.scenario, "csv": args.csv,
             "placements": ",".join(tc.placement for tc in topo_cfgs),
@@ -225,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="session config file")
         p.add_argument("--in", required=True, help="input file")
         p.add_argument("--out", required=True, help="output file ('-' for stdout)")
-        p.add_argument("--mode", choices=("tkip", "lotkip"),
-                       help="override the config's mode")
         p.add_argument("--msdu-bytes", type=_msdu_bytes,
                        default=DEFAULT_MSDU_BYTES, dest="msdu_bytes",
                        help="input chunking unit (default %(default)s)")
@@ -237,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int, choices=(1, 2), default=1)
     p.add_argument("--subsequent", action="store_true",
                    help="case 2 with the phase-1 cache already warm")
-    p.add_argument("--cycle-energy", type=float, default=cost.CYCLE_ENERGY_UJ,
-                   dest="cycle_energy", help="microjoules per cycle")
     p.add_argument("--frame-bytes", type=int, default=None, dest="frame_bytes",
                    help="also print radio tx/rx energy for this frame size")
     p.set_defaults(func=cmd_energy)
@@ -247,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.add_argument("--scheme", choices=("tkip", "lotkip", "both"), default=None)
-    p.add_argument("--placement", choices=("grid", "random", "both"), default=None)
     p.set_defaults(func=cmd_sim)
 
     return parser

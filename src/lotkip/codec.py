@@ -272,10 +272,6 @@ class ReplayWindow:
 
     recent: list[int] = field(default_factory=list)
 
-    @property
-    def highest(self) -> Optional[int]:
-        return max(self.recent) if self.recent else None
-
     def check(self, value: int) -> Classification:
         """How `classify` treats `value`, without admitting it."""
         if value in self.recent:
@@ -356,10 +352,6 @@ class _TtakCache:
         self.ttak = None
         self.calls = 0
 
-    def candidate(self, keys: SessionKeys, hi: int):
-        """The phase 1 key of `hi`, derived without taking it."""
-        return phase1_mix(keys.tk, keys.ta, hi)
-
     def take(self, hi: int, ttak) -> None:
         if hi != self.hi:
             self.hi, self.ttak = hi, ttak
@@ -368,7 +360,7 @@ class _TtakCache:
     def get(self, keys: SessionKeys, hi: int):
         """The phase 1 key of `hi`, taken into the cache."""
         if hi != self.hi:
-            self.take(hi, self.candidate(keys, hi))
+            self.take(hi, phase1_mix(keys.tk, keys.ta, hi))
         return self.ttak
 
 
@@ -795,6 +787,7 @@ class ReceiverSession:
         the first against the session's window, which checking leaves as it
         is, the later ones against a trial copy."""
         mode = self.config.mode
+        key_id = self.config.keys.key_id
         # 802.11 TKIP keeps one strictly increasing counter per priority
         replays = (_REJECT, _WINDOW) if mode == "tkip" else (_REJECT,)
         window = self.window
@@ -816,6 +809,10 @@ class ReceiverSession:
                 for frame in frames:
                     if frame.layout not in accepted:
                         raise MalformedFrame(f"unexpected layout {frame.layout.value}")
+                    # the key ID selects the temporal key; this session has one
+                    if frame.key_id != key_id:
+                        raise MalformedFrame(f"key ID {frame.key_id} is not the "
+                                             f"session's {key_id}")
                     if frame.tsc_hi is not None:
                         hi = frame.tsc_hi
                     elif hi is None:
@@ -849,7 +846,7 @@ class ReceiverSession:
             for frame, tsc in zip(frames, counters):
                 hi = tsc >> 16
                 if hi not in ttaks:
-                    ttaks[hi] = cache.candidate(keys, hi)
+                    ttaks[hi] = phase1_mix(keys.tk, keys.ta, hi)
                 seeds.append(phase2_mix(ttaks[hi], keys.tk, tsc & 0xFFFF))
                 bodies.append(frame.body)
         lanes = len(block) >= LANES_MIN_MSDUS

@@ -97,17 +97,10 @@ def crc_cycles(m: int) -> OpCounts:
     return OpCounts(t_and=4 * m + 2, t_or=2 * m + 1, t_shift=m, t_mem=m)
 
 
-def phase1_cycles(loop_count: int = 8) -> OpCounts:
-    """Phase 1 mixing cost; the fixed term plus a per-iteration term."""
-    if loop_count < 0:
-        raise ValueError("loop_count must be non-negative")
-    fixed_xor = 2570
-    loop_xor = 2590 * loop_count
-    return OpCounts(
-        t_and=2 * (fixed_xor + loop_xor),
-        t_or=fixed_xor + loop_xor,
-        t_mem=10 * loop_count,
-    )
+def phase1_cycles() -> OpCounts:
+    """Phase 1 mixing cost: a fixed term plus eight loop iterations."""
+    xor = 2570 + 2590 * 8
+    return OpCounts(t_and=2 * xor, t_or=xor, t_mem=10 * 8)
 
 
 def phase2_cycles() -> OpCounts:
@@ -142,12 +135,6 @@ def rc4_cycles(m: int) -> OpCounts:
         t_swap=256 + m,
         t_sub=m,
     )
-
-
-def tkip_cycles(m: int, case: Case) -> int:
-    """Unit-weight total over MIC, CRC, key mixing, and RC4."""
-    counts = mic_cycles(m) + crc_cycles(m) + keymix_cycles(m, case) + rc4_cycles(m)
-    return counts.total()
 
 
 def tkip_energy_cycles(m: int, case: Case, first_packet: bool = True) -> int:
@@ -222,25 +209,3 @@ def table1_csv() -> str:
     for row in table1():
         lines.append(",".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def fit_r_squared(xs: list[float], ys: list[float]) -> float:
-    """Coefficient of determination of the least-squares line through (xs, ys)."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    syy = sum((y - mean_y) ** 2 for y in ys)
-    if syy == 0:
-        return 1.0
-    if sxx == 0:
-        raise ValueError("x values are all identical")
-    return (sxy * sxy) / (sxx * syy)
-
-
-def efficiency_fit(p: float) -> float:
-    """Reference linear fit of the measured baseline/low-overhead energy ratio."""
-    return 2.33 + 0.00028 * p

@@ -3,7 +3,6 @@ key mixing, and RC4."""
 
 from lotkip.crypto.crc32 import crc32_icv
 from lotkip.crypto.keymix import (
-    PHASE1_LOOP_COUNT,
     TKIP_SBOX,
     phase1_mix,
     phase2_mix,
@@ -20,7 +19,6 @@ from lotkip.crypto.rc4 import rc4_apply, rc4_ksa
 
 __all__ = [
     "MicHeader",
-    "PHASE1_LOOP_COUNT",
     "TKIP_SBOX",
     "crc32_icv",
     "michael_block",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -108,30 +108,16 @@ class TopologyConfig:
 
 
 class Topology:
-    """Station positions, in meters, and links.  Bit j of ``masks[i]`` is
-    set when stations i and j are linked; a topology can also be built from
-    sorted neighbour lists, and ``neighbors`` lists each station's links in
-    ascending order."""
+    """Station positions, in meters, and links: bit j of ``masks[i]`` is
+    set when stations i and j are linked."""
 
-    def __init__(self, positions: np.ndarray,
-                 neighbors: Optional[list[list[int]]] = None, *,
-                 masks: Optional[list[int]] = None) -> None:
+    def __init__(self, positions: np.ndarray, masks: list[int]) -> None:
         self.positions = positions
-        if masks is None:
-            masks = [sum(1 << j for j in nbrs) for nbrs in neighbors]
         self.masks = masks
 
     @property
     def node_count(self) -> int:
         return len(self.masks)
-
-    @cached_property
-    def neighbors(self) -> list[list[int]]:
-        stations = range(len(self.masks))
-        return [[j for j in stations if mask >> j & 1] for mask in self.masks]
-
-    def degree(self, node: int) -> int:
-        return self.masks[node].bit_count()
 
 
 def link_decide(dist: float, radio_range: float, alpha: float,
@@ -340,7 +326,7 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
     adjacent[(s * n + u) * n + v] = True
     adjacent[(s * n + v) * n + u] = True
     masks = _link_masks(adjacent.reshape(count * n, n))
-    return [Topology(pos, masks=masks[s * n:(s + 1) * n])
+    return [Topology(pos, masks[s * n:(s + 1) * n])
             for s, pos in enumerate(positions)]
 
 
@@ -424,35 +410,6 @@ class TrafficConfig:
 def frame_bytes(packet_size: int, layout: FrameLayout) -> int:
     """On-air frame size: payload + encapsulation overhead + MAC header/FCS."""
     return packet_size + overhead_of(layout).total + MAC_OVERHEAD_BYTES
-
-
-def packet_energy(scheme: str, packet_size: int, hop_count: int,
-                  first_packet: bool = False,
-                  layout: Optional[FrameLayout] = None,
-                  ack_enabled: bool = False) -> float:
-    """Total microjoules one packet costs the network end to end.
-
-    Compute energy is charged twice (encrypt at the source, decrypt at the
-    destination); radio energy once per hop.  The frame layout defaults to
-    the scheme's steady state but can be forced, e.g. for refresh frames.
-    """
-    if hop_count < 1:
-        raise ValueError("hop_count must be at least 1")
-    if scheme == "tkip":
-        compute = tkip_energy(packet_size, Case.NO_CACHE)
-        layout = layout or FrameLayout.TKIP_BASELINE
-    elif scheme == "lotkip":
-        compute = tkip_energy(packet_size, Case.CACHE, first_packet)
-        if layout is None:
-            layout = (FrameLayout.LOTKIP_TYPE_A if first_packet
-                      else FrameLayout.LOTKIP_TYPE_B)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    size = frame_bytes(packet_size, layout)
-    radio = hop_count * (tx_energy(size) + rx_energy(size))
-    if ack_enabled:
-        radio += hop_count * (tx_energy(ACK_BYTES) + rx_energy(ACK_BYTES))
-    return 2.0 * compute + radio
 
 
 def _role_rates(scheme: str, packet_size: int,

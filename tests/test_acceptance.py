@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printed as a
-PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
+PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`), plus
+a check of the two fit helpers criterion 6 measures with.
 
 Every criterion runs at its full stated scale and tolerance; the runtime
 budgets are asserted alongside the functional checks.
@@ -10,6 +11,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 from lotkip import reference as ref
 from lotkip.codec import (
     Classification,
@@ -26,8 +28,6 @@ from lotkip.codec import (
 )
 from lotkip.cost import (
     Case,
-    efficiency_fit,
-    fit_r_squared,
     table1,
     TABLE1_NOTES,
     tkip_energy,
@@ -51,6 +51,35 @@ from lotkip.netsim import (
 
 SA = bytes.fromhex("020202020202")
 DA = bytes.fromhex("030303030303")
+
+
+def fit_r_squared(xs: list[float], ys: list[float]) -> float:
+    """Coefficient of determination of the least-squares line through (xs, ys)."""
+    n = len(xs)
+    if n < 2:
+        raise ValueError("need at least two points")
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    if syy == 0:
+        return 1.0
+    if sxx == 0:
+        raise ValueError("x values are all identical")
+    return (sxy * sxy) / (sxx * syy)
+
+
+def efficiency_fit(p: float) -> float:
+    """Reference linear fit of the measured baseline/low-overhead energy ratio."""
+    return 2.33 + 0.00028 * p
+
+
+def test_fit_helpers():
+    assert fit_r_squared([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+    assert fit_r_squared([1, 2, 3, 4], [1, 1, 1, 1]) == pytest.approx(1.0)
+    assert fit_r_squared([1, 2, 3, 4], [0, 1, 1, 0]) < 0.5
+    assert efficiency_fit(256) == pytest.approx(2.40168)
 
 
 def _report(number: int, description: str, failures: list, elapsed: float,
@@ -369,7 +398,7 @@ def test_criterion_7_quasi_udg_soundness():
         for i in range(n):
             for j in range(i + 1, n):
                 dist = float(np.hypot(*(topo.positions[i] - topo.positions[j])))
-                linked = j in topo.neighbors[i]
+                linked = bool(topo.masks[i] >> j & 1)
                 if dist > cfg.radio_range and linked:
                     violations += 1
                 if dist <= cfg.alpha * cfg.radio_range and not linked:

@@ -3,7 +3,7 @@ modes, replay window, countermeasures, the type A schedule and probe
 machinery, overhead accounting, and the container/config formats."""
 
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import pytest
 
@@ -351,6 +351,40 @@ def test_open_rejects_foreign_layout():
         lotkip_receiver.open(tkip_sender.seal(b"m"))
 
 
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_frame_with_another_key_id_moves_no_receiver_state(mode):
+    # 802.11 selects the temporal key by the IV's key ID, and a session
+    # holds the key of one ID: a frame naming another is malformed
+    sender, receiver = sessions(mode, keys=symmetric_keys(key_id=1))
+    msdus = [bytes([i]) * 300 for i in range(4)]      # two fragments each
+    groups = sender.seal_many(msdus)
+    assert receiver.open(groups[0]) == msdus[0]
+
+    def state():
+        return (list(receiver.window.recent), receiver.ttak_cache.hi,
+                receiver.ttak_cache.calls, astuple(receiver.cm_state))
+
+    before = state()
+    for index in (0, 1):
+        frames = list(groups[1])
+        raw = bytearray(frames[index].raw())
+        raw[3] ^= 0x40                                  # key ID 1 -> 0
+        frames[index] = parse_frame(bytes(raw))
+        assert frames[index].key_id == 0
+        with pytest.raises(MalformedFrame, match="key ID"):
+            receiver.open(frames)
+        with pytest.raises(MalformedFrame, match="key ID"):
+            receiver.open_many([frames] + groups[2:])
+        assert state() == before
+    if mode == "lotkip":
+        probe = sender.make_probe()
+        moved = MpduFrame(probe.layout, 2, probe.tsc_low, probe.tsc_hi, probe.body)
+        with pytest.raises(MalformedFrame, match="key ID"):
+            receiver.open(moved)
+        assert state() == before
+    assert receiver.open_many(groups[1:]) == msdus[1:]
+
+
 # ---------------------------------------------------------------------------
 # Replay window
 # ---------------------------------------------------------------------------
@@ -382,7 +416,7 @@ def test_replay_window_tracks_largest_16():
     for v in range(32):
         window.classify(v)
     assert sorted(window.recent) == list(range(16, 32))
-    assert window.highest == 31
+    assert max(window.recent) == 31
 
 
 def test_replay_below_partial_window_admits():
@@ -633,8 +667,7 @@ def test_michael_header_built_once_per_tkip_session(monkeypatch, mode):
 
 @pytest.mark.parametrize("parsed, chosen", [("tkip", "lotkip"), ("lotkip", "tkip")])
 def test_mode_set_after_config_reaches_michael_header(parsed, chosen):
-    # `lotkip seal/open --mode` replace the mode of a parsed config,
-    # before the sessions are built
+    # a parsed config whose mode is replaced before the sessions are built
     late = replace(config(parsed), mode=chosen)
     msdus = [bytes(range(n, n + 40)) for n in range(3)]
     sealed = SenderSession(late).seal_many(msdus)

@@ -10,8 +10,6 @@ from lotkip.cost import (
     TABLE1_CSV_HEADER,
     TABLE1_NOTES,
     crc_cycles,
-    efficiency_fit,
-    fit_r_squared,
     keymix_cycles,
     mic_cycles,
     phase1_cycles,
@@ -20,11 +18,17 @@ from lotkip.cost import (
     rx_energy,
     table1,
     table1_csv,
-    tkip_cycles,
     tkip_energy,
     tkip_energy_cycles,
     tx_energy,
 )
+
+
+def tkip_cycles(m: int, case: Case) -> int:
+    """Unit-weight total over MIC, CRC, key mixing, and RC4."""
+    counts = mic_cycles(m) + crc_cycles(m) + keymix_cycles(m, case) + rc4_cycles(m)
+    return counts.total()
+
 
 # The published complexity decomposition.  At m=80 the published case-2
 # cells (87668 / 95763) disagree with the per-block formula by 20 cycles;
@@ -74,9 +78,6 @@ def test_phase_cycle_constants():
     assert phase1_cycles() == OpCounts(t_and=46580, t_or=23290, t_mem=80)
     assert phase1_cycles().total() == 69950
     assert phase2_cycles().total() == 14036
-    # the general loop-count form reproduces the fixed constants at L=8
-    assert phase1_cycles(loop_count=8) == phase1_cycles()
-    assert phase1_cycles(loop_count=0) == OpCounts(t_and=5140, t_or=2570)
 
 
 def test_keymix_cycles():
@@ -189,9 +190,3 @@ def test_opcounts_arithmetic():
     assert a.scaled(3) == OpCounts(t_and=3, t_or=6)
     assert a.total() == 3
 
-
-def test_fit_helpers():
-    assert fit_r_squared([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert fit_r_squared([1, 2, 3, 4], [1, 1, 1, 1]) == pytest.approx(1.0)
-    assert fit_r_squared([1, 2, 3, 4], [0, 1, 1, 0]) < 0.5
-    assert efficiency_fit(256) == pytest.approx(2.40168)

@@ -4,6 +4,7 @@ energy composition, and experiment determinism/aggregation."""
 import math
 from collections import deque
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lotkip import netsim
 from lotkip.codec import FrameLayout, lotkip_frame_classes
 from lotkip.cost import Case, rx_energy, tkip_energy, tx_energy
 from lotkip.netsim import (
+    ACK_BYTES,
     DEFAULT_PACKET_SIZES,
     MAC_OVERHEAD_BYTES,
     TOPOLOGY_PAIR_BUDGET,
@@ -23,11 +25,44 @@ from lotkip.netsim import (
     frame_bytes,
     generate_topology,
     link_decide,
-    packet_energy,
     parse_scenario_config,
     route,
     run_experiment,
 )
+
+
+def packet_energy(scheme: str, packet_size: int, hop_count: int,
+                  first_packet: bool = False,
+                  layout: Optional[FrameLayout] = None,
+                  ack_enabled: bool = False) -> float:
+    """Total microjoules one packet costs the network end to end.
+
+    Compute energy is charged twice (encrypt at the source, decrypt at the
+    destination); radio energy once per hop.  The frame layout defaults to
+    the scheme's steady state but can be forced, e.g. for refresh frames.
+    """
+    if hop_count < 1:
+        raise ValueError("hop_count must be at least 1")
+    if scheme == "tkip":
+        compute = tkip_energy(packet_size, Case.NO_CACHE)
+        layout = layout or FrameLayout.TKIP_BASELINE
+    elif scheme == "lotkip":
+        compute = tkip_energy(packet_size, Case.CACHE, first_packet)
+        if layout is None:
+            layout = (FrameLayout.LOTKIP_TYPE_A if first_packet
+                      else FrameLayout.LOTKIP_TYPE_B)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    size = frame_bytes(packet_size, layout)
+    radio = hop_count * (tx_energy(size) + rx_energy(size))
+    if ack_enabled:
+        radio += hop_count * (tx_energy(ACK_BYTES) + rx_energy(ACK_BYTES))
+    return 2.0 * compute + radio
+
+
+def _neighbors(topo):
+    """Each station's links as a list in ascending order."""
+    return [[j for j in range(topo.node_count) if mask >> j & 1] for mask in topo.masks]
 
 
 def test_topology_config_validation():
@@ -94,11 +129,12 @@ def test_topology_deterministic_and_symmetric():
     a = generate_topology(cfg)
     b = generate_topology(cfg)
     assert np.array_equal(a.positions, b.positions)
-    assert a.neighbors == b.neighbors
-    for i, nbrs in enumerate(a.neighbors):
+    neighbors = _neighbors(a)
+    assert neighbors == _neighbors(b)
+    for i, nbrs in enumerate(neighbors):
         assert i not in nbrs
         for j in nbrs:
-            assert i in a.neighbors[j]
+            assert i in neighbors[j]
 
 
 def _loop_topology(cfg):
@@ -138,17 +174,18 @@ def test_topology_matches_scalar_link_rule(placement, n, alpha):
         positions, neighbors = _loop_topology(cfg)
         topo = generate_topology(cfg)
         assert np.array_equal(topo.positions, positions)
-        assert topo.neighbors == neighbors
+        assert _neighbors(topo) == neighbors
 
 
 def test_topology_respects_link_rules():
     topo = generate_topology(TopologyConfig(placement="random", seed=3))
     cfg = TopologyConfig(placement="random", seed=3)
     n = topo.node_count
+    neighbors = _neighbors(topo)
     for i in range(n):
         for j in range(i + 1, n):
             dist = float(np.hypot(*(topo.positions[i] - topo.positions[j])))
-            linked = j in topo.neighbors[i]
+            linked = j in neighbors[i]
             if dist > cfg.radio_range:
                 assert not linked
             if dist <= cfg.alpha * cfg.radio_range:
@@ -163,13 +200,12 @@ def test_grid_layout_and_corner_degree():
     assert topo.node_count == 49
     assert topo.positions[0].tolist() == [0.0, 0.0]
     assert topo.positions[48].tolist() == [500.0, 500.0]
-    assert min(topo.degree(i) for i in range(49)) >= 2
+    assert min(mask.bit_count() for mask in topo.masks) >= 2
 
 
 def test_route_basics():
     # square with one diagonal: 0-1, 0-2, 1-3, 2-3, plus direct 0-3? no.
-    topo = Topology(positions=np.zeros((4, 2)),
-                    neighbors=[[1, 2], [0, 3], [0, 3], [1, 2]])
+    topo = Topology(np.zeros((4, 2)), [0b0110, 0b1001, 0b1001, 0b0110])
     assert route(topo, 0, 1) == [0, 1]
     # two equal-length paths; tie broken toward the lower middle index
     assert route(topo, 0, 3) == [0, 1, 3]
@@ -178,14 +214,12 @@ def test_route_basics():
 
 
 def test_route_triangle_prefers_direct_hop():
-    topo = Topology(positions=np.zeros((3, 2)),
-                    neighbors=[[1, 2], [0, 2], [0, 1]])
+    topo = Topology(np.zeros((3, 2)), [0b110, 0b101, 0b011])
     assert route(topo, 0, 2) == [0, 2]
 
 
 def test_route_disconnected_returns_none():
-    topo = Topology(positions=np.zeros((4, 2)),
-                    neighbors=[[1], [0], [3], [2]])
+    topo = Topology(np.zeros((4, 2)), [0b0010, 0b0001, 0b1000, 0b0100])
     assert route(topo, 0, 3) is None
 
 
@@ -232,11 +266,12 @@ def test_route_matches_list_reference_on_every_pair():
                 node_count=n, placement=placement, area_w=side, area_h=side,
                 radio_range=r, seed=seed))
             topologies += 1
+            neighbors = _neighbors(topo)
             for src in range(n):
                 for dst in range(n):
                     if src != dst:
                         path = route(topo, src, dst)
-                        assert path == _list_route(topo.neighbors, src, dst)
+                        assert path == _list_route(neighbors, src, dst)
                         disconnected += path is None
     assert topologies >= 50 and disconnected > 0
 
@@ -447,7 +482,7 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
     assert len(runs) == len(expected) == traffic.scenario_count
     for (topo, path), (ref_topo, ref_path) in zip(runs, expected):
         assert np.array_equal(topo.positions, ref_topo.positions)
-        assert topo.neighbors == ref_topo.neighbors
+        assert _neighbors(topo) == _neighbors(ref_topo)
         assert path == ref_path
 
 
