@@ -5,8 +5,11 @@ distance d are linked deterministically when d <= alpha*R, never when
 d > R, and with probability (R - d) / (R - alpha*R) in between.  Only
 pairs in that uncertain band draw: one batched draw per band pair, in
 i<j row-major order, so the links equal those of `link_decide` called
-pair by pair.  A topology keeps its links as one integer bit mask per
-station, bit j set when the station is linked to station j.
+pair by pair on hypot distances.  Squared offsets decide the pairs well
+inside alpha*R or beyond R; hypot runs only on the band and on the pairs
+within a relative 1e-9 of either squared threshold (`_link_classes`).  A
+topology keeps its links as one integer bit mask per station, bit j set
+when the station is linked to station j.
 
 Traffic scenarios pick random connected source/destination pairs and push
 a stream of fixed-size packets along the min-hop route that `route`
@@ -66,6 +69,10 @@ TOPOLOGY_PAIR_BUDGET = 1 << 15
 # Scenarios whose seeds `run_experiment` hashes in one `_pcg64_states` call,
 # rounded up to whole chunks: a call costs ~100 us however few seeds it has.
 _SEED_BATCH = 256
+# Relative margin around (alpha*R)^2 and R^2 inside which `_link_classes`
+# leaves a pair to hypot; squares of normal floats err by a few 1e-16.
+_SQUARE_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny        # the smallest normal float
 
 
 class ScenarioError(Exception):
@@ -100,8 +107,8 @@ class TopologyConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.placement not in ("grid", "random"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if not self.radio_range > 0:
-            raise ValueError("radio_range must be positive")
+        if not 0 < self.radio_range < math.inf:
+            raise ValueError("radio_range must be positive and finite")
         if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
             raise ValueError("area_w and area_h must be positive and finite")
         _check_seed(self.seed)
@@ -263,6 +270,40 @@ def _link_masks(adjacent: np.ndarray) -> list[int]:
     return masks
 
 
+def _link_classes(dx: np.ndarray, dy: np.ndarray, r: float,
+                  near: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat linked mask, band mask and band probabilities of the pairs at
+    offsets (dx, dy): `link_decide`'s rule on ``np.hypot(dx, dy)``, bit for
+    bit, with hypot only where the rule needs it.
+
+    ``dx*dx + dy*dy`` is within a few ulp of the true squared distance, so
+    a pair whose square is below near^2 by more than the relative margin
+    `_SQUARE_MARGIN` is linked, and one above R^2 by more than it is not.
+    Every other pair, each band pair among them, takes hypot and the rule
+    as it stands.  The squares' rounding bound holds only for thresholds
+    in the normal float range: a near^2 outside it decides no pair by its
+    square, and an R^2 outside it sends every pair to hypot."""
+    dx, dy = dx.ravel(), dy.ravel()
+    with np.errstate(over="ignore"):    # a square past the floats is inf
+        square = dx * dx
+        square += dy * dy
+    low, high = 0.0, math.inf
+    r2, near2 = r * r, near * near
+    if _TINY <= r2 and r2 * (1 + _SQUARE_MARGIN) < math.inf:
+        high = r2 * (1 + _SQUARE_MARGIN)
+        if near2 >= _TINY:
+            low = near2 * (1 - _SQUARE_MARGIN)
+    linked = square < low
+    exact = np.flatnonzero((square >= low) & (square <= high))
+    dist = np.hypot(dx[exact], dy[exact])
+    near_linked = dist <= near
+    linked[exact] = near_linked
+    in_band = ~near_linked & (dist <= r)
+    band = np.zeros(linked.shape, dtype=bool)
+    band[exact[in_band]] = True
+    return linked, band, (r - dist[in_band]) / (r - near)
+
+
 def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology]:
     """The topology of ``cfg`` under each seed's PCG64 state (`_pcg64_states`),
     all seeds' pairs at once.
@@ -276,9 +317,10 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
     turn; a random placement's band draws skip its 2n position draws with
     `advance`.  `rng.random((n, 2)) * (w, h)` returns the bits of
     `rng.uniform((0, 0), (w, h), (n, 2))` at a fraction of its cost.  Grid
-    positions do not depend on the seed, so their distances and band
-    decisions are computed once and repeated.  Pair arrays are flat and
-    seed-major.
+    positions do not depend on the seed, so their pair classes are
+    computed once and repeated.  `_link_classes` decides each pair from its
+    squared offset and calls hypot only on the band and on the pairs near
+    either threshold.  Pair arrays are flat and seed-major.
     """
     n = cfg.node_count
     count = len(states)
@@ -296,17 +338,13 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
             positions.append(rng.random((n, 2)) * area)
         xy = np.stack(positions)
         skip = 2 * n
-    r = cfg.radio_range
-    near_range = cfg.alpha * r
     i, j = _pair_indices(n)
     pairs = i.size
     x, y = xy.transpose(2, 0, 1)
-    dx = x.take(i, axis=1) - x.take(j, axis=1)
-    dy = y.take(i, axis=1) - y.take(j, axis=1)
-    dist = np.hypot(dx, dy, out=dx).ravel()
-    linked = dist <= near_range
-    band = ~linked & (dist <= r)
-    prob = (r - dist[band]) / (r - near_range)
+    linked, band, prob = _link_classes(
+        x.take(i, axis=1) - x.take(j, axis=1),
+        y.take(i, axis=1) - y.take(j, axis=1),
+        cfg.radio_range, cfg.alpha * cfg.radio_range)
     if len(xy) < count:
         linked, band, prob = (np.tile(a, count) for a in (linked, band, prob))
     draws = []

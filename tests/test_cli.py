@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand end to end through main()."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -177,6 +178,15 @@ def test_energy_rejects_ints_too_large_for_a_float(capsys, flags):
     assert len(err) == 1 and err[0].startswith("OverflowError: ")
 
 
+def test_energy_accepts_the_largest_cycle_counts(capsys):
+    # a cycle count that converts to a float stays finite at 0.0198 uJ each
+    assert main(["energy", "--m", str(3 * 10 ** 304)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    compute = [line for line in lines if line.startswith("compute_uJ=")]
+    assert len(compute) == 1
+    assert math.isfinite(float(compute[0].split("=")[1]))
+
+
 def test_sim_csv(tmp_path, capsys):
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO_TEXT)
@@ -313,6 +323,18 @@ def test_sim_rejects_bad_scenario(tmp_path, capsys):
     scenario.write_text("martians = 4")
     assert main(["sim", "--scenario", str(scenario), "--csv", "-"]) == 1
     assert "ScenarioError" in capsys.readouterr().err
+
+
+def test_sim_rejects_infinite_radio_range(tmp_path, capsys):
+    # (R - d) / (R - alpha*R) would be NaN for every pair, so none would link
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("nodes = 9\nR = inf\nalpha = 0\nscenarios = 3\n")
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ScenarioError: invalid scenario config: "
+                   "radio_range must be positive and finite"]
 
 
 @pytest.mark.parametrize("p_list", [",", "256,,512", "256,256"],

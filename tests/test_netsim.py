@@ -74,8 +74,9 @@ def test_topology_config_validation():
         TopologyConfig(placement="ring")
     with pytest.raises(ValueError):
         TopologyConfig(radio_range=0)
-    with pytest.raises(ValueError):
-        TopologyConfig(radio_range=math.nan)
+    for radio_range in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radio_range"):
+            TopologyConfig(radio_range=radio_range)
     for area in (dict(area_w=-5.0), dict(area_w=0.0), dict(area_h=-1.0),
                  dict(area_h=0.0), dict(area_w=math.inf), dict(area_h=math.nan)):
         with pytest.raises(ValueError, match="area_w and area_h"):
@@ -163,18 +164,58 @@ def _loop_topology(cfg):
     return positions, neighbors
 
 
-@pytest.mark.parametrize("placement", ["grid", "random"])
-@pytest.mark.parametrize("n", [2, 3, 49, 50, 400])
-@pytest.mark.parametrize("alpha", [0.0, 0.75, 1.0])
-def test_topology_matches_scalar_link_rule(placement, n, alpha):
+_LINK_RULE_CASES = [
+    pytest.param(placement, n, alpha, {}, id=f"{alpha}-{n}-{placement}")
+    for alpha in (0.0, 0.75, 1.0) for n in (2, 3, 49, 50, 400)
+    for placement in ("grid", "random")
+] + [
+    # grid spacing exactly alpha*R, then exactly R
+    pytest.param("grid", 49, 0.75, dict(area_w=540.0, area_h=540.0),
+                 id="grid-spacing-near-range"),
+    pytest.param("grid", 49, 0.75, dict(area_w=720.0, area_h=720.0),
+                 id="grid-spacing-range"),
+    # R^2 below the normal floats, then above every finite one
+    pytest.param("random", 49, 0.75,
+                 dict(area_w=4e-160, area_h=4e-160, radio_range=1e-160),
+                 id="tiny-range"),
+    pytest.param("random", 49, 0.75,
+                 dict(area_w=4e160, area_h=4e160, radio_range=1e160),
+                 id="huge-range"),
+]
+
+
+@pytest.mark.parametrize("placement, n, alpha, geometry", _LINK_RULE_CASES)
+def test_topology_matches_scalar_link_rule(placement, n, alpha, geometry):
     # alpha = 1 leaves the band empty (and its probability denominator 0)
     for seed in range(3):
         cfg = TopologyConfig(node_count=n, placement=placement, alpha=alpha,
-                             seed=seed)
+                             seed=seed, **geometry)
         positions, neighbors = _loop_topology(cfg)
         topo = generate_topology(cfg)
         assert np.array_equal(topo.positions, positions)
         assert _neighbors(topo) == neighbors
+
+
+@pytest.mark.parametrize("r, alpha", [
+    (120.0, 0.75), (1.0, 0.5), (7e5, 0.3), (3.0, 0.0),
+    (2e-154, 0.01),                 # (alpha*R)^2 below the normal floats
+    (1e-160, 0.75), (1e160, 0.75),  # R^2 outside them
+])
+def test_link_classes_exact_at_thresholds(r, alpha):
+    # offsets within a few ulp of either threshold, where dx*dx + dy*dy
+    # and hypot round to opposite sides of it for some angles
+    near = alpha * r
+    steps = 1 + np.arange(-4, 5) * 2.0 ** -52
+    dist = np.concatenate([near * steps, r * steps])
+    angle = np.linspace(0.0, 2 * np.pi, 1500, endpoint=False)
+    dx = np.outer(dist, np.cos(angle))
+    dy = np.outer(dist, np.sin(angle))
+    linked, band, prob = netsim._link_classes(dx, dy, r, near)
+    # link_decide's thresholds and band probability on hypot
+    hypot = np.hypot(dx, dy).ravel()
+    assert np.array_equal(linked, hypot <= near)
+    assert np.array_equal(band, (hypot > near) & (hypot <= r))
+    assert np.array_equal(prob, (r - hypot[band]) / (r - near))
 
 
 def test_topology_respects_link_rules():
