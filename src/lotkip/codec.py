@@ -27,8 +27,8 @@ fragments can never move receiver state or feed the MIC-failure
 countermeasures, and a block's results, state and first exception are
 those of a loop of `seal`/`open`.
 
-Each crypto step runs in numpy lanes (`lotkip.crypto.lanes`) for a block of
-at least LANES_MIN_MSDUS MSDUs, and on the scalar functions otherwise.
+Each crypto step runs in lanes (`lotkip.crypto.lanes`) for a block of at
+least LANES_MIN_MSDUS MSDUs, and on the scalar functions otherwise.
 
 `SessionConfig.mode` selects the only three things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
@@ -80,15 +80,20 @@ BLACKOUT_S = 60.0
 WEP_OVERHEAD_BYTES = 8
 PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 # `seal_many`/`open_many` work through MSDUs in blocks of this many, so
-# their lane buffers stay O(block) whatever the file size.
+# their lane buffers stay O(block) whatever the file size.  A packed
+# Michael step costs more with every lane, where a numpy uint32 step would
+# not: at 2304-B messages packed was faster only up to about 230 lanes (one
+# pinned CPU), so a larger block needs Michael measured again.
 LANES_BLOCK_MSDUS = 128
-# Smallest block whose crypto runs in lanes.  A lane step costs about the
-# same for 1 lane as for 100, so lanes pay off only with enough MSDUs.
+# Smallest block whose crypto runs in lanes.  A numpy RC4 step costs about
+# the same for 1 lane as for 100, so lanes pay off only with enough MSDUs.
 # seal_many + open_many in LOTKIP mode, lanes against scalar, best of 11,
-# two runs on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4): lanes
-# broke even near 12 to 14 MSDUs of 2304 B at threshold 1024, 18 at
-# threshold 2346, 18 to 20 of 300 B, and 18 to 22 of 60 B, where RC4's
-# 256-step key schedule dominates.
+# two runs on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4), with
+# Michael on packed integers: lanes broke even near 10 to 12 MSDUs of
+# 2304 B at threshold 2346, 6 to 8 at threshold 1024, 12 to 14 of 300 B,
+# and 14 to 18 of 60 B, where RC4's 256-step key schedule dominates.  The
+# threshold stays at 18, at or above all of those, until a benchmark
+# workload of small blocks can show that a lower one pays.
 LANES_MIN_MSDUS = 18
 
 Clock = Callable[[], float]

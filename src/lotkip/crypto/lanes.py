@@ -2,18 +2,22 @@
 
 Both algorithms are strictly sequential within one message, but the
 messages of a batch do not depend on each other.  Each message gets a lane
-and all lanes take the same step together in numpy.  Lanes are sorted
-longest first, so the lanes still running at any step are a prefix, and a
-step works on views of that prefix.  The results equal `michael_mic` and
-`rc4_apply` called once per message.
+and all lanes take the same step together.  Lanes are sorted longest first,
+so the lanes still running at any step are a prefix.  The results equal
+`michael_mic` and `rc4_apply` called once per message.
 
-Each step costs a fixed numpy overhead whatever the lane count, so a batch
-pays off only with many lanes; the codec decides when to use it.
+Michael packs its lanes into one Python integer, a 64-bit slot per lane,
+and runs the scalar round `michael._absorb` on it, so one round of integer
+operations serves every lane; a lane that finishes is read out of its slot
+and masked away.  RC4 stays in numpy, one row of a uint8 array per lane,
+because each step gathers from every lane's own permutation; it uses
+in-place ufuncs and operands of the same dtype, so additions wrap as the
+algorithm requires and the results do not depend on numpy's scalar casting
+rules (value-based before numpy 2, NEP 50 after).
 
-Michael runs on uint32 and RC4 on uint8 arrays, with in-place ufuncs and
-operands of the same dtype, so additions wrap as the algorithms require
-and the results do not depend on numpy's scalar casting rules (value-based
-before numpy 2, NEP 50 after).
+Each RC4 step and each packed Michael word carries a fixed interpreter
+overhead whatever the lane count, so a batch pays off only with many
+lanes; the codec decides when to use it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from lotkip.crypto.michael import MicHeader, michael_key_words
+from lotkip.crypto.michael import MicHeader, _absorb, michael_key_words
 
-_U32 = np.uint32
+# Michael builds its packed words this many steps at a time, so their
+# buffer stays O(lanes x chunk) whatever the message length.
+_CHUNK_STEPS = 64
 
 
 def _segments(lengths: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -68,46 +74,42 @@ def michael_mic_lanes(key: bytes,
     words = [(len(h) + len(d) + 4) // 4 + 1 for h, d, _ in rows]
     order = sorted(range(len(rows)), key=words.__getitem__, reverse=True)
     width = words[order[0]]
+    count = len(order)
     # one row of words per lane
     table = np.frombuffer(_rows([rows[n] for n in order], 4 * width),
-                          "<u4").reshape(len(order), width)
-    l = np.full(len(order), k0, dtype=_U32)
-    r = np.full(len(order), k1, dtype=_U32)
-    t = np.empty_like(l)
-    u = np.empty_like(l)
-    s2, s3, s15, s16, s17, s29, s30 = (_U32(n) for n in (2, 3, 15, 16, 17, 29, 30))
-    shl, shr = np.left_shift, np.right_shift
+                          "<u4").reshape(count, width)
+    # lane n runs in bits 64n..64n+31 of l and r; bits 64n+32..64n+63 are
+    # its guard, zero outside `_absorb`
+    ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * count, "little")
+    l, r, m = k0 * ones, k1 * ones, 0xFFFFFFFF * ones
+    tags = [b""] * count
+    running = count
     for start, stop, lanes in _segments([words[n] for n in order]):
-        lv, rv, tv, uv = l[:lanes], r[:lanes], t[:lanes], u[:lanes]
-        for word in table[:lanes, start:stop].T:
-            # l ^= word, then michael_block: rotl 17, the half-word swap
-            # (rotl 16), rotl 3 and rotr 2, each followed by l += r
-            lv ^= word
-            shl(lv, s17, out=tv)
-            shr(lv, s15, out=uv)
-            rv ^= tv
-            rv ^= uv
-            lv += rv
-            shl(lv, s16, out=tv)
-            shr(lv, s16, out=uv)
-            rv ^= tv
-            rv ^= uv
-            lv += rv
-            shl(lv, s3, out=tv)
-            shr(lv, s29, out=uv)
-            rv ^= tv
-            rv ^= uv
-            lv += rv
-            shr(lv, s2, out=tv)
-            shl(lv, s30, out=uv)
-            rv ^= tv
-            rv ^= uv
-            lv += rv
-    raw = np.column_stack((l, r)).astype("<u4").tobytes()
-    tags = [b""] * len(order)
-    for lane, n in enumerate(order):
-        tags[n] = raw[8 * lane:8 * lane + 8]
+        if lanes < running:
+            _read_tags(tags, order, l, r, lanes, running)
+            m &= (1 << 64 * lanes) - 1
+            l &= m
+            r &= m
+            running = lanes
+        step = 8 * lanes
+        for at in range(start, stop, _CHUNK_STEPS):
+            # one row of 64-bit slots per step, lane 0 first
+            chunk = np.ascontiguousarray(table[:lanes, at:min(at + _CHUNK_STEPS, stop)].T,
+                                         "<u8")
+            buf = chunk.data.cast("B")
+            l, r = _absorb(l, r, (int.from_bytes(buf[i:i + step], "little")
+                                  for i in range(0, len(buf), step)), m)
+    _read_tags(tags, order, l, r, 0, running)
     return tags
+
+
+def _read_tags(tags: list[bytes], order: list[int], l: int, r: int,
+               first: int, stop: int) -> None:
+    """Store the tags of packed lanes first..stop-1 under their message
+    indices."""
+    lb, rb = l.to_bytes(8 * stop, "little"), r.to_bytes(8 * stop, "little")
+    for lane in range(first, stop):
+        tags[order[lane]] = lb[8 * lane:8 * lane + 4] + rb[8 * lane:8 * lane + 4]
 
 
 def rc4_apply_lanes(seeds: Sequence[bytes], datas: Sequence[bytes]) -> list[bytes]:

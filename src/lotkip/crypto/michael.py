@@ -15,20 +15,27 @@ from dataclasses import dataclass, field
 _TAG = struct.Struct("<2I")
 
 
-def _absorb(l: int, r: int, words) -> tuple[int, int]:
+def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF) -> tuple[int, int]:
     """XOR each word into L and run the b() mixing round: rotates, a
-    half-word swap, and mod-2^32 adds.  The only copy of the round; the
-    mask is a literal because a constant loads faster than a global."""
+    half-word swap, and mod-2^32 adds.  The only copy of the round.
+
+    With the default mask L, R and the words are 32-bit values.
+    `lotkip.crypto.lanes` passes many lanes packed into one integer, each
+    a 64-bit slot of 32 value bits under 32 zero guard bits, and `m` with
+    0xFFFFFFFF in every slot: a carry or a shifted-out bit lands in a
+    guard, which `& m` clears, and a right shift pulls in only zero
+    guards, so every slot runs the 32-bit round on its own.
+    """
     for word in words:
         l ^= word
-        r ^= ((l << 17) | (l >> 15)) & 0xFFFFFFFF
-        l = (l + r) & 0xFFFFFFFF
-        r ^= ((l & 0xFFFF) << 16) | (l >> 16)
-        l = (l + r) & 0xFFFFFFFF
-        r ^= ((l << 3) | (l >> 29)) & 0xFFFFFFFF
-        l = (l + r) & 0xFFFFFFFF
-        r ^= ((l >> 2) | (l << 30)) & 0xFFFFFFFF
-        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l << 17) | (l >> 15)) & m
+        l = (l + r) & m
+        r ^= ((l << 16) | (l >> 16)) & m
+        l = (l + r) & m
+        r ^= ((l << 3) | (l >> 29)) & m
+        l = (l + r) & m
+        r ^= ((l >> 2) | (l << 30)) & m
+        l = (l + r) & m
     return l, r
 
 

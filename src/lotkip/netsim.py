@@ -552,9 +552,16 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
         for c in range(0, len(scenarios), chunk):
             topologies = _decide_topologies(topo_cfg, topo_states[c:c + chunk])
-            for topology, state in zip(topologies, pair_states[c:c + chunk]):
+            for s, topology, state in zip(scenarios[c:c + chunk], topologies,
+                                          pair_states[c:c + chunk]):
                 pair_rng.bit_generator.state = state
-                path, _ = _sample_pair(topology, pair_rng)
+                try:
+                    path, _ = _sample_pair(topology, pair_rng)
+                except ScenarioError as exc:
+                    seed = (topo_cfg.seed if traffic.seed == topo_cfg.seed
+                            else f"{topo_cfg.seed}, traffic seed {traffic.seed}")
+                    raise ScenarioError(f"scenario {s} ({topo_cfg.placement} placement, "
+                                        f"seed {seed}): {exc}") from exc
                 source[path[0]] += 1
                 for node in path[1:-1]:
                     relay[node] += 1

@@ -14,6 +14,8 @@ import lotkip
 from lotkip import netsim
 from lotkip.cli import main
 from lotkip.codec import (
+    LANES_BLOCK_MSDUS,
+    LANES_MIN_MSDUS,
     FrameLayout,
     ProbeEvent,
     ReceiverSession,
@@ -260,20 +262,27 @@ def _library_corpus(mode: str) -> bytes:
     sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
     sender.next_tsc = 0xFFFF - 30
     msdus = [rng.randbytes(rng.choice((0, 1, 255, 700, 2304))) for _ in range(40)]
-    groups = sender.seal_many(msdus[:20])
+    # the corpus's only crypto in lanes: this first seal_many and the
+    # open_many below, each one block of at least LANES_MIN_MSDUS
+    first = msdus[:20]
+    assert len(first) >= LANES_MIN_MSDUS
+    groups = sender.seal_many(first)
     if mode == "lotkip":
         sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
         groups.append([sender.make_probe()])
         sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
     groups += [sender.seal(m) for m in msdus[20:25]] + sender.seal_many(msdus[25:])
     assert sender.next_tsc > 0x10000
+    assert LANES_MIN_MSDUS <= len(groups) <= LANES_BLOCK_MSDUS
     assert [m for m in receiver.open_many(groups) if m is not None] == msdus
     return frames_to_container(f for g in groups for f in g)
 
 
 def test_sealed_corpus_is_pinned(tmp_path):
     # both modes x fragmentation thresholds x K, over files of 0, 1 and
-    # ~7 000 bytes and one of 11 MSDUs, whose crypto runs in lanes
+    # ~7 000 bytes and one of 11 MSDUs, all sealed on the scalar path (11
+    # is below LANES_MIN_MSDUS); only `_library_corpus`'s 20-MSDU seal_many
+    # and its open_many run in lanes
     rng = random.Random(6)
     payloads = {"empty": b"", "one": b"\x5a", "small": rng.randbytes(6929),
                 "lanes": rng.randbytes(10 * 2304 + 1960)}
@@ -335,6 +344,21 @@ def test_sim_rejects_infinite_radio_range(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["ScenarioError: invalid scenario config: "
                    "radio_range must be positive and finite"]
+
+
+def test_sim_names_the_scenario_without_a_linked_pair(tmp_path, capsys):
+    # two stations up to 141 m apart with R = 120: scenarios 0-12 of seed 1
+    # draw a linked pair, and scenario 13 finds none in its bounded draws
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("nodes = 2\narea_w = 100\narea_h = 100\nplacement = random\n"
+                        "R = 120\nalpha = 0.75\nscenarios = 20\nseed = 1\n")
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 1
+    assert not out.exists()
+    # the resolved settings, then the error on one line
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == ["ScenarioError: scenario 13 (random placement, seed 1): "
+                       "no connected node pair found after bounded resampling"]
 
 
 @pytest.mark.parametrize("p_list", [",", "256,,512", "256,256"],

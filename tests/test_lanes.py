@@ -3,8 +3,11 @@ functions and the reference module, over lane counts, mixed lengths
 (empty to a full MSDU with its header) and headers with and without the
 counter."""
 
+import struct
+
 import pytest
 
+from lotkip.codec import LANES_BLOCK_MSDUS
 from lotkip.crypto import MicHeader, michael_mic, rc4_apply
 from lotkip.crypto.lanes import michael_mic_lanes, rc4_apply_lanes
 from lotkip.reference import ref_michael_mic, ref_rc4
@@ -28,10 +31,64 @@ def _messages(rng, count):
     return out
 
 
-@pytest.mark.parametrize("count", LANE_COUNTS)
-def test_michael_lanes_match_scalar_and_reference(rng, count):
-    key = rng.randbytes(8)
-    messages = _messages(rng, count)
+def _all_ones(rng, count):
+    # every key, header and data byte 0xFF: the first adds already carry
+    # into the packed lanes' guard bits
+    header = MicHeader(b"\xff" * 6, b"\xff" * 6, 0xFF, (1 << 48) - 1)
+    return [(header, b"\xff" * _length(rng, lane)) for lane in range(count)]
+
+
+def _staggered(rng, count):
+    # three lanes per length, 150 B apart: the lanes finish three at a
+    # time, mid-chunk and mid-run, while the rest keep going
+    return [(MicHeader(rng.randbytes(6), rng.randbytes(6)),
+             rng.randbytes(lane // 3 * 150)) for lane in range(count)]
+
+
+def _zero_first_word(rng, count):
+    # SA starts with four zero bytes, so Michael's first word is 0 in
+    # every lane
+    return [(MicHeader(bytes(6), rng.randbytes(6)), rng.randbytes(_length(rng, lane)))
+            for lane in range(count)]
+
+
+def _rotl(x, n):
+    return ((x << n) | (x >> (32 - n))) & 0xFFFFFFFF
+
+
+# the four rotations of the round, in order (rotr 2 = rotl 30)
+ROTATIONS = (17, 16, 3, 30)
+
+
+def _saturating_key(rotation):
+    """The key that leaves L = 0xFFFFFFFF and R = 0 just before the round's
+    given rotation when the first word is 0: the sub-rounds before it
+    (R ^= rotl(L); L += R) run backwards from that state.  Packed lanes
+    then rotate an all-ones L, whose spill fills every guard bit, and the
+    next add carries out of the guard into the next lane unless the
+    rotation was masked."""
+    l, r = 0xFFFFFFFF, 0
+    for n in reversed(ROTATIONS[:ROTATIONS.index(rotation)]):
+        l = (l - r) & 0xFFFFFFFF
+        r ^= _rotl(l, n)
+    return struct.pack("<2I", l, r)
+
+
+# (lane count, message builder, key), by lane count for random messages
+MICHAEL_CASES = [pytest.param(count, _messages, None, id=str(count))
+                 for count in LANE_COUNTS] + [
+    # the most lanes the codec runs Michael on
+    pytest.param(LANES_BLOCK_MSDUS, _messages, None, id="block"),
+    pytest.param(LANES_BLOCK_MSDUS, _all_ones, b"\xff" * 8, id="block-all-ones"),
+    pytest.param(48, _staggered, None, id="staggered"),
+] + [pytest.param(16, _zero_first_word, _saturating_key(n), id=f"guard-carry-rotl{n}")
+     for n in ROTATIONS]
+
+
+@pytest.mark.parametrize("count, build, key", MICHAEL_CASES)
+def test_michael_lanes_match_scalar_and_reference(rng, count, build, key):
+    key = key or rng.randbytes(8)
+    messages = build(rng, count)
     tags = michael_mic_lanes(key, messages)
     assert tags == [michael_mic(key, header, data) for header, data in messages]
     for (h, data), tag in list(zip(messages, tags))[:12]:
