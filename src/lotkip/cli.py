@@ -168,14 +168,13 @@ def cmd_sim(args: argparse.Namespace) -> int:
             Path(args.scenario).read_text())
         if args.seed is not None:
             topo_cfgs = [replace(tc, seed=args.seed) for tc in topo_cfgs]
-            traffic = replace(traffic, seed=args.seed)
         _print_resolved("sim", {
             "scenario": args.scenario, "csv": args.csv,
             "placements": ",".join(tc.placement for tc in topo_cfgs),
             "scheme": traffic.scheme, "P": ",".join(map(str, traffic.packet_sizes)),
             "packets": traffic.packets_per_scenario,
             "scenarios": traffic.scenario_count, "K": traffic.refresh_interval,
-            "ack": traffic.ack_enabled, "seed": traffic.seed,
+            "ack": traffic.ack_enabled, "seed": topo_cfgs[0].seed,
         })
         results = [netsim.run_experiment(tc, traffic) for tc in topo_cfgs]
         _write_text(args.csv, netsim.emit_series(results))

@@ -76,8 +76,6 @@ EPOCH_FRAMES = 1 << 16
 REPLAY_WINDOW_SIZE = 16
 MIC_FAILURE_WINDOW_S = 60.0
 BLACKOUT_S = 60.0
-# For comparison: plain WEP appends 3 IV bytes + 1 key-id byte + 4 ICV bytes.
-WEP_OVERHEAD_BYTES = 8
 PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 # `seal_many`/`open_many` work through MSDUs in blocks of this many, so
 # their lane buffers stay O(block) whatever the file size.  A packed
@@ -278,7 +276,9 @@ class ReplayWindow:
     recent: list[int] = field(default_factory=list)
 
     def check(self, value: int) -> Classification:
-        """How `classify` treats `value`, without admitting it."""
+        """The verdict on `value`, without admitting it: REJECT for a
+        duplicate or a value below a full window, ACCEPT above the highest,
+        WINDOW otherwise.  A caller that takes the value calls `admit`."""
         if value in self.recent:
             return _REJECT
         if not self.recent or value > max(self.recent):
@@ -286,13 +286,6 @@ class ReplayWindow:
         if len(self.recent) >= REPLAY_WINDOW_SIZE and value < min(self.recent):
             return _REJECT
         return _WINDOW
-
-    def classify(self, value: int) -> Classification:
-        """`check`, then `admit` a value that is not rejected."""
-        verdict = self.check(value)
-        if verdict is not _REJECT:
-            self.admit(value)
-        return verdict
 
     def admit(self, value: int) -> None:
         self.recent.append(value)
@@ -543,19 +536,15 @@ class SessionConfig:
         if not self.sa:
             object.__setattr__(self, "sa", self.keys.ta)
 
-    def mic_header(self, first_tsc: int) -> MicHeader:
-        """Michael pseudo-header of an MSDU whose first fragment has counter
-        `first_tsc`; only LOTKIP puts the counter in it."""
-        return MicHeader(self.sa, self.da, self.priority,
-                         first_tsc if self.mode == "lotkip" else None)
-
 
 def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:
-    """`config.mic_header` as a session uses it.  A TKIP header holds no
-    counter, so the session builds it once, here."""
+    """The Michael pseudo-header of an MSDU whose first fragment has counter
+    `first_tsc`, as a function of it.  Only LOTKIP puts the counter in it; a
+    TKIP header holds none, so the session builds it once, here."""
+    sa, da, priority = config.sa, config.da, config.priority
     if config.mode == "lotkip":
-        return config.mic_header
-    header = config.mic_header(0)
+        return lambda first_tsc: MicHeader(sa, da, priority, first_tsc)
+    header = MicHeader(sa, da, priority, None)
     return lambda first_tsc: header
 
 

@@ -6,11 +6,9 @@ from lotkip.crypto.keymix import (
     TKIP_SBOX,
     phase1_mix,
     phase2_mix,
-    tkip_sbox16,
 )
 from lotkip.crypto.michael import (
     MicHeader,
-    michael_block,
     michael_key_words,
     michael_mic,
     michael_pad,
@@ -21,7 +19,6 @@ __all__ = [
     "MicHeader",
     "TKIP_SBOX",
     "crc32_icv",
-    "michael_block",
     "michael_key_words",
     "michael_mic",
     "michael_pad",
@@ -29,5 +26,4 @@ __all__ = [
     "phase2_mix",
     "rc4_apply",
     "rc4_ksa",
-    "tkip_sbox16",
 ]

@@ -64,10 +64,6 @@ _TK_WORDS = struct.Struct("<8H")
 _SEED = struct.Struct("<4B6H")
 
 
-def tkip_sbox16(v: int) -> int:
-    return TKIP_SBOX[v & 0xFF] ^ _SBOX_SWAPPED[(v >> 8) & 0xFF]
-
-
 def _tk_words(tk: bytes) -> tuple[int, ...]:
     if len(tk) != 16:
         raise ValueError(f"temporal key must be 16 bytes, got {len(tk)}")

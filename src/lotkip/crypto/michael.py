@@ -39,11 +39,6 @@ def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF) -> tuple[int, int]:
     return l, r
 
 
-def michael_block(l: int, r: int) -> tuple[int, int]:
-    """The b() mixing round alone: `_absorb` of one all-zero word."""
-    return _absorb(l, r, (0,))
-
-
 def michael_pad(message: bytes) -> list[int]:
     """Split into little-endian 32-bit words, padded with 0x5a and zeros.
 

@@ -24,9 +24,9 @@ the counts at the per-scenario rate of the role.
 Scenario randomness is derived from (seed, scenario index) only, so the
 same scenarios are replayed for every packet size and both encryption
 schemes; energy comparisons therefore use common random numbers.  Each
-scenario draws from two streams, its topology's, seeded ``seed + (s, 0)``,
-and its pair's, seeded ``(traffic seed, s, 1)``, each exactly as
-``np.random.default_rng(seed)`` would draw it.  `run_experiment` does not
+scenario draws from two streams, ``(seed, s, 0)`` for its topology and
+``(seed, s, 1)`` for its pair, from the one scenario seed, each exactly as
+``np.random.default_rng`` would draw it.  `run_experiment` does not
 build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
 seeding fixed, so it hashes both streams' seeds for at least
 `_SEED_BATCH` scenarios at a time (`_pcg64_states`) and sets each state
@@ -69,6 +69,8 @@ TOPOLOGY_PAIR_BUDGET = 1 << 15
 # Scenarios whose seeds `run_experiment` hashes in one `_pcg64_states` call,
 # rounded up to whole chunks: a call costs ~100 us however few seeds it has.
 _SEED_BATCH = 256
+# Source/destination draws a scenario makes before it gives up.
+_PAIR_DRAWS = 1000
 # Relative margin around (alpha*R)^2 and R^2 inside which `_link_classes`
 # leaves a pair to hypot; squares of normal floats err by a few 1e-16.
 _SQUARE_MARGIN = 1e-9
@@ -79,17 +81,6 @@ class ScenarioError(Exception):
     """Raised when a scenario cannot be set up (e.g. no connected pair)."""
 
 
-def _normalize_seed(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
-    return seed if isinstance(seed, tuple) else (seed,)
-
-
-def _check_seed(seed: "int | tuple[int, ...]") -> None:
-    """numpy seeds a generator only from non-negative integers."""
-    if not all(isinstance(v, numbers.Integral) and v >= 0
-               for v in _normalize_seed(seed)):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class TopologyConfig:
     node_count: int = 49
@@ -98,7 +89,7 @@ class TopologyConfig:
     placement: str = "grid"            # "grid" or "random"
     radio_range: float = 120.0
     alpha: float = 0.75
-    seed: "int | tuple[int, ...]" = 1
+    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.node_count < 2:
@@ -111,7 +102,9 @@ class TopologyConfig:
             raise ValueError("radio_range must be positive and finite")
         if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
             raise ValueError("area_w and area_h must be positive and finite")
-        _check_seed(self.seed)
+        # numpy seeds a generator only from non-negative integers
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class Topology:
@@ -186,7 +179,7 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 def _seed_words(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
     """SeedSequence's entropy words: each value's 32-bit words, least
     significant first, with 0 as one word."""
-    seed = _normalize_seed(seed)
+    seed = seed if isinstance(seed, tuple) else (seed,)
     if max(seed, default=0) <= _MASK32:
         return seed
     words = []
@@ -369,8 +362,10 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
 
 
 def generate_topology(cfg: TopologyConfig) -> Topology:
-    """Place the stations, then decide every i<j pair at once; the topology
-    that `run_experiment` decides for a scenario seeded ``cfg.seed``."""
+    """Place the stations, then decide every i<j pair at once, drawing as
+    ``np.random.default_rng(cfg.seed)`` would.  `run_experiment` decides
+    scenario s's topology the same way, from stream ``(seed, s, 0)`` of the
+    one scenario seed; the scenario's pair draws from ``(seed, s, 1)``."""
     return _decide_topologies(cfg, _pcg64_states([cfg.seed]))[0]
 
 
@@ -421,7 +416,6 @@ class TrafficConfig:
     scheme: str = "both"               # "tkip", "lotkip", or "both"
     refresh_interval: int = 256
     ack_enabled: bool = False
-    seed: int = 1
 
     def __post_init__(self) -> None:
         if not self.packet_sizes:
@@ -438,7 +432,6 @@ class TrafficConfig:
             raise ValueError("packet and scenario counts must be positive")
         if self.refresh_interval < 1:
             raise ValueError("refresh_interval must be positive")
-        _check_seed(self.seed)
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -490,8 +483,6 @@ class SimResult:
     node_count: int
     packet_sizes: tuple[int, ...]
     schemes: tuple[str, ...]
-    scenario_count: int
-    packets_per_scenario: int
     per_node_j: dict[tuple[str, int], np.ndarray]
 
     def network_energy(self, scheme: str, packet_size: int) -> float:
@@ -507,17 +498,18 @@ class SimResult:
                 / self.network_energy("lotkip", packet_size))
 
 
-def _sample_pair(topology: Topology, rng: np.random.Generator,
-                 max_tries: int = 1000) -> tuple[list[int], int]:
+def _sample_pair(topology: Topology, rng: np.random.Generator) -> list[int]:
+    """The route between the first linked pair of distinct stations that
+    ``rng`` draws, in at most `_PAIR_DRAWS` draws."""
     n = topology.node_count
-    for _ in range(max_tries):
+    for _ in range(_PAIR_DRAWS):
         src = int(rng.integers(n))
         dst = int(rng.integers(n))
         if src == dst:
             continue
         path = route(topology, src, dst)
         if path is not None:
-            return path, len(path) - 1
+            return path
     raise ScenarioError("no connected node pair found after bounded resampling")
 
 
@@ -532,23 +524,24 @@ def _scenarios_per_chunk(n: int) -> int:
 def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResult:
     """Average network energy over the configured random scenarios.
 
-    Scenario s's topology is `generate_topology` seeded ``seed + (s, 0)``,
-    decided with the other scenarios of its chunk, and its pair is
-    `_sample_pair` drawing from ``np.random.default_rng((traffic.seed, s,
-    1))``.  Both streams' seeds are hashed for whole chunks of at least
-    `_SEED_BATCH` scenarios at once, and the pairs draw from one generator
-    that takes each scenario's state in turn."""
+    Scenario s draws from streams ``(seed, s, 0)`` and ``(seed, s, 1)`` from
+    the one scenario seed ``topo_cfg.seed``: its topology is decided as
+    `generate_topology` decides it, from the first stream, together with the
+    other scenarios of its chunk, and its pair is `_sample_pair` drawing
+    from the second.  Both streams' seeds are hashed for whole chunks of at
+    least `_SEED_BATCH` scenarios at once, and the pairs draw from one
+    generator that takes each scenario's state in turn."""
     n = topo_cfg.node_count
     source, relay, sink = [0] * n, [0] * n, [0] * n
-    topo_seed = _normalize_seed(topo_cfg.seed)
+    seed = topo_cfg.seed
     count = traffic.scenario_count
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
     pair_rng = _reseedable_generator()
     for first in range(0, count, batch):
         scenarios = range(first, min(first + batch, count))
-        states = _pcg64_states([topo_seed + (s, 0) for s in scenarios]
-                               + [(traffic.seed, s, 1) for s in scenarios])
+        states = _pcg64_states([(seed, s, 0) for s in scenarios]
+                               + [(seed, s, 1) for s in scenarios])
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
         for c in range(0, len(scenarios), chunk):
             topologies = _decide_topologies(topo_cfg, topo_states[c:c + chunk])
@@ -556,10 +549,8 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
                                           pair_states[c:c + chunk]):
                 pair_rng.bit_generator.state = state
                 try:
-                    path, _ = _sample_pair(topology, pair_rng)
+                    path = _sample_pair(topology, pair_rng)
                 except ScenarioError as exc:
-                    seed = (topo_cfg.seed if traffic.seed == topo_cfg.seed
-                            else f"{topo_cfg.seed}, traffic seed {traffic.seed}")
                     raise ScenarioError(f"scenario {s} ({topo_cfg.placement} placement, "
                                         f"seed {seed}): {exc}") from exc
                 source[path[0]] += 1
@@ -578,8 +569,6 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
         node_count=n,
         packet_sizes=traffic.packet_sizes,
         schemes=traffic.schemes,
-        scenario_count=traffic.scenario_count,
-        packets_per_scenario=traffic.packets_per_scenario,
         per_node_j=per_node_j,
     )
 
@@ -587,10 +576,8 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
 SERIES_CSV_HEADER = "P,scheme,placement,network_energy_J,per_node_J,efficiency_factor"
 
 
-def emit_series(results: "SimResult | list[SimResult]") -> str:
+def emit_series(results: list[SimResult]) -> str:
     """CSV rows ordered by (P, scheme, placement); byte-stable across reruns."""
-    if isinstance(results, SimResult):
-        results = [results]
     rows = []
     for result in results:
         for p in result.packet_sizes:
@@ -659,7 +646,6 @@ def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfi
             scheme=fields.get("scheme", "both"),
             refresh_interval=int(fields.get("K", "256")),
             ack_enabled=_ACK_VALUES[ack],
-            seed=seed,
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc

@@ -20,8 +20,8 @@ MASK32 = 0xFFFFFFFF
 # Michael
 # ---------------------------------------------------------------------------
 
-def ref_michael_block(l: int, r: int) -> tuple[int, int]:
-    """One mixing round, written out step by step."""
+def ref_michael_b(l: int, r: int) -> tuple[int, int]:
+    """The b() mixing round, written out step by step."""
     r = r ^ (((l << 17) | (l >> 15)) & MASK32)
     l = (l + r) & MASK32
     r = r ^ (((l & 0xFFFF) << 16) | (l >> 16))
@@ -60,7 +60,7 @@ def ref_michael_mic(key: bytes, sa: bytes, da: bytes, priority: int,
     r = key[4] | key[5] << 8 | key[6] << 16 | key[7] << 24
     for word in ref_michael_pad(bytes(message)):
         l ^= word
-        l, r = ref_michael_block(l, r)
+        l, r = ref_michael_b(l, r)
     return bytes(((l >> (8 * k)) & 0xFF) for k in range(4)) + \
         bytes(((r >> (8 * k)) & 0xFF) for k in range(4))
 

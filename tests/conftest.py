@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lotkip.codec import SessionKeys
+from lotkip.codec import Classification, SessionKeys
 
 
 @pytest.fixture
@@ -27,3 +27,12 @@ def symmetric_keys(rng=None, key_id=0):
     mic = r.randbytes(8)
     return SessionKeys(tk=r.randbytes(16), mic_key_tx=mic, mic_key_rx=mic,
                        ta=r.randbytes(6), key_id=key_id)
+
+
+def check_then_admit(window, value):
+    """A window's verdict on one counter, admitting it unless rejected, as
+    a receiver does for a counter whose MSDU verifies."""
+    verdict = window.check(value)
+    if verdict is not Classification.REJECT:
+        window.admit(value)
+    return verdict

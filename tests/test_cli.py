@@ -211,11 +211,24 @@ def test_sim_paper_scenario_csv_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SIM_SHA256
 
 
+def test_sim_seed_flag_overrides_file_seed(tmp_path):
+    # --seed replaces the file's seed for both streams of every scenario,
+    # the topology's and the pair's, so seed 5 in the file changes nothing
+    scenario = tmp_path / "scenario.cfg"
+    text = PAPER_SCENARIO_TEXT.replace("seed = 1", "seed = 5")
+    assert text.endswith("seed = 5\n")
+    scenario.write_text(text)
+    out = tmp_path / "sim.csv"
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out),
+                 "--seed", "1"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_SIM_SHA256
+
+
 def test_sim_paper_scenario_per_node_energy_is_pinned():
     # the CSV sums each series over the nodes, so only the per-node series
     # depend on which relays carry a route: on `route`'s tie-break
     topo_cfgs, traffic = netsim.parse_scenario_config(PAPER_SCENARIO_TEXT)
-    assert traffic.seed == 1
+    assert topo_cfgs[0].seed == 1
     digest = hashlib.sha256()
     for topo_cfg in topo_cfgs:
         per_node_j = netsim.run_experiment(topo_cfg, traffic).per_node_j

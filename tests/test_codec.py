@@ -35,7 +35,6 @@ from lotkip.codec import (
     SessionKeys,
     TSC_MAX,
     TscExhausted,
-    WEP_OVERHEAD_BYTES,
     container_to_frames,
     fragment_count,
     frames_to_container,
@@ -53,7 +52,7 @@ from lotkip.reference import (
     ref_rc4,
 )
 
-from conftest import symmetric_keys
+from conftest import check_then_admit, symmetric_keys
 
 SA = bytes.fromhex("020202020202")
 DA = bytes.fromhex("030303030303")
@@ -391,30 +390,30 @@ def test_frame_with_another_key_id_moves_no_receiver_state(mode):
 
 def test_replay_spec_cases():
     window = ReplayWindow()
-    assert window.classify(5) is Classification.ACCEPT
+    assert check_then_admit(window, 5) is Classification.ACCEPT
 
     full = ReplayWindow(recent=list(range(10, 26)))
-    assert full.classify(7) is Classification.REJECT
+    assert check_then_admit(full, 7) is Classification.REJECT
 
     gap = ReplayWindow(recent=[v for v in range(10, 26) if v != 18])
-    assert gap.classify(18) is Classification.WINDOW
+    assert check_then_admit(gap, 18) is Classification.WINDOW
     assert 18 in gap.recent
 
 
 def test_replay_duplicate_never_accepted_twice():
     window = ReplayWindow()
-    assert window.classify(100) is Classification.ACCEPT
-    assert window.classify(100) is Classification.REJECT
+    assert check_then_admit(window, 100) is Classification.ACCEPT
+    assert check_then_admit(window, 100) is Classification.REJECT
     # push 20 larger values; 100 falls off the window and stays rejected
     for v in range(101, 121):
-        assert window.classify(v) is Classification.ACCEPT
-    assert window.classify(100) is Classification.REJECT
+        assert check_then_admit(window, v) is Classification.ACCEPT
+    assert check_then_admit(window, 100) is Classification.REJECT
 
 
 def test_replay_window_tracks_largest_16():
     window = ReplayWindow()
     for v in range(32):
-        window.classify(v)
+        check_then_admit(window, v)
     assert sorted(window.recent) == list(range(16, 32))
     assert max(window.recent) == 31
 
@@ -422,8 +421,8 @@ def test_replay_window_tracks_largest_16():
 def test_replay_below_partial_window_admits():
     # the lower bound only exists once 16 values are tracked
     window = ReplayWindow()
-    window.classify(50)
-    assert window.classify(3) is Classification.WINDOW
+    check_then_admit(window, 50)
+    assert check_then_admit(window, 3) is Classification.WINDOW
 
 
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
@@ -482,13 +481,13 @@ def test_replay_matches_brute_force_reference(rng):
         for _ in range(250):
             # drift upward with jitter so all three outcomes occur
             value = max(0, value + rng.randrange(-6, 10))
-            assert window.classify(value) is reference.classify(value)
+            assert check_then_admit(window, value) is reference.classify(value)
 
 
 def test_group_counters_need_no_admits_between_checks(rng):
     # the receiver checks a group's consecutive counters against a window
     # that does not hold the group's earlier counters yet; the first one it
-    # rejects must be the first a loop of `classify` rejects
+    # rejects must be the first a loop of `check_then_admit` rejects
     def first_reject(verdicts):
         return next((i for i, v in enumerate(verdicts) if v is Classification.REJECT),
                     None)
@@ -498,12 +497,12 @@ def test_group_counters_need_no_admits_between_checks(rng):
         value = rng.randrange(40)
         for _ in range(rng.randrange(30)):
             value = max(0, value + rng.randrange(-6, 10))
-            window.classify(value)
+            check_then_admit(window, value)
         start = rng.randrange(80)
         group = range(start, start + rng.randrange(1, 11))
         loop = ReplayWindow(list(window.recent))
         assert first_reject([window.check(v) for v in group]) == \
-            first_reject([loop.classify(v) for v in group])
+            first_reject([check_then_admit(loop, v) for v in group])
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +652,12 @@ def test_lotkip_mic_covers_counter():
 def test_michael_header_built_once_per_tkip_session(monkeypatch, mode):
     # TKIP's header holds no counter, so each session builds it once;
     # LOTKIP's carries the counter of each MSDU's first fragment
+    import lotkip.codec as codec
     cfg = config(mode)
     built = []
-    original = SessionConfig.mic_header
-    monkeypatch.setattr(SessionConfig, "mic_header", lambda self, first_tsc:
-                        built.append(first_tsc) or original(self, first_tsc))
+    original = codec.MicHeader
+    monkeypatch.setattr(codec, "MicHeader", lambda sa, da, priority, iv:
+                        built.append(iv) or original(sa, da, priority, iv))
     sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
     msdus = [bytes([n]) * 300 for n in range(5)]
     assert [receiver.open(sender.seal(m)) for m in msdus] == msdus
@@ -736,7 +736,9 @@ def test_overhead_values():
     assert overhead_of(FrameLayout.TKIP_BASELINE).total == 20
     assert overhead_of(FrameLayout.LOTKIP_TYPE_A).total == 20
     assert overhead_of(FrameLayout.LOTKIP_TYPE_B).total == 16
-    assert WEP_OVERHEAD_BYTES == 8
+    # plain WEP's 3 IV bytes + 1 key-id byte + 4 ICV bytes
+    wep = overhead_of(FrameLayout.TKIP_BASELINE)
+    assert wep.iv_keyid + wep.icv == 8
     with pytest.raises(ValueError):
         overhead_of(FrameLayout.PROBE)
 

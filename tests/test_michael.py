@@ -5,22 +5,23 @@ import pytest
 
 from lotkip.crypto import (
     MicHeader,
-    michael_block,
     michael_key_words,
     michael_mic,
     michael_pad,
 )
+from lotkip.crypto.michael import _absorb
 from lotkip.reference import ref_michael_mic
 
 
 def test_block_preserves_all_zero():
-    assert michael_block(0, 0) == (0, 0)
+    # the b() round alone is `_absorb` of one all-zero word
+    assert _absorb(0, 0, (0,)) == (0, 0)
 
 
 def test_block_frozen_vectors():
     # computed with the straight-line reference before the main build
-    assert michael_block(1, 0) == (0x4057003A, 0x4027001D)
-    assert michael_block(0xFFFFFFFF, 0xFFFFFFFF) == (0x8000000F, 0x80000009)
+    assert _absorb(1, 0, (0,)) == (0x4057003A, 0x4027001D)
+    assert _absorb(0xFFFFFFFF, 0xFFFFFFFF, (0,)) == (0x8000000F, 0x80000009)
 
 
 def test_pad_examples():

@@ -3,7 +3,6 @@ energy composition, and experiment determinism/aggregation."""
 
 import math
 from collections import deque
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -81,7 +80,7 @@ def test_topology_config_validation():
                  dict(area_h=0.0), dict(area_w=math.inf), dict(area_h=math.nan)):
         with pytest.raises(ValueError, match="area_w and area_h"):
             TopologyConfig(**area)
-    for seed in (-1, (1, -2, 0), 1.5):
+    for seed in (-1, (1, -2, 0), (1, 2, 0), 1.5):
         with pytest.raises(ValueError, match="seed"):
             TopologyConfig(seed=seed)
 
@@ -97,8 +96,6 @@ def test_traffic_config_validation():
         TrafficConfig(packet_sizes=(256, 512, 256))
     with pytest.raises(ValueError):
         TrafficConfig(scheme="wep")
-    with pytest.raises(ValueError, match="seed"):
-        TrafficConfig(seed=-1)
     assert TrafficConfig().schemes == ("tkip", "lotkip")
     assert TrafficConfig(scheme="lotkip").schemes == ("lotkip",)
 
@@ -381,7 +378,7 @@ def test_lotkip_frame_classes():
 
 def _small_traffic(**kw):
     defaults = dict(packet_sizes=(256, 512), packets_per_scenario=100,
-                    scenario_count=4, seed=9)
+                    scenario_count=4)
     defaults.update(kw)
     return TrafficConfig(**defaults)
 
@@ -390,7 +387,7 @@ def test_experiment_deterministic():
     cfg = TopologyConfig(placement="random", seed=5)
     a = run_experiment(cfg, _small_traffic())
     b = run_experiment(cfg, _small_traffic())
-    assert emit_series(a) == emit_series(b)
+    assert emit_series([a]) == emit_series([b])
 
 
 def test_experiment_aggregation_identities():
@@ -441,9 +438,9 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
     sample_pair = netsim._sample_pair
 
     def recording(*args, **kwargs):
-        path, hops = sample_pair(*args, **kwargs)
+        path = sample_pair(*args, **kwargs)
         paths.append(path)
-        return path, hops
+        return path
 
     monkeypatch.setattr(netsim, "_sample_pair", recording)
     packets, k, n = 600, 7, 30
@@ -481,13 +478,14 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
 
 
 def _scenario_loop(cfg, traffic):
-    """Each scenario decided alone: its topology from `generate_topology`
-    seeded as `run_experiment` seeds scenario s, then its pair and route."""
-    seed = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
+    """Each scenario decided alone, as `generate_topology` decides one: its
+    topology from ``np.random.default_rng((seed, s, 0))``, then its pair
+    and route from ``np.random.default_rng((seed, s, 1))``."""
     runs = []
     for s in range(traffic.scenario_count):
-        topo = generate_topology(replace(cfg, seed=seed + (s, 0)))
-        path, _ = netsim._sample_pair(topo, np.random.default_rng((traffic.seed, s, 1)))
+        state = np.random.default_rng((cfg.seed, s, 0)).bit_generator.state
+        topo = netsim._decide_topologies(cfg, [state])[0]
+        path = netsim._sample_pair(topo, np.random.default_rng((cfg.seed, s, 1)))
         runs.append((topo, path))
     return runs
 
@@ -508,13 +506,13 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
         return decide(cfg, seeds)
 
     def recording_sample(topology, rng):
-        path, hops = sample_pair(topology, rng)
+        path = sample_pair(topology, rng)
         runs.append((topology, path))
-        return path, hops
+        return path
 
     monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
     monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
-    cfg = TopologyConfig(node_count=n, placement=placement, seed=(4, 2))
+    cfg = TopologyConfig(node_count=n, placement=placement, seed=42)
     traffic = _small_traffic(scenario_count=full_chunks * per_chunk + last)
     run_experiment(cfg, traffic)
     monkeypatch.undo()
@@ -553,7 +551,7 @@ def test_hashed_seed_states_match_default_rng():
 def test_single_scheme_has_no_efficiency():
     result = run_experiment(TopologyConfig(seed=2), _small_traffic(scheme="tkip"))
     assert result.efficiency_factor(256) is None
-    csv = emit_series(result)
+    csv = emit_series([result])
     assert csv.splitlines()[1].endswith(",")
 
 
@@ -596,7 +594,7 @@ def test_parse_scenario_config():
     assert traffic.scheme == "lotkip"
     assert traffic.refresh_interval == 32
     assert traffic.ack_enabled is True
-    assert traffic.seed == 77
+    assert topo_cfgs[0].seed == 77
 
 
 def test_parse_scenario_config_defaults_and_errors():
