@@ -25,8 +25,6 @@ from lotkip.codec import (
     parse_session_config,
 )
 
-DEFAULT_MSDU_BYTES = codec.MSDU_MAX_BYTES
-
 
 def _say(*parts: object) -> None:
     print(*parts, file=sys.stderr)
@@ -45,25 +43,13 @@ def _write_output(path: str, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        Path(path).write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
 
 def cmd_table1(args: argparse.Namespace) -> int:
     _print_resolved("table1", {"csv": args.csv})
-    try:
-        _write_text(args.csv, cost.table1_csv())
-    except OSError as exc:
-        _say(f"IO error: {exc}")
-        return 1
+    _write_output(args.csv, cost.table1_csv().encode())
     _say(cost.TABLE1_NOTES)
     return 0
 
@@ -87,47 +73,39 @@ def _split_msdus(data: bytes, msdu_bytes: int) -> list[bytes]:
 
 
 def cmd_seal(args: argparse.Namespace) -> int:
-    try:
-        config = parse_session_config(Path(args.config).read_text())
-        _print_resolved("seal", {
-            "config": args.config, "in": getattr(args, "in"), "out": args.out,
-            "mode": config.mode, "msdu_bytes": args.msdu_bytes,
-            "frag_threshold": config.frag_threshold, "K": config.refresh_interval,
-        })
-        data = Path(getattr(args, "in")).read_bytes()
-        sealed = SenderSession(config).seal_many(_split_msdus(data, args.msdu_bytes))
-        frames = [frame for msdu_frames in sealed for frame in msdu_frames]
-        _write_output(args.out, frames_to_container(frames))
-    except (CodecError, OSError, UnicodeDecodeError) as exc:
-        _say(f"{type(exc).__name__}: {exc}")
-        return 1
+    config = parse_session_config(Path(args.config).read_text())
+    _print_resolved("seal", {
+        "config": args.config, "in": getattr(args, "in"), "out": args.out,
+        "mode": config.mode, "msdu_bytes": args.msdu_bytes,
+        "frag_threshold": config.frag_threshold, "K": config.refresh_interval,
+    })
+    data = Path(getattr(args, "in")).read_bytes()
+    sealed = SenderSession(config).seal_many(_split_msdus(data, args.msdu_bytes))
+    frames = [frame for msdu_frames in sealed for frame in msdu_frames]
+    _write_output(args.out, frames_to_container(frames))
     _say(f"sealed {len(frames)} frames")
     return 0
 
 
 def cmd_open(args: argparse.Namespace) -> int:
-    try:
-        config = parse_session_config(Path(args.config).read_text())
-        _print_resolved("open", {
-            "config": args.config, "in": getattr(args, "in"), "out": args.out,
-            "mode": config.mode, "msdu_bytes": args.msdu_bytes,
-            "frag_threshold": config.frag_threshold,
-        })
-        frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
-        per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
-        groups = []
-        pos = 0
-        while pos < len(frames):
-            take = 1 if frames[pos].layout is FrameLayout.PROBE else per_full_msdu
-            groups.append(frames[pos:pos + take])
-            pos += take
-        receiver = ReceiverSession(config, clock=time.monotonic)
-        recovered = b"".join(msdu for msdu in receiver.open_many(groups)
-                             if msdu is not None)
-        _write_output(args.out, recovered)
-    except (CodecError, OSError, UnicodeDecodeError) as exc:
-        _say(f"{type(exc).__name__}: {exc}")
-        return 1
+    config = parse_session_config(Path(args.config).read_text())
+    _print_resolved("open", {
+        "config": args.config, "in": getattr(args, "in"), "out": args.out,
+        "mode": config.mode, "msdu_bytes": args.msdu_bytes,
+        "frag_threshold": config.frag_threshold,
+    })
+    frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
+    per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
+    groups = []
+    pos = 0
+    while pos < len(frames):
+        take = 1 if frames[pos].layout is FrameLayout.PROBE else per_full_msdu
+        groups.append(frames[pos:pos + take])
+        pos += take
+    receiver = ReceiverSession(config, clock=time.monotonic)
+    recovered = b"".join(msdu for msdu in receiver.open_many(groups)
+                         if msdu is not None)
+    _write_output(args.out, recovered)
     _say(f"recovered {len(recovered)} bytes")
     return 0
 
@@ -139,15 +117,11 @@ def cmd_open(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
-    try:
-        cycles = cost.tkip_energy_cycles(args.m, case, first)
-        energies = {"compute_uJ": cycles * cost.CYCLE_ENERGY_UJ}
-        if args.frame_bytes is not None:
-            energies["tx_uJ"] = cost.tx_energy(args.frame_bytes)
-            energies["rx_uJ"] = cost.rx_energy(args.frame_bytes)
-    except (ValueError, OverflowError) as exc:
-        _say(f"{type(exc).__name__}: {exc}")
-        return 1
+    cycles = cost.tkip_energy_cycles(args.m, case, first)
+    energies = {"compute_uJ": cycles * cost.CYCLE_ENERGY_UJ}
+    if args.frame_bytes is not None:
+        energies["tx_uJ"] = cost.tx_energy(args.frame_bytes)
+        energies["rx_uJ"] = cost.rx_energy(args.frame_bytes)
     lines = [f"cycles={cycles}"]
     lines += [f"{name}={value:.4f}" for name, value in energies.items()]
     _print_resolved("energy", {
@@ -163,24 +137,20 @@ def cmd_energy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    try:
-        topo_cfgs, traffic = netsim.parse_scenario_config(
-            Path(args.scenario).read_text())
-        if args.seed is not None:
-            topo_cfgs = [replace(tc, seed=args.seed) for tc in topo_cfgs]
-        _print_resolved("sim", {
-            "scenario": args.scenario, "csv": args.csv,
-            "placements": ",".join(tc.placement for tc in topo_cfgs),
-            "scheme": traffic.scheme, "P": ",".join(map(str, traffic.packet_sizes)),
-            "packets": traffic.packets_per_scenario,
-            "scenarios": traffic.scenario_count, "K": traffic.refresh_interval,
-            "ack": traffic.ack_enabled, "seed": topo_cfgs[0].seed,
-        })
-        results = [netsim.run_experiment(tc, traffic) for tc in topo_cfgs]
-        _write_text(args.csv, netsim.emit_series(results))
-    except (netsim.ScenarioError, ValueError, OSError) as exc:
-        _say(f"{type(exc).__name__}: {exc}")
-        return 1
+    topo_cfgs, traffic = netsim.parse_scenario_config(
+        Path(args.scenario).read_text())
+    if args.seed is not None:
+        topo_cfgs = [replace(tc, seed=args.seed) for tc in topo_cfgs]
+    _print_resolved("sim", {
+        "scenario": args.scenario, "csv": args.csv,
+        "placements": ",".join(tc.placement for tc in topo_cfgs),
+        "scheme": traffic.scheme, "P": ",".join(map(str, traffic.packet_sizes)),
+        "packets": traffic.packets_per_scenario,
+        "scenarios": traffic.scenario_count, "K": traffic.refresh_interval,
+        "ack": traffic.ack_enabled, "seed": topo_cfgs[0].seed,
+    })
+    results = [netsim.run_experiment(tc, traffic) for tc in topo_cfgs]
+    _write_output(args.csv, netsim.emit_series(results).encode())
     return 0
 
 
@@ -204,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", required=True, help="input file")
         p.add_argument("--out", required=True, help="output file ('-' for stdout)")
         p.add_argument("--msdu-bytes", type=_msdu_bytes,
-                       default=DEFAULT_MSDU_BYTES, dest="msdu_bytes",
+                       default=codec.MSDU_MAX_BYTES, dest="msdu_bytes",
                        help="input chunking unit (default %(default)s)")
         p.set_defaults(func=func)
 
@@ -227,8 +197,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one subcommand; this is the CLI's only error boundary.  A failure
+    of any subcommand exits 1 with one `Name: message` line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # a config or scenario file that is not UTF-8 raises UnicodeDecodeError,
+    # which is a ValueError
+    except (CodecError, netsim.ScenarioError, ValueError, OverflowError,
+            OSError) as exc:
+        _say(f"{type(exc).__name__}: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,10 +30,12 @@ those of a loop of `seal`/`open`.
 Each crypto step runs in lanes (`lotkip.crypto.lanes`) for a block of at
 least LANES_MIN_MSDUS MSDUs, and on the scalar functions otherwise.
 
-`SessionConfig.mode` selects the only three things that differ: the frame
+`SessionConfig.mode` selects the only four things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
 `is_type_a`), whether the Michael header carries the counter of the MSDU's
-first fragment, and which layouts `open` accepts.
+first fragment, which layouts `open` accepts, and the replay rule (TKIP
+admits only a counter above the highest it has admitted, LOTKIP any
+counter its `ReplayWindow` does not reject).
 
 Wire layouts (after the MAC header, which is not modeled):
 
@@ -509,9 +511,9 @@ class SessionConfig:
     The integrity endpoints (sa, da, priority) are part of the tag input and
     must match on both sides; they default to the transmitter address, the
     broadcast address, and zero.  The mode, the fragmentation threshold, the
-    refresh interval K and the priority are validated here, once for the
-    whole session; the config is frozen, so a changed copy comes from
-    `dataclasses.replace`, which validates it again.
+    refresh interval K, the addresses and the priority are validated here,
+    once for the whole session; the config is frozen, so a changed copy
+    comes from `dataclasses.replace`, which validates it again.
     """
 
     keys: SessionKeys
@@ -535,6 +537,9 @@ class SessionConfig:
             raise CodecError(f"priority must be in 0..255, got {self.priority}")
         if not self.sa:
             object.__setattr__(self, "sa", self.keys.ta)
+        if len(self.sa) != 6 or len(self.da) != 6:
+            raise CodecError(f"sa and da must be 6 bytes each, got {len(self.sa)} "
+                             f"and {len(self.da)}")
 
 
 def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:

@@ -36,3 +36,26 @@ def check_then_admit(window, value):
     if verdict is not Classification.REJECT:
         window.admit(value)
     return verdict
+
+
+class BruteForceWindow:
+    """Reference model of the replay window: keeps every accepted value and
+    recomputes the largest-16 set from scratch for each decision."""
+
+    def __init__(self):
+        self.accepted = []
+
+    def classify(self, value):
+        tracked = sorted(self.accepted)[-16:]
+        if not tracked:
+            self.accepted.append(value)
+            return Classification.ACCEPT
+        if value in tracked:
+            return Classification.REJECT
+        if value > max(tracked):
+            self.accepted.append(value)
+            return Classification.ACCEPT
+        if len(tracked) == 16 and value < min(tracked):
+            return Classification.REJECT
+        self.accepted.append(value)
+        return Classification.WINDOW

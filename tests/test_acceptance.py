@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from lotkip import reference as ref
 from lotkip.codec import (
-    Classification,
     CountermeasureState,
     FrameLayout,
     IcvMismatch,
@@ -49,7 +48,7 @@ from lotkip.netsim import (
     run_experiment,
 )
 
-from conftest import check_then_admit
+from conftest import BruteForceWindow, check_then_admit
 
 SA = bytes.fromhex("020202020202")
 DA = bytes.fromhex("030303030303")
@@ -208,26 +207,6 @@ def test_criterion_3_oracle_equivalence():
 
 # criterion 4 -----------------------------------------------------------------
 
-class _BruteForceWindow:
-    def __init__(self):
-        self.accepted = []
-
-    def classify(self, value):
-        tracked = sorted(self.accepted)[-16:]
-        if not tracked:
-            self.accepted.append(value)
-            return Classification.ACCEPT
-        if value in tracked:
-            return Classification.REJECT
-        if value > max(tracked):
-            self.accepted.append(value)
-            return Classification.ACCEPT
-        if len(tracked) == 16 and value < min(tracked):
-            return Classification.REJECT
-        self.accepted.append(value)
-        return Classification.WINDOW
-
-
 def _random_msdu(rng: random.Random) -> bytes:
     if rng.random() < 0.75:
         return rng.randbytes(rng.randrange(300))
@@ -281,7 +260,7 @@ def test_criterion_4_codec_property_suite():
     compared = 0
     for s in range(streams):
         window = ReplayWindow()
-        brute = _BruteForceWindow()
+        brute = BruteForceWindow()
         value = 0
         for _ in range(per_stream):
             value = max(0, value + rng.randrange(-8, 12))

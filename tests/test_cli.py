@@ -470,6 +470,14 @@ def test_non_utf8_config_exits_with_one_line(tmp_path, session_file, capsys,
     assert len(err) == 1 and err[0].startswith("UnicodeDecodeError: ")
 
 
-def test_missing_files_exit_nonzero(tmp_path, capsys):
-    assert main(["seal", "--config", str(tmp_path / "nope.cfg"),
-                 "--in", "x", "--out", "y"]) == 1
+@pytest.mark.parametrize("args", [
+    ["table1", "--csv", "{tmp}/missing/t.csv"],
+    ["seal", "--config", "{tmp}/nope.cfg", "--in", "x", "--out", "y"],
+    ["open", "--config", "{tmp}/nope.cfg", "--in", "x", "--out", "y"],
+    ["sim", "--scenario", "{tmp}/nope.cfg"],
+], ids=["table1", "seal", "open", "sim"])
+def test_missing_files_exit_nonzero(tmp_path, capsys, args):
+    # every subcommand fails through main's one error boundary
+    assert main([arg.format(tmp=tmp_path) for arg in args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("FileNotFoundError: ")

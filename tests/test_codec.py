@@ -52,7 +52,7 @@ from lotkip.reference import (
     ref_rc4,
 )
 
-from conftest import check_then_admit, symmetric_keys
+from conftest import BruteForceWindow, check_then_admit, symmetric_keys
 
 SA = bytes.fromhex("020202020202")
 DA = bytes.fromhex("030303030303")
@@ -60,8 +60,9 @@ DA = bytes.fromhex("030303030303")
 
 def config(mode="tkip", keys=None, **fields):
     fields.setdefault("frag_threshold", 256)
-    return SessionConfig(keys=keys or symmetric_keys(), mode=mode, sa=SA, da=DA,
-                         **fields)
+    fields.setdefault("sa", SA)
+    fields.setdefault("da", DA)
+    return SessionConfig(keys=keys or symmetric_keys(), mode=mode, **fields)
 
 
 def sessions(mode="tkip", keys=None, clock=None, **fields):
@@ -193,6 +194,10 @@ def test_seal_argument_validation():
         config(frag_threshold=2347)
     with pytest.raises(CodecError):
         config("lotkip", refresh_interval=0)
+    with pytest.raises(CodecError):
+        config(sa=bytes(5))
+    with pytest.raises(CodecError):
+        config("lotkip", da=bytes(7))
 
 
 def _check_exhaustion(mode):
@@ -448,29 +453,6 @@ def test_out_of_order_counter_strict_for_tkip_only(mode):
     for replay in (first, second, third):
         with pytest.raises(ReplayRejected):
             receiver.open(replay)
-
-
-class BruteForceWindow:
-    """Reference model: keeps every accepted value and recomputes the
-    largest-16 set from scratch for each decision."""
-
-    def __init__(self):
-        self.accepted = []
-
-    def classify(self, value):
-        tracked = sorted(self.accepted)[-16:]
-        if not tracked:
-            self.accepted.append(value)
-            return Classification.ACCEPT
-        if value in tracked:
-            return Classification.REJECT
-        if value > max(tracked):
-            self.accepted.append(value)
-            return Classification.ACCEPT
-        if len(tracked) == 16 and value < min(tracked):
-            return Classification.REJECT
-        self.accepted.append(value)
-        return Classification.WINDOW
 
 
 def test_replay_matches_brute_force_reference(rng):
