@@ -8,12 +8,13 @@ Diagnostics go to stderr; data goes to the output file or stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from lotkip import codec, cost, netsim
+from lotkip import codec, cost
 from lotkip.codec import (
     CodecError,
     FrameLayout,
@@ -35,6 +36,14 @@ def _print_resolved(command: str, settings: dict[str, object]) -> None:
     _say(f"lotkip {command}: {resolved}")
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work when the output file's directory is missing."""
+    parent = Path(path).parent
+    if path != "-" and not parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such output directory",
+                                str(parent))
+
+
 def _write_output(path: str, data: bytes) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
@@ -49,6 +58,7 @@ def _write_output(path: str, data: bytes) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     _print_resolved("table1", {"csv": args.csv})
+    _check_output(args.csv)
     _write_output(args.csv, cost.table1_csv().encode())
     _say(cost.TABLE1_NOTES)
     return 0
@@ -79,6 +89,7 @@ def cmd_seal(args: argparse.Namespace) -> int:
         "mode": config.mode, "msdu_bytes": args.msdu_bytes,
         "frag_threshold": config.frag_threshold, "K": config.refresh_interval,
     })
+    _check_output(args.out)
     data = Path(getattr(args, "in")).read_bytes()
     sealed = SenderSession(config).seal_many(_split_msdus(data, args.msdu_bytes))
     frames = [frame for msdu_frames in sealed for frame in msdu_frames]
@@ -94,6 +105,7 @@ def cmd_open(args: argparse.Namespace) -> int:
         "mode": config.mode, "msdu_bytes": args.msdu_bytes,
         "frag_threshold": config.frag_threshold,
     })
+    _check_output(args.out)
     frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
     per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
     groups = []
@@ -117,6 +129,10 @@ def cmd_open(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
+    _print_resolved("energy", {
+        "m": args.m, "case": args.case, "first_packet": first,
+        "frame_bytes": args.frame_bytes,
+    })
     cycles = cost.tkip_energy_cycles(args.m, case, first)
     energies = {"compute_uJ": cycles * cost.CYCLE_ENERGY_UJ}
     if args.frame_bytes is not None:
@@ -124,10 +140,6 @@ def cmd_energy(args: argparse.Namespace) -> int:
         energies["rx_uJ"] = cost.rx_energy(args.frame_bytes)
     lines = [f"cycles={cycles}"]
     lines += [f"{name}={value:.4f}" for name, value in energies.items()]
-    _print_resolved("energy", {
-        "m": args.m, "case": args.case, "first_packet": first,
-        "frame_bytes": args.frame_bytes,
-    })
     print("\n".join(lines))
     return 0
 
@@ -137,6 +149,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    # the simulator is the one subcommand that needs numpy
+    from lotkip import netsim
+
     topo_cfgs, traffic = netsim.parse_scenario_config(
         Path(args.scenario).read_text())
     if args.seed is not None:
@@ -149,6 +164,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "scenarios": traffic.scenario_count, "K": traffic.refresh_interval,
         "ack": traffic.ack_enabled, "seed": topo_cfgs[0].seed,
     })
+    _check_output(args.csv)
     results = [netsim.run_experiment(tc, traffic) for tc in topo_cfgs]
     _write_output(args.csv, netsim.emit_series(results).encode())
     return 0
@@ -203,9 +219,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.func(args)
     # a config or scenario file that is not UTF-8 raises UnicodeDecodeError,
-    # which is a ValueError
-    except (CodecError, netsim.ScenarioError, ValueError, OverflowError,
-            OSError) as exc:
+    # and netsim.ScenarioError is a ValueError too
+    except (CodecError, ValueError, OverflowError, OSError) as exc:
         _say(f"{type(exc).__name__}: {exc}")
         return 1
 

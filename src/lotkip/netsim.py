@@ -77,8 +77,9 @@ _SQUARE_MARGIN = 1e-9
 _TINY = np.finfo(float).tiny        # the smallest normal float
 
 
-class ScenarioError(Exception):
-    """Raised when a scenario cannot be set up (e.g. no connected pair)."""
+class ScenarioError(ValueError):
+    """Raised when a scenario cannot be set up: a bad config value or no
+    connected pair.  Both come from an impossible input, hence ValueError."""
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand end to end through main()."""
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -155,17 +156,21 @@ def test_energy_command(capsys):
     assert "tx_uJ=563.4800" in out
 
 
-@pytest.mark.parametrize("flags", [
-    ["--m", "0"],
-    ["--m", "16", "--frame-bytes", "-1"],
+@pytest.mark.parametrize("flags, err", [
+    (["--m", "0"],
+     ["lotkip energy: m=0 case=1 first_packet=True frame_bytes=None",
+      "ValueError: m must be at least 1"]),
+    (["--m", "16", "--frame-bytes", "-1"],
+     ["lotkip energy: m=16 case=1 first_packet=True frame_bytes=-1",
+      "ValueError: size must be non-negative"]),
 ], ids=["m-0", "frame-bytes-neg"])
-def test_energy_rejects_bad_m(capsys, flags):
-    # every value is checked before anything is printed
+def test_energy_rejects_bad_m(capsys, flags, err):
+    # the settings line comes first, as in every subcommand, then the
+    # error; every value is checked before anything goes to stdout
     assert main(["energy", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ValueError: ")
+    assert captured.err.splitlines() == err
 
 
 @pytest.mark.parametrize("flags", [
@@ -177,7 +182,8 @@ def test_energy_rejects_ints_too_large_for_a_float(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("OverflowError: ")
+    assert len(err) == 2 and err[0].startswith("lotkip energy: ")
+    assert err[1].startswith("OverflowError: ")
 
 
 def test_energy_accepts_the_largest_cycle_counts(capsys):
@@ -401,17 +407,64 @@ def test_sim_rejects_bad_seed_and_repeated_key(tmp_path, capsys, line, args, err
     assert len(err) == 1 and err[0].startswith(error)
 
 
-def test_cli_import_leaves_oracle_and_lanes_unloaded():
-    # lotkip.reference is a test oracle, and the numpy lanes load on first
-    # use: neither belongs in the import cost of every lotkip process
+def _fresh_python(code, *args):
+    """Last stdout line of `code` run in a new interpreter that imports
+    this lotkip."""
     src = str(Path(lotkip.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            env=env, capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_oracle_and_lanes_unloaded():
+    # lotkip.reference is a test oracle, and the numpy lanes load on first
+    # use: neither belongs in the import cost of every lotkip process
     probe = ("import sys, lotkip.cli; print(' '.join(m for m in "
              "('lotkip.reference', 'lotkip.crypto.lanes') if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == ""
+    assert _fresh_python(probe) == ""
+
+
+# Runs `lotkip.cli.main` on each argument list of the JSON in argv[1], then
+# prints whether numpy was loaded after the import and after each run.
+NUMPY_PROBE = """
+import json, sys
+import lotkip, lotkip.cli
+loaded = ["numpy" in sys.modules]
+for args in json.loads(sys.argv[1]):
+    assert lotkip.cli.main(args) == 0, args
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_the_simulator_and_lanes(tmp_path, session_file):
+    # table1, energy, and seal/open of fewer than LANES_MIN_MSDUS MSDUs
+    # never load numpy; a block of LANES_MIN_MSDUS MSDUs and `sim` do
+    def seal_open(mode, msdus):
+        payload = tmp_path / f"{mode}-{msdus}.bin"
+        payload.write_bytes(random.Random(msdus).randbytes(100 * msdus))
+        common = ["--config", session_file(mode), "--msdu-bytes", "100"]
+        return [["seal", *common, "--in", str(payload), "--out", f"{payload}.s"],
+                ["open", *common, "--in", f"{payload}.s", "--out", f"{payload}.o"]]
+
+    scalar = [["table1", "--csv", str(tmp_path / "t.csv")],
+              ["energy", "--m", "256", "--frame-bytes", "276"],
+              *seal_open("tkip", LANES_MIN_MSDUS - 1),
+              *seal_open("lotkip", LANES_MIN_MSDUS - 1)]
+    lanes = seal_open("lotkip", LANES_MIN_MSDUS)[:1]
+    loaded = json.loads(_fresh_python(NUMPY_PROBE, json.dumps(scalar + lanes)))
+    assert loaded == [False] * (1 + len(scalar)) + [True]
+
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT.replace("scenarios = 3", "scenarios = 2"))
+    sim = [["sim", "--scenario", str(scenario), "--csv", str(tmp_path / "s.csv")]]
+    assert json.loads(_fresh_python(NUMPY_PROBE, json.dumps(sim))) == [False, True]
+
+    # __all__ still names netsim, so a star import loads and binds it
+    assert _fresh_python("from lotkip import *; print(netsim.__name__)") \
+        == "lotkip.netsim"
 
 
 def test_unknown_flags_rejected(tmp_path, session_file):
@@ -481,3 +534,26 @@ def test_missing_files_exit_nonzero(tmp_path, capsys, args):
     assert main([arg.format(tmp=tmp_path) for arg in args]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("FileNotFoundError: ")
+
+
+@pytest.mark.parametrize("command", ["table1", "seal", "open", "sim"])
+def test_output_directory_is_checked_before_any_work(tmp_path, session_file,
+                                                     capsys, monkeypatch, command):
+    # seal's and open's input file is missing too, and sim would fail in its
+    # first scenario, but the output's directory is checked first
+    def never(*args):
+        raise AssertionError("run_experiment ran")
+    monkeypatch.setattr(netsim, "run_experiment", never)
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT)
+    out = tmp_path / "missing" / "out"
+    args = {"table1": ["--csv", str(out)],
+            "sim": ["--scenario", str(scenario), "--csv", str(out)]}.get(
+        command, ["--config", session_file(), "--in", str(tmp_path / "absent.bin"),
+                  "--out", str(out)])
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"lotkip {command}: ")
+    assert err[1:] == ["FileNotFoundError: [Errno 2] no such output directory: "
+                       f"'{out.parent}'"]
+    assert not out.parent.exists()
