@@ -12,6 +12,7 @@ import errno
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from lotkip import codec, cost
@@ -174,7 +175,12 @@ def cmd_sim(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, since parsing leaves it as
+    it was.  It binds no handler: `main` runs subcommand `name` as whatever
+    `cmd_<name>` is when it runs, so a handler replaced after the parser
+    was built (by a tracing wrapper, say) is the one called."""
     parser = argparse.ArgumentParser(
         prog="lotkip",
         description="TKIP/LOTKIP codec, cost model, and network energy simulator")
@@ -182,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="emit the complexity decomposition table")
     p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
-    p.set_defaults(func=cmd_table1)
 
-    for name, func in (("seal", cmd_seal), ("open", cmd_open)):
+    for name in ("seal", "open"):
         p = sub.add_parser(name, help=f"{name} a byte stream")
         p.add_argument("--config", required=True, help="session config file")
         p.add_argument("--in", required=True, help="input file")
@@ -192,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--msdu-bytes", type=_msdu_bytes,
                        default=codec.MSDU_MAX_BYTES, dest="msdu_bytes",
                        help="input chunking unit (default %(default)s)")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("energy", help="evaluate the per-packet energy formulas")
     p.add_argument("--m", type=int, required=True, help="bytes encrypted")
@@ -201,13 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="case 2 with the phase-1 cache already warm")
     p.add_argument("--frame-bytes", type=int, default=None, dest="frame_bytes",
                    help="also print radio tx/rx energy for this frame size")
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("sim", help="run the network energy simulation")
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
     p.add_argument("--seed", type=int, default=None, help="override the seed")
-    p.set_defaults(func=cmd_sim)
 
     return parser
 
@@ -217,7 +219,7 @@ def main(argv: "list[str] | None" = None) -> int:
     of any subcommand exits 1 with one `Name: message` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     # a config or scenario file that is not UTF-8 raises UnicodeDecodeError,
     # and netsim.ScenarioError is a ValueError too
     except (CodecError, ValueError, OverflowError, OSError) as exc:

@@ -29,13 +29,16 @@ scenario draws from two streams, ``(seed, s, 0)`` for its topology and
 ``np.random.default_rng`` would draw it.  `run_experiment` does not
 build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
 seeding fixed, so it hashes both streams' seeds for at least
-`_SEED_BATCH` scenarios at a time (`_pcg64_states`) and sets each state
-on a reused generator, one per run for the pairs and one per chunk for
-the topologies.  It decides topologies in chunks of as many scenarios as fit
-in `TOPOLOGY_PAIR_BUDGET` station pairs.  So its memory does not grow with
-the scenario count: O(budget) per chunk, plus the seed states of one
-batch.  From n = 256 stations a chunk holds one scenario, whose n(n-1)/2
-pairs and n x n adjacency matrix take O(n^2).
+`_SEED_BATCH` scenarios at a time (`_pcg64_states`), once per `lotkip sim`
+call for all its placements (`_scenario_states`).  Each chunk's topologies
+set their states on one reused generator; each pair is drawn in pure
+Python from its stream's 32-bit PCG64 words (`_pcg64_words`), bounded as
+numpy's `Generator.integers` bounds them.  It decides topologies in chunks
+of as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station pairs.  So
+its memory does not grow with the scenario count: O(budget) per chunk,
+plus the seed states of at most four batches.  From n = 256 stations a
+chunk holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix
+take O(n^2).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -165,6 +168,7 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -245,9 +249,15 @@ def _pcg64_states(seeds: "list[int | tuple[int, ...]]") -> list[dict]:
     return states
 
 
-def _reseedable_generator() -> np.random.Generator:
-    """A PCG64 generator for callers that set its state before each use."""
-    return np.random.Generator(np.random.PCG64(0))
+@lru_cache(maxsize=4)
+def _scenario_states(seed: int, first: int, stop: int) -> tuple[dict, ...]:
+    """`_pcg64_states` of streams ``(seed, s, 0)``, then of ``(seed, s, 1)``,
+    for scenarios first <= s < stop.  Every placement of a `lotkip sim` call
+    runs the same scenarios, so each batch's seeds are hashed once per call.
+    The states are shared between callers, which only read them."""
+    scenarios = range(first, stop)
+    return tuple(_pcg64_states([(seed, s, 0) for s in scenarios]
+                               + [(seed, s, 1) for s in scenarios]))
 
 
 def _link_masks(adjacent: np.ndarray) -> list[int]:
@@ -318,7 +328,7 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
     """
     n = cfg.node_count
     count = len(states)
-    rng = _reseedable_generator()
+    rng = np.random.Generator(np.random.PCG64(0))    # takes each seed's state
     bits = rng.bit_generator
     if cfg.placement == "grid":
         positions = [_grid_positions(cfg)] * count
@@ -382,7 +392,7 @@ def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
     if src == dst:
         raise ValueError("src and dst must differ")
     masks = topology.masks
-    parent = {src: src}
+    parent = [src] * len(masks)
     reached = 1 << src
     target = 1 << dst
     queue = [src]
@@ -499,13 +509,44 @@ class SimResult:
                 / self.network_energy("lotkip", packet_size))
 
 
-def _sample_pair(topology: Topology, rng: np.random.Generator) -> list[int]:
-    """The route between the first linked pair of distinct stations that
-    ``rng`` draws, in at most `_PAIR_DRAWS` draws."""
+def _pcg64_words(state: int, inc: int) -> Iterator[int]:
+    """The 32-bit words a PCG64 generator at ``(state, inc)`` gives
+    `Generator.integers` with a 32-bit bound: each step of the 128-bit LCG
+    yields its XSL-RR output's low half, then its high half."""
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        high = state >> 64
+        rot = high >> 58
+        word = (high ^ state) & _MASK64
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        yield word & _MASK32
+        yield word >> 32
+
+
+def _draw_below(words: Iterator[int], n: int) -> int:
+    """One integer in [0, n) by Lemire's bounded multiply, as numpy's
+    ``buffered_bounded_lemire_uint32`` draws it for n <= 2**32: ``m = word
+    * n``, with the next word while ``m mod 2**32 < 2**32 mod n``, then
+    ``m >> 32``."""
+    reject = (1 << 32) % n
+    m = next(words) * n
+    while m & _MASK32 < reject:
+        m = next(words) * n
+    return m >> 32
+
+
+def _sample_pair(topology: Topology, words: Iterator[int]) -> list[int]:
+    """The route between the first linked pair of distinct stations drawn
+    from the 32-bit ``words`` of a PCG64 stream (`_pcg64_words`), in at most
+    `_PAIR_DRAWS` draws.
+
+    Source and destination are each drawn as ``int(rng.integers(n))`` draws
+    them from that stream's generator: numpy's Lemire bound for n <= 2**32
+    (`_draw_below`), which every topology that can be decided meets."""
     n = topology.node_count
     for _ in range(_PAIR_DRAWS):
-        src = int(rng.integers(n))
-        dst = int(rng.integers(n))
+        src = _draw_below(words, n)
+        dst = _draw_below(words, n)
         if src == dst:
             continue
         path = route(topology, src, dst)
@@ -529,28 +570,27 @@ def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResul
     the one scenario seed ``topo_cfg.seed``: its topology is decided as
     `generate_topology` decides it, from the first stream, together with the
     other scenarios of its chunk, and its pair is `_sample_pair` drawing
-    from the second.  Both streams' seeds are hashed for whole chunks of at
-    least `_SEED_BATCH` scenarios at once, and the pairs draw from one
-    generator that takes each scenario's state in turn."""
+    from the second stream's words.  Both streams' seeds are hashed for
+    whole chunks of at least `_SEED_BATCH` scenarios at once, and a run
+    with the same seed and station count reuses the states of an earlier
+    run (`_scenario_states`)."""
     n = topo_cfg.node_count
     source, relay, sink = [0] * n, [0] * n, [0] * n
     seed = topo_cfg.seed
     count = traffic.scenario_count
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
-    pair_rng = _reseedable_generator()
     for first in range(0, count, batch):
         scenarios = range(first, min(first + batch, count))
-        states = _pcg64_states([(seed, s, 0) for s in scenarios]
-                               + [(seed, s, 1) for s in scenarios])
+        states = _scenario_states(seed, scenarios.start, scenarios.stop)
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
         for c in range(0, len(scenarios), chunk):
             topologies = _decide_topologies(topo_cfg, topo_states[c:c + chunk])
             for s, topology, state in zip(scenarios[c:c + chunk], topologies,
                                           pair_states[c:c + chunk]):
-                pair_rng.bit_generator.state = state
+                words = _pcg64_words(state["state"]["state"], state["state"]["inc"])
                 try:
-                    path = _sample_pair(topology, pair_rng)
+                    path = _sample_pair(topology, words)
                 except ScenarioError as exc:
                     raise ScenarioError(f"scenario {s} ({topo_cfg.placement} placement, "
                                         f"seed {seed}): {exc}") from exc

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lotkip
-from lotkip import netsim
+from lotkip import cli, cost, netsim
 from lotkip.cli import main
 from lotkip.codec import (
     LANES_BLOCK_MSDUS,
@@ -495,6 +495,31 @@ def test_unknown_flags_rejected(tmp_path, session_file):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    # main builds its parser once; a rejected flag leaves it as it was, and
+    # each subcommand runs the cmd_ handler the module holds at the call
+    assert cli.build_parser() is cli.build_parser()
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(SCENARIO_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--scenario", str(scenario), "--bogus"])
+    assert exc.value.code == 2
+    table = tmp_path / "table.csv"
+    assert main(["table1", "--csv", str(table)]) == 0
+    assert table.read_text() == cost.table1_csv()
+    out = tmp_path / "sim.csv"
+    capsys.readouterr()
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out),
+                 "--seed", "9"]) == 0
+    assert f"csv={out} " in capsys.readouterr().err
+    topo_cfgs, traffic = netsim.parse_scenario_config(
+        SCENARIO_TEXT.replace("seed = 5", "seed = 9"))
+    assert out.read_text() == netsim.emit_series(
+        [netsim.run_experiment(tc, traffic) for tc in topo_cfgs])
+    monkeypatch.setattr(cli, "cmd_energy", lambda args: 7 + args.m)
+    assert main(["energy", "--m", "16"]) == 23
 
 
 @pytest.mark.parametrize("line", ["k = 5", "K = x", "key_id = 7", "priority = 300",

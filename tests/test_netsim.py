@@ -3,6 +3,7 @@ energy composition, and experiment determinism/aggregation."""
 
 import math
 from collections import deque
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -477,6 +478,21 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
         assert {int(i) for i in np.flatnonzero(per_node)} == on_route
 
 
+def _numpy_sample_pair(topology, rng):
+    """The route between the first linked pair of distinct stations that
+    numpy's ``rng.integers`` draws: the reference for `_sample_pair`."""
+    n = topology.node_count
+    for _ in range(netsim._PAIR_DRAWS):
+        src = int(rng.integers(n))
+        dst = int(rng.integers(n))
+        if src == dst:
+            continue
+        path = route(topology, src, dst)
+        if path is not None:
+            return path
+    raise ScenarioError("no connected node pair found after bounded resampling")
+
+
 def _scenario_loop(cfg, traffic):
     """Each scenario decided alone, as `generate_topology` decides one: its
     topology from ``np.random.default_rng((seed, s, 0))``, then its pair
@@ -485,7 +501,7 @@ def _scenario_loop(cfg, traffic):
     for s in range(traffic.scenario_count):
         state = np.random.default_rng((cfg.seed, s, 0)).bit_generator.state
         topo = netsim._decide_topologies(cfg, [state])[0]
-        path = netsim._sample_pair(topo, np.random.default_rng((cfg.seed, s, 1)))
+        path = _numpy_sample_pair(topo, np.random.default_rng((cfg.seed, s, 1)))
         runs.append((topo, path))
     return runs
 
@@ -505,8 +521,8 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
         chunks.append(len(seeds))
         return decide(cfg, seeds)
 
-    def recording_sample(topology, rng):
-        path = sample_pair(topology, rng)
+    def recording_sample(topology, words):
+        path = sample_pair(topology, words)
         runs.append((topology, path))
         return path
 
@@ -546,6 +562,43 @@ def test_hashed_seed_states_match_default_rng():
         ref = np.random.default_rng(seed)
         assert np.array_equal(rng.random(7), ref.random(7))
         assert rng.integers(49, size=5).tolist() == ref.integers(49, size=5).tolist()
+
+
+def test_pair_stream_draws_as_generator_integers():
+    # n = 2**31 + 1 rejects about half the words, so the redraw runs; 2**32
+    # is numpy's shortcut to the raw words
+    seeds = [(s, 1) for s in range(10_000)]
+    sizes = (2, 3, 49, 400, 2**31 + 1, 2**32)
+    redraws = dict.fromkeys(sizes, 0)
+    rng = np.random.default_rng(0)
+    for state in netsim._pcg64_states(seeds):
+        stream = state["state"]
+        head = list(islice(netsim._pcg64_words(stream["state"], stream["inc"]), 64))
+        for n in sizes:
+            rng.bit_generator.state = state
+            expect = [int(rng.integers(n)) for _ in range(3)]
+            words = iter(head)
+            assert [netsim._draw_below(words, n) for _ in range(3)] == expect
+            redraws[n] += len(head) - 3 - len(list(words))
+    assert redraws[2**31 + 1] > 10_000 and redraws[2**32] == 0
+
+
+def test_seed_state_cache_keeps_random_placement_energies():
+    # both placements of a sim call share one scenario batch, so the second
+    # run reads the seed states the first one hashed
+    grid = TopologyConfig(node_count=30, seed=13)
+    random_placement = TopologyConfig(node_count=30, placement="random", seed=13)
+    traffic = _small_traffic(scenario_count=40)
+    netsim._scenario_states.cache_clear()
+    cold = run_experiment(random_placement, traffic).per_node_j
+    netsim._scenario_states.cache_clear()
+    run_experiment(grid, traffic)
+    hits = netsim._scenario_states.cache_info().hits
+    warm = run_experiment(random_placement, traffic).per_node_j
+    assert netsim._scenario_states.cache_info().hits > hits
+    assert cold.keys() == warm.keys()
+    for key in cold:
+        assert np.array_equal(cold[key], warm[key])
 
 
 def test_single_scheme_has_no_efficiency():
