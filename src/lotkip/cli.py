@@ -175,6 +175,13 @@ def cmd_sim(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_SEAL_NOTE = ("Seal a byte stream.  Every run starts at packet counter 0, so one "
+             "config seals one stream: two files sealed with the same config are "
+             "encrypted under the same RC4 keystreams, and XORing their "
+             "ciphertexts gives the XOR of their plaintexts.  Seal each file "
+             "under its own temporal key.")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process, since parsing leaves it as
@@ -190,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default="-", help="output path ('-' for stdout)")
 
     for name in ("seal", "open"):
-        p = sub.add_parser(name, help=f"{name} a byte stream")
+        p = sub.add_parser(name, help=f"{name} a byte stream",
+                           description=_SEAL_NOTE if name == "seal" else None)
         p.add_argument("--config", required=True, help="session config file")
         p.add_argument("--in", required=True, help="input file")
         p.add_argument("--out", required=True, help="output file ('-' for stdout)")

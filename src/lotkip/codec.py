@@ -27,8 +27,9 @@ fragments can never move receiver state or feed the MIC-failure
 countermeasures, and a block's results, state and first exception are
 those of a loop of `seal`/`open`.
 
-Each crypto step runs in lanes (`lotkip.crypto.lanes`) for a block of at
-least LANES_MIN_MSDUS MSDUs, and on the scalar functions otherwise.
+Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
+(`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
+on the scalar functions otherwise.
 
 `SessionConfig.mode` selects the only four things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
@@ -89,11 +90,11 @@ LANES_BLOCK_MSDUS = 128
 # the same for 1 lane as for 100, so lanes pay off only with enough MSDUs.
 # seal_many + open_many in LOTKIP mode, lanes against scalar, best of 11,
 # two runs on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4), with
-# Michael on packed integers: lanes broke even near 10 to 12 MSDUs of
-# 2304 B at threshold 2346, 6 to 8 at threshold 1024, 12 to 14 of 300 B,
-# and 14 to 18 of 60 B, where RC4's 256-step key schedule dominates.  The
-# threshold stays at 18, at or above all of those, until a benchmark
-# workload of small blocks can show that a lower one pays.
+# Michael on packed integers and phase 2 on uint16 arrays: lanes broke even
+# near 6 to 8 MSDUs of 2304 B at threshold 2346, 2 to 4 at threshold 1024,
+# 8 to 10 of 300 B, and 12 to 14 of 60 B, where RC4's 256-step key schedule
+# dominates.  The threshold stays at 18, at or above all of those, until a
+# benchmark workload of small blocks can show that a lower one pays.
 LANES_MIN_MSDUS = 18
 
 Clock = Callable[[], float]
@@ -374,11 +375,14 @@ def _michael_many(key: bytes, headers: list[MicHeader], msdus: list[bytes],
     return list(map(michael_mic, repeat(key), headers, msdus))
 
 
-def _rc4_many(seeds: list[bytes], datas: list[bytes], lanes: bool) -> list[bytes]:
+def _rc4_many(ttaks: list, tk: bytes, tsc_los: list[int], datas: list[bytes],
+              lanes: bool) -> list[bytes]:
+    """Each data buffer through RC4 under its packet's phase 2 seed, from
+    the packet's phase 1 key and low 16 counter bits."""
     if lanes:
-        from lotkip.crypto.lanes import rc4_apply_lanes
-        return rc4_apply_lanes(seeds, datas)
-    return list(map(rc4_apply, seeds, datas))
+        from lotkip.crypto.lanes import phase2_mix_lanes, rc4_apply_lanes
+        return rc4_apply_lanes(phase2_mix_lanes(ttaks, tk, tsc_los), datas)
+    return list(map(rc4_apply, map(phase2_mix, ttaks, repeat(tk), tsc_los), datas))
 
 
 def _blocks(items: Iterable) -> Iterator[list]:
@@ -703,13 +707,14 @@ class SenderSession:
         # compute every tag, one check value per chunk, then every body
         lanes = len(block) >= LANES_MIN_MSDUS
         tags = _michael_many(keys.mic_key_tx, headers, msdus, lanes)
-        seeds, plains = [], []
+        ttaks, tsc_los, plains = [], [], []
         for msdu, tag, frames in zip(msdus, tags, allocs):
             for chunk, (tsc, _, ttak) in zip(_chunks(msdu + tag, cfg.frag_threshold),
                                              frames):
-                seeds.append(phase2_mix(ttak, keys.tk, tsc & 0xFFFF))
+                ttaks.append(ttak)
+                tsc_los.append(tsc & 0xFFFF)
                 plains.append(chunk + crc32_icv(chunk))
-        bodies = iter(_rc4_many(seeds, plains, lanes))
+        bodies = iter(_rc4_many(ttaks, keys.tk, tsc_los, plains, lanes))
         sealed = []
         for frames in allocs:
             out = []
@@ -840,16 +845,17 @@ class ReceiverSession:
         # compute every frame's plaintext and check value, then the tag of
         # every data group whose fragments all check out
         ttaks = {cache.hi: cache.ttak}
-        seeds, bodies = [], []
+        frame_ttaks, tsc_los, bodies = [], [], []
         for frames, counters, _ in plans:
             for frame, tsc in zip(frames, counters):
                 hi = tsc >> 16
                 if hi not in ttaks:
                     ttaks[hi] = phase1_mix(keys.tk, keys.ta, hi)
-                seeds.append(phase2_mix(ttaks[hi], keys.tk, tsc & 0xFFFF))
+                frame_ttaks.append(ttaks[hi])
+                tsc_los.append(tsc & 0xFFFF)
                 bodies.append(frame.body)
         lanes = len(block) >= LANES_MIN_MSDUS
-        plains = iter(_rc4_many(seeds, bodies, lanes))
+        plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies, lanes))
         streams, headers, msdus = [], [], []
         try:
             for frames, counters, probe in plans:

@@ -1,19 +1,24 @@
-"""Michael and RC4 over many independent messages at once.
+"""Michael, phase 2 key mixing and RC4 over many independent messages at
+once.
 
-Both algorithms are strictly sequential within one message, but the
-messages of a batch do not depend on each other.  Each message gets a lane
-and all lanes take the same step together.  Lanes are sorted longest first,
-so the lanes still running at any step are a prefix.  The results equal
-`michael_mic` and `rc4_apply` called once per message.
+Each algorithm is strictly sequential within one message, but the messages
+of a batch do not depend on each other.  Each message gets a lane and all
+lanes take the same step together.  Michael and RC4 sort their lanes
+longest first, so the lanes still running at any step are a prefix.  The
+results equal `michael_mic`, `phase2_mix` and `rc4_apply` called once per
+message.
 
 Michael packs its lanes into one Python integer, a 64-bit slot per lane,
 and runs the scalar round `michael._absorb` on it, so one round of integer
 operations serves every lane; a lane that finishes is read out of its slot
-and masked away.  RC4 stays in numpy, one row of a uint8 array per lane,
-because each step gathers from every lane's own permutation; it uses
-in-place ufuncs and operands of the same dtype, so additions wrap as the
-algorithm requires and the results do not depend on numpy's scalar casting
-rules (value-based before numpy 2, NEP 50 after).
+and masked away.  Phase 2 runs the scalar network `keymix._phase2_words`
+on uint16 arrays, one element per packet, so one pass of its fixed
+network of S-box lookups, adds and rotates derives every packet's seed.
+RC4 stays in numpy, one row of a uint8 array per lane, because each step
+gathers from every lane's own permutation.  The numpy kernels keep every
+operand in one dtype, or a Python int that fits it, so additions wrap as
+the algorithms require and the results do not depend on numpy's scalar
+casting rules (value-based before numpy 2, NEP 50 after).
 
 Each RC4 step and each packed Michael word carries a fixed interpreter
 overhead whatever the lane count, so a batch pays off only with many
@@ -23,15 +28,22 @@ lanes; the codec decides when to use it.
 from __future__ import annotations
 
 import sys
+from itertools import cycle
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from lotkip.crypto.keymix import TKIP_SBOX, _SBOX_SWAPPED, _phase2_words, _tk_words
 from lotkip.crypto.michael import MicHeader, _absorb, michael_key_words
 
 # Michael builds its packed words this many steps at a time, so their
 # buffer stays O(lanes x chunk) whatever the message length.
 _CHUNK_STEPS = 64
+
+# The phase 2 S-box tables as arrays, so `_phase2_words` gathers all lanes'
+# substitutions with one index operation each.
+_SBOX_LO = np.array(TKIP_SBOX, dtype=np.uint16)
+_SBOX_HI = np.array(_SBOX_SWAPPED, dtype=np.uint16)
 
 
 def _segments(lengths: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -112,6 +124,30 @@ def _read_tags(tags: list[bytes], order: list[int], l: int, r: int,
         tags[order[lane]] = lb[8 * lane:8 * lane + 4] + rb[8 * lane:8 * lane + 4]
 
 
+def phase2_mix_lanes(ttaks: Sequence[tuple[int, ...]], tk: bytes,
+                     tsc_los: Sequence[int]) -> list[bytes]:
+    """`phase2_mix(ttak, tk, tsc_lo)` for every (ttak, tsc_lo) pair.  Each
+    pair has its own phase 1 key, so one call may span counter epochs."""
+    k = _tk_words(tk)
+    count = len(tsc_los)
+    if len(ttaks) != count:
+        raise ValueError("one ttak per tsc_lo is required")
+    if count == 0:
+        return []
+    words = np.array(ttaks, dtype=np.int64)
+    lows = np.array(tsc_los, dtype=np.int64)
+    if words.shape != (count, 5):
+        raise ValueError("ttak must hold five 16-bit words")
+    # a shifted value is non-zero if it is too large or negative
+    if (words >> 16).any() or (lows >> 16).any():
+        raise ValueError("ttak words and tsc_lo must be 16-bit values")
+    seeds = _phase2_words(words.T.astype(np.uint16), k, lows.astype(np.uint16),
+                          _SBOX_LO, _SBOX_HI)
+    # one row of eight little-endian words per lane: its 16-byte seed
+    buf = np.stack(seeds, axis=1).astype("<u2", copy=False).tobytes()
+    return [buf[at:at + 16] for at in range(0, len(buf), 16)]
+
+
 def rc4_apply_lanes(seeds: Sequence[bytes], datas: Sequence[bytes]) -> list[bytes]:
     """`rc4_apply(seed, data)` for every (seed, data) pair."""
     if len(seeds) != len(datas):
@@ -135,43 +171,51 @@ def rc4_apply_lanes(seeds: Sequence[bytes], datas: Sequence[bytes]) -> list[byte
     state = np.empty((count, 256), dtype=np.uint8)
     state[:] = np.arange(256, dtype=np.uint8)
     flat = state.reshape(-1)
+    # cols[i] is column i of the state: S[i] of every lane
+    cols = list(state.T)
     j_at = np.arange(count, dtype=np.intp) * 256
     t_at = j_at.copy()
     j, t = _low_byte(j_at), _low_byte(t_at)
     sj = np.empty(count, dtype=np.uint8)
-    ks = np.empty_like(sj)
+    # row i of the schedule is key byte i % keylen of every lane
     key_rows = b"".join((seeds[n] * (256 // len(seeds[n]) + 1))[:256] for n in order)
     schedule = np.ascontiguousarray(
         np.frombuffer(key_rows, np.uint8).reshape(count, 256).T)
-    for i in range(256):
-        col = state[:, i]
-        j += col
-        j += schedule[i]
+    # a contiguous copy of S[i]: numpy adds and scatters from it faster
+    # than from the strided column
+    si = np.empty_like(sj)
+    for col, key in zip(cols, schedule):
+        si[...] = col
+        j += si
+        j += key
         flat.take(j_at, out=sj, mode="wrap")
-        flat[j_at] = col
+        flat[j_at] = si
         col[...] = sj
 
-    # keystream, XORed into one row of data per lane
+    # keystream byte k of every running lane goes to row k of `stream`,
+    # then one XOR applies it to every lane's data
+    stream = np.empty((width, count), dtype=np.uint8)
+    j[...] = 0
+    for start, stop, lanes in _segments(lengths):
+        jv, tv, sjv = j[:lanes], t[:lanes], sj[:lanes]
+        j_atv, t_atv = j_at[:lanes], t_at[:lanes]
+        # step k uses column (k + 1) mod 256 of the running lanes, so the
+        # segment's column views repeat every 256 steps
+        heads = [cols[(k + 1) & 0xFF][:lanes]
+                 for k in range(start, min(stop, start + 256))]
+        siv = si[:lanes]
+        for col, row in zip(cycle(heads), stream[start:stop, :lanes]):
+            siv[...] = col
+            jv += siv
+            flat.take(j_atv, out=sjv, mode="wrap")
+            np.add(siv, sjv, out=tv)
+            flat[j_atv] = siv
+            col[...] = sjv
+            flat.take(t_atv, out=row, mode="wrap")
+
     text = np.frombuffer(_rows([(datas[n],) for n in order], width),
                          np.uint8).reshape(count, width)
-    j[...] = 0
-    i = 0
-    for start, stop, lanes in _segments(lengths):
-        jv, tv, sjv, ksv = j[:lanes], t[:lanes], sj[:lanes], ks[:lanes]
-        j_atv, t_atv = j_at[:lanes], t_at[:lanes]
-        head = state[:lanes]
-        for k in range(start, stop):
-            i = (i + 1) & 0xFF
-            col = head[:, i]
-            jv += col
-            flat.take(j_atv, out=sjv, mode="wrap")
-            np.add(col, sjv, out=tv)
-            flat[j_atv] = col
-            col[...] = sjv
-            flat.take(t_atv, out=ksv, mode="wrap")
-            byte = text[:lanes, k]
-            byte ^= ksv
-
+    text ^= stream.T
     out = [b""] * count
     for lane, n in enumerate(order):
         out[n] = text[lane, :lengths[lane]].tobytes()

@@ -103,6 +103,27 @@ def test_seal_open_round_trip(tmp_path, session_file, mode):
     assert opened.read_bytes() == payload.read_bytes()
 
 
+def test_one_config_seals_one_stream(tmp_path, session_file, capsys):
+    # every seal starts at packet counter 0, so two files sealed with one
+    # config share their keystreams, as `seal --help` warns
+    cfg = session_file("lotkip")
+    rng = random.Random(8)
+    plains = [rng.randbytes(200), rng.randbytes(200)]
+    bodies = []
+    for n, data in enumerate(plains):
+        payload, sealed = tmp_path / f"p{n}.bin", tmp_path / f"s{n}.bin"
+        payload.write_bytes(data)
+        assert main(["seal", "--config", cfg, "--in", str(payload),
+                     "--out", str(sealed)]) == 0
+        bodies.append(container_to_frames(sealed.read_bytes())[0].body)
+    assert bytes(a ^ b for a, b in zip(*bodies))[:200] == \
+        bytes(a ^ b for a, b in zip(*plains))
+    with pytest.raises(SystemExit) as exit_:
+        main(["seal", "--help"])
+    assert exit_.value.code == 0
+    assert "one config seals one stream" in " ".join(capsys.readouterr().out.split())
+
+
 def test_open_names_failed_check(tmp_path, session_file, capsys):
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"A" * 64)

@@ -1001,7 +1001,8 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
 def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
     """Below LANES_MIN_MSDUS MSDUs nothing runs in lanes; from it on every
-    tag and body comes from the lanes, so no prediction missed."""
+    tag, seed and body comes from the lanes, so no prediction missed.  The
+    block spans two counter epochs."""
     import lotkip.codec as codec
     import lotkip.crypto.lanes as lanes
 
@@ -1015,9 +1016,11 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
             if count >= LANES_MIN_MSDUS:
                 patch.setattr(codec, "michael_mic", fail)
                 patch.setattr(codec, "rc4_apply", fail)
+                patch.setattr(codec, "phase2_mix", fail)
             else:
                 patch.setattr(lanes, "michael_mic_lanes", fail)
                 patch.setattr(lanes, "rc4_apply_lanes", fail)
+                patch.setattr(lanes, "phase2_mix_lanes", fail)
             sender = SenderSession(cfg)
             sender.next_tsc = EPOCH_FRAMES - 5
             groups = sender.seal_many(msdus)

@@ -1,16 +1,16 @@
-"""Michael and RC4 in lanes: every lane's result equals the one-message
-functions and the reference module, over lane counts, mixed lengths
-(empty to a full MSDU with its header) and headers with and without the
-counter."""
+"""Michael, phase 2 key mixing and RC4 in lanes: every lane's result
+equals the one-message functions and the reference module, over lane
+counts, mixed lengths (empty to a full MSDU with its header), headers with
+and without the counter, and phase 1 keys of two epochs in one call."""
 
 import struct
 
 import pytest
 
 from lotkip.codec import LANES_BLOCK_MSDUS
-from lotkip.crypto import MicHeader, michael_mic, rc4_apply
-from lotkip.crypto.lanes import michael_mic_lanes, rc4_apply_lanes
-from lotkip.reference import ref_michael_mic, ref_rc4
+from lotkip.crypto import MicHeader, michael_mic, phase1_mix, phase2_mix, rc4_apply
+from lotkip.crypto.lanes import michael_mic_lanes, phase2_mix_lanes, rc4_apply_lanes
+from lotkip.reference import ref_michael_mic, ref_phase2, ref_rc4
 
 LANE_COUNTS = (1, 2, 7, 64, 300)
 # a full MSDU, the fragments of one at threshold 1024 with their check
@@ -106,6 +106,30 @@ def test_rc4_lanes_match_scalar_and_reference(rng, count):
         assert out == ref_rc4(seed, data)
 
 
+# low counter values whose bytes are all zero, all ones or mixed, so the
+# seed's IV bytes and P5 = P4 + tsc_lo carry at every byte boundary
+TSC_LO_EDGES = (0, 1, 0x00FF, 0xFF00, 0xFFFF)
+
+
+@pytest.mark.parametrize("count", (1, 2, 300))
+@pytest.mark.parametrize("tk_kind", ("random", "all-ones"))
+def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
+    tk = rng.randbytes(16) if tk_kind == "random" else b"\xff" * 16
+    ta = rng.randbytes(6)
+    hi = rng.randrange((1 << 32) - 1)
+    # the phase 1 keys of two consecutive epochs, mixed lane by lane
+    epochs = (phase1_mix(tk, ta, hi), phase1_mix(tk, ta, hi + 1))
+    for first in TSC_LO_EDGES + (rng.randrange(1 << 16),):
+        ttaks = [epochs[(lane + first) % 2] if lane < 2 else rng.choice(epochs)
+                 for lane in range(count)]
+        # lane 0 takes each edge value in turn; 300 lanes also take them all
+        tsc_los = [first] + [TSC_LO_EDGES[lane - 1] if lane <= len(TSC_LO_EDGES)
+                             else rng.randrange(1 << 16) for lane in range(1, count)]
+        seeds = phase2_mix_lanes(ttaks, tk, tsc_los)
+        assert seeds == [phase2_mix(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
+        assert seeds == [ref_phase2(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
+
+
 def test_lanes_edge_inputs(rng):
     key = rng.randbytes(8)
     assert michael_mic_lanes(key, []) == []
@@ -118,3 +142,11 @@ def test_lanes_edge_inputs(rng):
     for bad in (b"", bytes(257)):
         with pytest.raises(ValueError):
             rc4_apply_lanes([b"k", bad], [b"a", b"b"])
+    tk, ttak = rng.randbytes(16), (1, 2, 3, 4, 5)
+    assert phase2_mix_lanes([], tk, []) == []
+    for ttaks, tk_, tsc_los in (([ttak], tk, [0, 1]), ([ttak], bytes(15), [0]),
+                                ([ttak[:4]], tk, [0]), ([ttak, ttak[:4]], tk, [0, 1]),
+                                ([(1, 2, 3, 4, 0x10000)], tk, [0]),
+                                ([ttak], tk, [0x10000]), ([ttak], tk, [-1])):
+        with pytest.raises(ValueError):
+            phase2_mix_lanes(ttaks, tk_, tsc_los)
