@@ -166,7 +166,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
         "ack": traffic.ack_enabled, "seed": topo_cfgs[0].seed,
     })
     _check_output(args.csv)
-    results = [netsim.run_experiment(tc, traffic) for tc in topo_cfgs]
+    results = netsim.run_experiment(topo_cfgs, traffic)
     _write_output(args.csv, netsim.emit_series(results).encode())
     return 0
 

@@ -29,23 +29,23 @@ scenario draws from two streams, ``(seed, s, 0)`` for its topology and
 ``np.random.default_rng`` would draw it.  `run_experiment` does not
 build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
 seeding fixed, so it hashes both streams' seeds for at least
-`_SEED_BATCH` scenarios at a time (`_pcg64_states`), once per `lotkip sim`
-call for all its placements (`_scenario_states`).  Each chunk's topologies
-set their states on one reused generator; each pair is drawn in pure
-Python from its stream's 32-bit PCG64 words (`_pcg64_words`), bounded as
-numpy's `Generator.integers` bounds them.  It decides topologies in chunks
-of as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station pairs.  So
-its memory does not grow with the scenario count: O(budget) per chunk,
-plus the seed states of at most four batches.  From n = 256 stations a
-chunk holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix
-take O(n^2).
+`_SEED_BATCH` scenarios at a time (`_pcg64_states`), and every placement
+of a `lotkip sim` call runs a batch before the next batch is hashed.  Each
+chunk's topologies set their states on one reused generator; each pair is
+drawn in pure Python from its stream's 32-bit PCG64 words
+(`_pcg64_words`), bounded as numpy's `Generator.integers` bounds them.  It
+decides topologies in chunks of as many scenarios as fit in
+`TOPOLOGY_PAIR_BUDGET` station pairs.  So its memory does not grow with
+the scenario count: O(budget) per chunk, plus one batch's seed states.
+From n = 256 stations a chunk holds one scenario, whose n(n-1)/2 pairs and
+n x n adjacency matrix take O(n^2).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Optional
@@ -247,17 +247,6 @@ def _pcg64_states(seeds: "list[int | tuple[int, ...]]") -> list[dict]:
                        "state": {"state": state, "inc": inc},
                        "has_uint32": 0, "uinteger": 0})
     return states
-
-
-@lru_cache(maxsize=4)
-def _scenario_states(seed: int, first: int, stop: int) -> tuple[dict, ...]:
-    """`_pcg64_states` of streams ``(seed, s, 0)``, then of ``(seed, s, 1)``,
-    for scenarios first <= s < stop.  Every placement of a `lotkip sim` call
-    runs the same scenarios, so each batch's seeds are hashed once per call.
-    The states are shared between callers, which only read them."""
-    scenarios = range(first, stop)
-    return tuple(_pcg64_states([(seed, s, 0) for s in scenarios]
-                               + [(seed, s, 1) for s in scenarios]))
 
 
 def _link_masks(adjacent: np.ndarray) -> list[int]:
@@ -563,55 +552,60 @@ def _scenarios_per_chunk(n: int) -> int:
     return max(1, TOPOLOGY_PAIR_BUDGET // (n * (n - 1) // 2 + 64))
 
 
-def run_experiment(topo_cfg: TopologyConfig, traffic: TrafficConfig) -> SimResult:
-    """Average network energy over the configured random scenarios.
+def run_experiment(topo_cfgs: list[TopologyConfig],
+                   traffic: TrafficConfig) -> list[SimResult]:
+    """Average network energy over the configured random scenarios, one
+    result per topology config, in order.
 
-    Scenario s draws from streams ``(seed, s, 0)`` and ``(seed, s, 1)`` from
-    the one scenario seed ``topo_cfg.seed``: its topology is decided as
+    The configs may differ only in placement, so that they run the same
+    scenarios.  Scenario s draws from streams ``(seed, s, 0)`` and
+    ``(seed, s, 1)`` from the one scenario seed: its topology is decided as
     `generate_topology` decides it, from the first stream, together with the
     other scenarios of its chunk, and its pair is `_sample_pair` drawing
-    from the second stream's words.  Both streams' seeds are hashed for
-    whole chunks of at least `_SEED_BATCH` scenarios at once, and a run
-    with the same seed and station count reuses the states of an earlier
-    run (`_scenario_states`)."""
-    n = topo_cfg.node_count
-    source, relay, sink = [0] * n, [0] * n, [0] * n
-    seed = topo_cfg.seed
-    count = traffic.scenario_count
+    from the second stream's words.  Both streams' seeds are hashed once
+    for whole chunks of at least `_SEED_BATCH` scenarios, and every config
+    runs that batch before the next one is hashed."""
+    if not topo_cfgs:
+        raise ValueError("run_experiment needs at least one topology config")
+    base = topo_cfgs[0]
+    if any(replace(cfg, placement=base.placement) != base for cfg in topo_cfgs):
+        raise ValueError("topology configs may differ only in placement")
+    n, seed, count = base.node_count, base.seed, traffic.scenario_count
+    roles = [([0] * n, [0] * n, [0] * n) for _ in topo_cfgs]
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
     for first in range(0, count, batch):
         scenarios = range(first, min(first + batch, count))
-        states = _scenario_states(seed, scenarios.start, scenarios.stop)
+        states = _pcg64_states([(seed, s, 0) for s in scenarios]
+                               + [(seed, s, 1) for s in scenarios])
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
-        for c in range(0, len(scenarios), chunk):
-            topologies = _decide_topologies(topo_cfg, topo_states[c:c + chunk])
-            for s, topology, state in zip(scenarios[c:c + chunk], topologies,
-                                          pair_states[c:c + chunk]):
-                words = _pcg64_words(state["state"]["state"], state["state"]["inc"])
-                try:
-                    path = _sample_pair(topology, words)
-                except ScenarioError as exc:
-                    raise ScenarioError(f"scenario {s} ({topo_cfg.placement} placement, "
-                                        f"seed {seed}): {exc}") from exc
-                source[path[0]] += 1
-                for node in path[1:-1]:
-                    relay[node] += 1
-                sink[path[-1]] += 1
-    source, relay, sink = (np.array(c, dtype=float) for c in (source, relay, sink))
-    per_node_j = {}
-    for scheme in traffic.schemes:
-        for p in traffic.packet_sizes:
-            a, b, c = _role_rates(scheme, p, traffic)
-            per_node_j[(scheme, p)] = ((a * source + b * relay + c * sink)
-                                       * 1e-6 / traffic.scenario_count)
-    return SimResult(
-        placement=topo_cfg.placement,
-        node_count=n,
-        packet_sizes=traffic.packet_sizes,
-        schemes=traffic.schemes,
-        per_node_j=per_node_j,
-    )
+        for cfg, (source, relay, sink) in zip(topo_cfgs, roles):
+            for c in range(0, len(scenarios), chunk):
+                topologies = _decide_topologies(cfg, topo_states[c:c + chunk])
+                for s, topology, state in zip(scenarios[c:c + chunk], topologies,
+                                              pair_states[c:c + chunk]):
+                    words = _pcg64_words(state["state"]["state"], state["state"]["inc"])
+                    try:
+                        path = _sample_pair(topology, words)
+                    except ScenarioError as exc:
+                        raise ScenarioError(f"scenario {s} ({cfg.placement} placement, "
+                                            f"seed {seed}): {exc}") from exc
+                    source[path[0]] += 1
+                    for node in path[1:-1]:
+                        relay[node] += 1
+                    sink[path[-1]] += 1
+    results = []
+    for cfg, counts in zip(topo_cfgs, roles):
+        source, relay, sink = (np.array(c, dtype=float) for c in counts)
+        per_node_j = {}
+        for scheme in traffic.schemes:
+            for p in traffic.packet_sizes:
+                a, b, c = _role_rates(scheme, p, traffic)
+                per_node_j[(scheme, p)] = ((a * source + b * relay + c * sink)
+                                           * 1e-6 / count)
+        results.append(SimResult(cfg.placement, n, traffic.packet_sizes,
+                                 traffic.schemes, per_node_j))
+    return results
 
 
 SERIES_CSV_HEADER = "P,scheme,placement,network_energy_J,per_node_J,efficiency_factor"

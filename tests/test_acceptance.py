@@ -332,7 +332,7 @@ def test_criterion_6_simulation_trends():
         for seed in (1, 2, 3):
             topo = TopologyConfig(placement=placement, seed=seed)
             traffic = TrafficConfig(**traffic_defaults)
-            result = run_experiment(topo, traffic)
+            result = run_experiment([topo], traffic)[0]
             sizes = list(result.packet_sizes)
             tag = f"{placement}/seed={seed}"
 

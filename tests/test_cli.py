@@ -257,8 +257,8 @@ def test_sim_paper_scenario_per_node_energy_is_pinned():
     topo_cfgs, traffic = netsim.parse_scenario_config(PAPER_SCENARIO_TEXT)
     assert topo_cfgs[0].seed == 1
     digest = hashlib.sha256()
-    for topo_cfg in topo_cfgs:
-        per_node_j = netsim.run_experiment(topo_cfg, traffic).per_node_j
+    for result in netsim.run_experiment(topo_cfgs, traffic):
+        per_node_j = result.per_node_j
         for key in sorted(per_node_j):
             digest.update(per_node_j[key].astype("<f8").tobytes())
     assert digest.hexdigest() == PAPER_PER_NODE_SHA256
@@ -538,7 +538,7 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch
     topo_cfgs, traffic = netsim.parse_scenario_config(
         SCENARIO_TEXT.replace("seed = 5", "seed = 9"))
     assert out.read_text() == netsim.emit_series(
-        [netsim.run_experiment(tc, traffic) for tc in topo_cfgs])
+        netsim.run_experiment(topo_cfgs, traffic))
     monkeypatch.setattr(cli, "cmd_energy", lambda args: 7 + args.m)
     assert main(["energy", "--m", "16"]) == 23
 

@@ -3,6 +3,7 @@ energy composition, and experiment determinism/aggregation."""
 
 import math
 from collections import deque
+from dataclasses import replace
 from itertools import islice
 from typing import Optional
 
@@ -386,13 +387,13 @@ def _small_traffic(**kw):
 
 def test_experiment_deterministic():
     cfg = TopologyConfig(placement="random", seed=5)
-    a = run_experiment(cfg, _small_traffic())
-    b = run_experiment(cfg, _small_traffic())
+    a = run_experiment([cfg], _small_traffic())[0]
+    b = run_experiment([cfg], _small_traffic())[0]
     assert emit_series([a]) == emit_series([b])
 
 
 def test_experiment_aggregation_identities():
-    result = run_experiment(TopologyConfig(seed=2), _small_traffic())
+    result = run_experiment([TopologyConfig(seed=2)], _small_traffic())[0]
     for p in (256, 512):
         for scheme in ("tkip", "lotkip"):
             per_node = result.per_node_j[(scheme, p)]
@@ -411,7 +412,7 @@ def test_two_node_network_matches_packet_energy():
                           placement="random", radio_range=120, alpha=1.0, seed=1)
     traffic = _small_traffic(packet_sizes=(256,), scenario_count=1,
                              packets_per_scenario=50, scheme="tkip")
-    result = run_experiment(topo, traffic)
+    result = run_experiment([topo], traffic)[0]
     expect = 50 * packet_energy("tkip", 256, 1) * 1e-6
     assert result.network_energy("tkip", 256) == pytest.approx(expect)
 
@@ -422,7 +423,7 @@ def test_two_node_lotkip_class_aggregation():
     traffic = _small_traffic(packet_sizes=(256,), scenario_count=1,
                              packets_per_scenario=50, scheme="lotkip",
                              refresh_interval=8)
-    result = run_experiment(topo, traffic)
+    result = run_experiment([topo], traffic)[0]
     n_first, n_refresh, n_b = lotkip_frame_classes(50, 8)
     expect = (n_first * packet_energy("lotkip", 256, 1, first_packet=True)
               + n_refresh * packet_energy("lotkip", 256, 1,
@@ -447,8 +448,8 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
     packets, k, n = 600, 7, 30
     traffic = _small_traffic(scheme=scheme, packets_per_scenario=packets,
                              refresh_interval=k, ack_enabled=True, scenario_count=6)
-    result = run_experiment(TopologyConfig(node_count=n, placement="random", seed=3),
-                            traffic)
+    result = run_experiment([TopologyConfig(node_count=n, placement="random", seed=3)],
+                            traffic)[0]
     assert len(paths) == 6 and any(len(path) > 2 for path in paths)
     on_route = {node for path in paths for node in path}
     for p in traffic.packet_sizes:
@@ -530,7 +531,7 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
     monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
     cfg = TopologyConfig(node_count=n, placement=placement, seed=42)
     traffic = _small_traffic(scenario_count=full_chunks * per_chunk + last)
-    run_experiment(cfg, traffic)
+    run_experiment([cfg], traffic)
     monkeypatch.undo()
     assert chunks == [per_chunk] * full_chunks + [last]
     expected = _scenario_loop(cfg, traffic)
@@ -583,26 +584,65 @@ def test_pair_stream_draws_as_generator_integers():
     assert redraws[2**31 + 1] > 10_000 and redraws[2**32] == 0
 
 
-def test_seed_state_cache_keeps_random_placement_energies():
-    # both placements of a sim call share one scenario batch, so the second
-    # run reads the seed states the first one hashed
+def test_placements_of_one_run_match_separate_runs():
+    # both placements of a sim call share each batch's seed states, and each
+    # gets the energies it gets when run alone; at n = 30, 300 scenarios are
+    # two batches (260 and 40)
     grid = TopologyConfig(node_count=30, seed=13)
     random_placement = TopologyConfig(node_count=30, placement="random", seed=13)
-    traffic = _small_traffic(scenario_count=40)
-    netsim._scenario_states.cache_clear()
-    cold = run_experiment(random_placement, traffic).per_node_j
-    netsim._scenario_states.cache_clear()
-    run_experiment(grid, traffic)
-    hits = netsim._scenario_states.cache_info().hits
-    warm = run_experiment(random_placement, traffic).per_node_j
-    assert netsim._scenario_states.cache_info().hits > hits
-    assert cold.keys() == warm.keys()
-    for key in cold:
-        assert np.array_equal(cold[key], warm[key])
+    traffic = _small_traffic(scenario_count=300)
+    together = run_experiment([grid, random_placement], traffic)
+    for cfg, result in zip((grid, random_placement), together):
+        alone = run_experiment([cfg], traffic)[0].per_node_j
+        assert result.placement == cfg.placement
+        assert result.per_node_j.keys() == alone.keys()
+        for key in alone:
+            assert np.array_equal(result.per_node_j[key], alone[key])
+
+
+def test_every_scenario_of_every_batch_is_charged(monkeypatch):
+    # with one joule per source and nothing else, each series sums to the
+    # share of scenarios that ran: all of them, over both batches
+    monkeypatch.setattr(netsim, "_role_rates", lambda *args: (1e6, 0.0, 0.0))
+    cfgs = [TopologyConfig(node_count=30, seed=13, placement=pl)
+            for pl in ("grid", "random")]
+    for result in run_experiment(cfgs, _small_traffic(scenario_count=300)):
+        for series in result.per_node_j.values():
+            assert math.fsum(series) == pytest.approx(1.0)
+
+
+def test_each_seed_batch_is_hashed_once_for_all_placements(monkeypatch):
+    # at n = 30 a chunk is 65 scenarios and a batch 4 chunks, so 1 301
+    # scenarios are five full batches and one of a single scenario; each
+    # batch hashes both streams' seeds in one call, whatever the placements
+    assert netsim._scenarios_per_chunk(30) == 65
+    hashed = []
+    pcg64_states = netsim._pcg64_states
+
+    def counting(seeds):
+        hashed.append(len(seeds))
+        return pcg64_states(seeds)
+
+    monkeypatch.setattr(netsim, "_pcg64_states", counting)
+    cfgs = [TopologyConfig(node_count=30, seed=13, placement=pl)
+            for pl in ("grid", "random")]
+    run_experiment(cfgs, _small_traffic(scenario_count=1301))
+    assert hashed == [2 * 260] * 5 + [2]
+
+
+def test_run_experiment_needs_configs_that_share_scenarios():
+    traffic = _small_traffic(scenario_count=1)
+    grid = TopologyConfig(node_count=9, seed=4)
+    with pytest.raises(ValueError, match="at least one"):
+        run_experiment([], traffic)
+    for other in (replace(grid, node_count=10), replace(grid, seed=5),
+                  replace(grid, placement="random", radio_range=100.0)):
+        with pytest.raises(ValueError, match="only in placement"):
+            run_experiment([grid, other], traffic)
 
 
 def test_single_scheme_has_no_efficiency():
-    result = run_experiment(TopologyConfig(seed=2), _small_traffic(scheme="tkip"))
+    result = run_experiment([TopologyConfig(seed=2)], _small_traffic(scheme="tkip"))[0]
     assert result.efficiency_factor(256) is None
     csv = emit_series([result])
     assert csv.splitlines()[1].endswith(",")
@@ -612,12 +652,12 @@ def test_unreachable_pairs_raise():
     topo = TopologyConfig(node_count=4, placement="random",
                           radio_range=0.001, alpha=1.0, seed=1)
     with pytest.raises(ScenarioError):
-        run_experiment(topo, _small_traffic(scenario_count=1))
+        run_experiment([topo], _small_traffic(scenario_count=1))
 
 
 def test_emit_series_shape_and_order():
-    results = [run_experiment(TopologyConfig(seed=2, placement=pl), _small_traffic())
-               for pl in ("grid", "random")]
+    cfgs = [TopologyConfig(seed=2, placement=pl) for pl in ("grid", "random")]
+    results = run_experiment(cfgs, _small_traffic())
     lines = emit_series(results).strip().splitlines()
     assert lines[0] == "P,scheme,placement,network_energy_J,per_node_J,efficiency_factor"
     assert len(lines) == 1 + 2 * 2 * 2        # P x scheme x placement
