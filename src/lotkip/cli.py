@@ -15,7 +15,7 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from lotkip import codec, cost
+from lotkip import codec
 from lotkip.codec import (
     CodecError,
     FrameLayout,
@@ -58,6 +58,8 @@ def _write_output(path: str, data: bytes) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from lotkip import cost
+
     _print_resolved("table1", {"csv": args.csv})
     _check_output(args.csv)
     _write_output(args.csv, cost.table1_csv().encode())
@@ -128,6 +130,8 @@ def cmd_open(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_energy(args: argparse.Namespace) -> int:
+    from lotkip import cost
+
     case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
     first = not args.subsequent
     _print_resolved("energy", {

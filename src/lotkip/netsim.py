@@ -30,15 +30,19 @@ scenario draws from two streams, ``(seed, s, 0)`` for its topology and
 build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
 seeding fixed, so it hashes both streams' seeds for at least
 `_SEED_BATCH` scenarios at a time (`_pcg64_states`), and every placement
-of a `lotkip sim` call runs a batch before the next batch is hashed.  Each
-chunk's topologies set their states on one reused generator; each pair is
+of a `lotkip sim` call runs a batch before the next batch is hashed.  The
+topologies set their states on the call's one generator; each pair is
 drawn in pure Python from its stream's 32-bit PCG64 words
 (`_pcg64_words`), bounded as numpy's `Generator.integers` bounds them.  It
 decides topologies in chunks of as many scenarios as fit in
-`TOPOLOGY_PAIR_BUDGET` station pairs.  So its memory does not grow with
-the scenario count: O(budget) per chunk, plus one batch's seed states.
-From n = 256 stations a chunk holds one scenario, whose n(n-1)/2 pairs and
-n x n adjacency matrix take O(n^2).
+`TOPOLOGY_PAIR_BUDGET` station pairs.  What no seed changes is made once
+per call and handed to every chunk: the i<j pair indices, a grid's
+positions and pair classes (`_fixed_links`), the generator, and each
+(scheme, P) role rate.  So its memory does not grow with the scenario
+count: O(budget) per chunk, plus one batch's seed states, plus the call's
+pair indices and grid classes, O(n^2).  From n = 256 stations a chunk
+holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix take
+O(n^2) too.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -148,16 +151,6 @@ def _grid_positions(cfg: TopologyConfig) -> np.ndarray:
     ys = np.linspace(0.0, cfg.area_h, side)
     k = np.arange(cfg.node_count)
     return np.column_stack((xs[k % side], ys[k // side]))
-
-
-@lru_cache(maxsize=8)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(n, 1)`, shared by every topology of n stations and
-    so made read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
@@ -297,17 +290,44 @@ def _link_classes(dx: np.ndarray, dy: np.ndarray, r: float,
     return linked, band, (r - dist[in_band]) / (r - near)
 
 
-def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology]:
+def _pair_classes(cfg: TopologyConfig, xy: np.ndarray,
+                  pairs: tuple[np.ndarray, np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_link_classes` of the i<j ``pairs`` of each row of station positions
+    ``xy`` (rows x n x 2), flat and row-major."""
+    i, j = pairs
+    x, y = xy.transpose(2, 0, 1)
+    return _link_classes(x.take(i, axis=1) - x.take(j, axis=1),
+                         y.take(i, axis=1) - y.take(j, axis=1),
+                         cfg.radio_range, cfg.alpha * cfg.radio_range)
+
+
+def _fixed_links(cfg: TopologyConfig, pairs: tuple[np.ndarray, np.ndarray]
+                 ) -> Optional[tuple[np.ndarray, tuple]]:
+    """What no seed changes in the topologies of ``cfg``: for a grid, its
+    positions and the `_pair_classes` of its ``pairs``; None for a random
+    placement."""
+    if cfg.placement != "grid":
+        return None
+    positions = _grid_positions(cfg)
+    return positions, _pair_classes(cfg, positions[None], pairs)
+
+
+def _decide_topologies(cfg: TopologyConfig, states: list[dict],
+                       rng: np.random.Generator,
+                       pairs: tuple[np.ndarray, np.ndarray],
+                       fixed: Optional[tuple[np.ndarray, tuple]]) -> list[Topology]:
     """The topology of ``cfg`` under each seed's PCG64 state (`_pcg64_states`),
-    all seeds' pairs at once.
+    all seeds' pairs at once: ``pairs`` holds the i<j station indices, and
+    ``fixed`` is `_fixed_links` of ``cfg`` and ``pairs``.
 
     Each seed's stream is drawn exactly as if its topology were decided
     alone: the random positions first, then one draw per band pair in i<j
     row-major order.  So each topology makes the same decisions, from the
     same draws, as calling `link_decide` on its pairs in that order: only
     band pairs draw, and `rng.random(k)` returns the same values as k
-    scalar `rng.random()` calls.  One generator takes each seed's state in
-    turn; a random placement's band draws skip its 2n position draws with
+    scalar `rng.random()` calls.  ``rng`` takes each seed's state in turn;
+    a random placement's band draws skip its 2n position draws with
     `advance`.  `rng.random((n, 2)) * (w, h)` returns the bits of
     `rng.uniform((0, 0), (w, h), (n, 2))` at a fraction of its cost.  Grid
     positions do not depend on the seed, so their pair classes are
@@ -317,31 +337,24 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
     """
     n = cfg.node_count
     count = len(states)
-    rng = np.random.Generator(np.random.PCG64(0))    # takes each seed's state
     bits = rng.bit_generator
-    if cfg.placement == "grid":
-        positions = [_grid_positions(cfg)] * count
-        xy = positions[0][None]
-        skip = 0
-    else:
+    i, j = pairs
+    size = i.size
+    if fixed is None:
         area = np.array((cfg.area_w, cfg.area_h))
         positions = []
         for state in states:
             bits.state = state
             positions.append(rng.random((n, 2)) * area)
-        xy = np.stack(positions)
+        linked, band, prob = _pair_classes(cfg, np.stack(positions), pairs)
         skip = 2 * n
-    i, j = _pair_indices(n)
-    pairs = i.size
-    x, y = xy.transpose(2, 0, 1)
-    linked, band, prob = _link_classes(
-        x.take(i, axis=1) - x.take(j, axis=1),
-        y.take(i, axis=1) - y.take(j, axis=1),
-        cfg.radio_range, cfg.alpha * cfg.radio_range)
-    if len(xy) < count:
-        linked, band, prob = (np.tile(a, count) for a in (linked, band, prob))
+    else:
+        grid, classes = fixed
+        positions = [grid] * count
+        linked, band, prob = (np.tile(a, count) for a in classes)
+        skip = 0
     draws = []
-    for state, k in zip(states, band.reshape(count, pairs).sum(axis=1).tolist()):
+    for state, k in zip(states, band.reshape(count, size).sum(axis=1).tolist()):
         bits.state = state
         if skip:
             bits.advance(skip)
@@ -350,8 +363,8 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict]) -> list[Topology
     # one scatter into all seeds' adjacency matrices, count*n rows of n, in
     # which seed s numbers its stations from s*n
     k = np.flatnonzero(linked)
-    s = k // pairs
-    pair = k - s * pairs
+    s = k // size
+    pair = k - s * size
     u, v = i[pair], j[pair]
     adjacent = np.zeros(count * n * n, dtype=bool)
     adjacent[(s * n + u) * n + v] = True
@@ -366,7 +379,10 @@ def generate_topology(cfg: TopologyConfig) -> Topology:
     ``np.random.default_rng(cfg.seed)`` would.  `run_experiment` decides
     scenario s's topology the same way, from stream ``(seed, s, 0)`` of the
     one scenario seed; the scenario's pair draws from ``(seed, s, 1)``."""
-    return _decide_topologies(cfg, _pcg64_states([cfg.seed]))[0]
+    pairs = np.triu_indices(cfg.node_count, 1)
+    rng = np.random.Generator(np.random.PCG64(0))    # takes the seed's state
+    return _decide_topologies(cfg, _pcg64_states([cfg.seed]), rng, pairs,
+                              _fixed_links(cfg, pairs))[0]
 
 
 def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
@@ -486,7 +502,7 @@ class SimResult:
     per_node_j: dict[tuple[str, int], np.ndarray]
 
     def network_energy(self, scheme: str, packet_size: int) -> float:
-        return float(math.fsum(self.per_node_j[(scheme, packet_size)]))
+        return math.fsum(self.per_node_j[(scheme, packet_size)].tolist())
 
     def per_node_mean(self, scheme: str, packet_size: int) -> float:
         return self.network_energy(scheme, packet_size) / self.node_count
@@ -564,7 +580,10 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
     other scenarios of its chunk, and its pair is `_sample_pair` drawing
     from the second stream's words.  Both streams' seeds are hashed once
     for whole chunks of at least `_SEED_BATCH` scenarios, and every config
-    runs that batch before the next one is hashed."""
+    runs that batch before the next one is hashed.  The work no seed
+    changes is done once per call: the pair indices, the generator, each
+    grid's `_fixed_links`, and the role rates, which every config's role
+    counts share."""
     if not topo_cfgs:
         raise ValueError("run_experiment needs at least one topology config")
     base = topo_cfgs[0]
@@ -574,14 +593,19 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
     roles = [([0] * n, [0] * n, [0] * n) for _ in topo_cfgs]
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
+    # what no scenario's seed changes, made once for every chunk
+    pairs = np.triu_indices(n, 1)
+    rng = np.random.Generator(np.random.PCG64(0))    # takes each seed's state
+    fixed = [_fixed_links(cfg, pairs) for cfg in topo_cfgs]
     for first in range(0, count, batch):
         scenarios = range(first, min(first + batch, count))
         states = _pcg64_states([(seed, s, 0) for s in scenarios]
                                + [(seed, s, 1) for s in scenarios])
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
-        for cfg, (source, relay, sink) in zip(topo_cfgs, roles):
+        for cfg, links, (source, relay, sink) in zip(topo_cfgs, fixed, roles):
             for c in range(0, len(scenarios), chunk):
-                topologies = _decide_topologies(cfg, topo_states[c:c + chunk])
+                topologies = _decide_topologies(cfg, topo_states[c:c + chunk],
+                                                rng, pairs, links)
                 for s, topology, state in zip(scenarios[c:c + chunk], topologies,
                                               pair_states[c:c + chunk]):
                     words = _pcg64_words(state["state"]["state"], state["state"]["inc"])
@@ -594,15 +618,13 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
                     for node in path[1:-1]:
                         relay[node] += 1
                     sink[path[-1]] += 1
+    rates = {(scheme, p): _role_rates(scheme, p, traffic)
+             for scheme in traffic.schemes for p in traffic.packet_sizes}
     results = []
     for cfg, counts in zip(topo_cfgs, roles):
         source, relay, sink = (np.array(c, dtype=float) for c in counts)
-        per_node_j = {}
-        for scheme in traffic.schemes:
-            for p in traffic.packet_sizes:
-                a, b, c = _role_rates(scheme, p, traffic)
-                per_node_j[(scheme, p)] = ((a * source + b * relay + c * sink)
-                                           * 1e-6 / count)
+        per_node_j = {key: (a * source + b * relay + c * sink) * 1e-6 / count
+                      for key, (a, b, c) in rates.items()}
         results.append(SimResult(cfg.placement, n, traffic.packet_sizes,
                                  traffic.schemes, per_node_j))
     return results

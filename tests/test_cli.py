@@ -440,10 +440,12 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_leaves_oracle_and_lanes_unloaded():
-    # lotkip.reference is a test oracle, and the numpy lanes load on first
-    # use: neither belongs in the import cost of every lotkip process
+    # lotkip.reference is a test oracle, the numpy lanes load on first use,
+    # and only table1, energy and sim need the cost model: none of them
+    # belongs in the import cost of every lotkip process
     probe = ("import sys, lotkip.cli; print(' '.join(m for m in "
-             "('lotkip.reference', 'lotkip.crypto.lanes') if m in sys.modules))")
+             "('lotkip.reference', 'lotkip.crypto.lanes', 'lotkip.cost') "
+             "if m in sys.modules))")
     assert _fresh_python(probe) == ""
 
 

@@ -501,7 +501,9 @@ def _scenario_loop(cfg, traffic):
     runs = []
     for s in range(traffic.scenario_count):
         state = np.random.default_rng((cfg.seed, s, 0)).bit_generator.state
-        topo = netsim._decide_topologies(cfg, [state])[0]
+        pairs = np.triu_indices(cfg.node_count, 1)
+        topo = netsim._decide_topologies(cfg, [state], np.random.default_rng(0), pairs,
+                                         netsim._fixed_links(cfg, pairs))[0]
         path = _numpy_sample_pair(topo, np.random.default_rng((cfg.seed, s, 1)))
         runs.append((topo, path))
     return runs
@@ -518,9 +520,9 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
     chunks, runs = [], []
     decide, sample_pair = netsim._decide_topologies, netsim._sample_pair
 
-    def recording_decide(cfg, seeds):
+    def recording_decide(cfg, seeds, *shared):
         chunks.append(len(seeds))
-        return decide(cfg, seeds)
+        return decide(cfg, seeds, *shared)
 
     def recording_sample(topology, words):
         path = sample_pair(topology, words)
@@ -628,6 +630,31 @@ def test_each_seed_batch_is_hashed_once_for_all_placements(monkeypatch):
             for pl in ("grid", "random")]
     run_experiment(cfgs, _small_traffic(scenario_count=1301))
     assert hashed == [2 * 260] * 5 + [2]
+
+
+def test_seed_free_work_runs_once_per_call(monkeypatch):
+    # at n = 49 a chunk is 26 scenarios, so 79 scenarios are four chunks per
+    # placement; the grid's positions and pair classes, and each (scheme, P)
+    # role rate, depend on no seed, so one call makes each of them once,
+    # while each random chunk classes its own pairs
+    assert netsim._scenarios_per_chunk(49) == 26
+    calls = {"_grid_positions": 0, "_link_classes": 0, "_role_rates": 0}
+
+    def counting(name):
+        original = getattr(netsim, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(netsim, name, counting(name))
+    cfgs = [TopologyConfig(placement=pl, seed=3) for pl in ("grid", "random")]
+    traffic = _small_traffic(scenario_count=79, packet_sizes=(256, 512, 1024))
+    run_experiment(cfgs, traffic)
+    assert calls == {"_grid_positions": 1, "_link_classes": 1 + 4,
+                     "_role_rates": len(traffic.schemes) * len(traffic.packet_sizes)}
 
 
 def test_run_experiment_needs_configs_that_share_scenarios():
