@@ -29,11 +29,13 @@ those of a loop of `seal`/`open`.
 
 Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
 (`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
-on the scalar functions otherwise.
+on the scalar functions otherwise.  Michael's pseudo-header is fixed for a
+session but for LOTKIP's counter, so each session absorbs the fixed part
+once, into its direction's midstate, and every tag starts from there.
 
 `SessionConfig.mode` selects the only four things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
-`is_type_a`), whether the Michael header carries the counter of the MSDU's
+`is_type_a`), whether the Michael tag covers the counter of the MSDU's
 first fragment, which layouts `open` accepts, and the replay rule (TKIP
 admits only a counter above the highest it has admitted, LOTKIP any
 counter its `ReplayWindow` does not reject).
@@ -60,9 +62,10 @@ from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from lotkip.crypto import (
-    MicHeader,
     crc32_icv,
+    michael_header,
     michael_mic,
+    michael_midstate,
     phase1_mix,
     phase2_mix,
     rc4_apply,
@@ -367,12 +370,12 @@ class _TtakCache:
 
 # `lotkip.crypto.lanes` loads on first use; lanes and scalar give the same bytes.
 
-def _michael_many(key: bytes, headers: list[MicHeader], msdus: list[bytes],
-                  lanes: bool) -> list[bytes]:
+def _michael_many(midstate: tuple[int, int], counters: list[bytes],
+                  msdus: list[bytes], lanes: bool) -> list[bytes]:
     if lanes:
         from lotkip.crypto.lanes import michael_mic_lanes
-        return michael_mic_lanes(key, list(zip(headers, msdus)))
-    return list(map(michael_mic, repeat(key), headers, msdus))
+        return michael_mic_lanes(midstate, list(zip(counters, msdus)))
+    return list(map(michael_mic, repeat(midstate), counters, msdus))
 
 
 def _rc4_many(ttaks: list, tk: bytes, tsc_los: list[int], datas: list[bytes],
@@ -546,15 +549,10 @@ class SessionConfig:
                              f"and {len(self.da)}")
 
 
-def _session_mic_header(config: SessionConfig) -> Callable[[int], MicHeader]:
-    """The Michael pseudo-header of an MSDU whose first fragment has counter
-    `first_tsc`, as a function of it.  Only LOTKIP puts the counter in it; a
-    TKIP header holds none, so the session builds it once, here."""
-    sa, da, priority = config.sa, config.da, config.priority
-    if config.mode == "lotkip":
-        return lambda first_tsc: MicHeader(sa, da, priority, first_tsc)
-    header = MicHeader(sa, da, priority, None)
-    return lambda first_tsc: header
+def _mic_midstate(config: SessionConfig, key: bytes) -> tuple[int, int]:
+    """Michael's state after `key` and the session's fixed pseudo-header;
+    each session computes it once for its direction."""
+    return michael_midstate(key, michael_header(config.sa, config.da, config.priority))
 
 
 def parse_key_values(text: str, known: Iterable[str],
@@ -649,7 +647,7 @@ class SenderSession:
         self.probe_mode = _INITIAL
         self.since_type_a = 0
         self.ttak_cache = _TtakCache()
-        self._mic_header = _session_mic_header(config)
+        self._mic_state = _mic_midstate(config, config.keys.mic_key_tx)
 
     def _alloc(self) -> int:
         if self.next_tsc > TSC_MAX:
@@ -690,9 +688,10 @@ class SenderSession:
     def _seal_block(self, block: list[bytes]) -> list[list[MpduFrame]]:
         cfg = self.config
         keys = cfg.keys
+        lotkip = cfg.mode == "lotkip"
         # check each MSDU and allocate its frames; sender state never
         # depends on the crypto, so a failed check raises at once
-        headers, msdus, allocs = [], [], []
+        mic_counters, msdus, allocs = [], [], []
         for msdu in block:
             if self.probe_mode is _PROBING:
                 raise ProbingActive("sender is probing; data transmission stopped")
@@ -701,12 +700,13 @@ class SenderSession:
             count = fragment_count(len(msdu), cfg.frag_threshold)
             if self.next_tsc + count - 1 > TSC_MAX:
                 raise TscExhausted("counter would overflow; rekey required")
-            headers.append(self._mic_header(self.next_tsc))
+            # LOTKIP's tag covers the counter of the MSDU's first fragment
+            mic_counters.append(self.next_tsc.to_bytes(6, "little") if lotkip else b"")
             msdus.append(bytes(msdu))
             allocs.append([self._next_frame() for _ in range(count)])
         # compute every tag, one check value per chunk, then every body
         lanes = len(block) >= LANES_MIN_MSDUS
-        tags = _michael_many(keys.mic_key_tx, headers, msdus, lanes)
+        tags = _michael_many(self._mic_state, mic_counters, msdus, lanes)
         ttaks, tsc_los, plains = [], [], []
         for msdu, tag, frames in zip(msdus, tags, allocs):
             for chunk, (tsc, _, ttak) in zip(_chunks(msdu + tag, cfg.frag_threshold),
@@ -762,7 +762,7 @@ class ReceiverSession:
         self.window = ReplayWindow()
         self.cm_state = CountermeasureState()
         self.ttak_cache = _TtakCache()
-        self._mic_header = _session_mic_header(config)
+        self._mic_state = _mic_midstate(config, config.keys.mic_key_rx)
 
     def open(self, frames: "MpduFrame | Iterable[MpduFrame]") -> Optional[bytes]:
         """Decapsulate the fragments of one MSDU, or validate a lone LOTKIP
@@ -840,6 +840,7 @@ class ReceiverSession:
     def _open_block(self, block: list) -> list[Optional[bytes]]:
         cfg = self.config
         keys = cfg.keys
+        lotkip = cfg.mode == "lotkip"
         cache = self.ttak_cache
         plans, error = self._check(block)
         # compute every frame's plaintext and check value, then the tag of
@@ -856,17 +857,18 @@ class ReceiverSession:
                 bodies.append(frame.body)
         lanes = len(block) >= LANES_MIN_MSDUS
         plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies, lanes))
-        streams, headers, msdus = [], [], []
+        streams, mic_counters, msdus = [], [], []
         try:
             for frames, counters, probe in plans:
                 stream = b"".join(map(_strip_icv, islice(plains, len(frames))))
                 streams.append(stream)
                 if not probe and len(stream) >= MIC_BYTES:
-                    headers.append(self._mic_header(counters[0]))
+                    mic_counters.append(counters[0].to_bytes(6, "little")
+                                        if lotkip else b"")
                     msdus.append(stream[:-MIC_BYTES])
         except IcvMismatch as exc:
             error = exc         # raised in place of this group and the rest
-        tags = iter(_michael_many(keys.mic_key_rx, headers, msdus, lanes))
+        tags = iter(_michael_many(self._mic_state, mic_counters, msdus, lanes))
         # verify each group in order, then commit its counters and epoch
         opened = []
         for (_, counters, probe), stream in zip(plans, streams):

@@ -8,19 +8,21 @@ from lotkip.crypto.keymix import (
     phase2_mix,
 )
 from lotkip.crypto.michael import (
-    MicHeader,
+    michael_header,
     michael_key_words,
     michael_mic,
+    michael_midstate,
     michael_pad,
 )
 from lotkip.crypto.rc4 import rc4_apply, rc4_ksa
 
 __all__ = [
-    "MicHeader",
     "TKIP_SBOX",
     "crc32_icv",
+    "michael_header",
     "michael_key_words",
     "michael_mic",
+    "michael_midstate",
     "michael_pad",
     "phase1_mix",
     "phase2_mix",

@@ -11,9 +11,11 @@ message.
 Michael packs its lanes into one Python integer, a 64-bit slot per lane,
 and runs the scalar round `michael._absorb` on it, so one round of integer
 operations serves every lane; a lane that finishes is read out of its slot
-and masked away.  Phase 2 runs the scalar network `keymix._phase2_words`
-on uint16 arrays, one element per packet, so one pass of its fixed
-network of S-box lookups, adds and rotates derives every packet's seed.
+and masked away.  Every slot starts from the session's header midstate,
+so a lane absorbs only its counter, if any, and its data.  Phase 2 runs
+the scalar network `keymix._phase2_words` on uint16 arrays, one element
+per packet, so one pass of its fixed network of S-box lookups, adds and
+rotates derives every packet's seed.
 RC4 stays in numpy, one row of a uint8 array per lane, because each step
 gathers from every lane's own permutation.  The numpy kernels keep every
 operand in one dtype, or a Python int that fits it, so additions wrap as
@@ -34,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from lotkip.crypto.keymix import TKIP_SBOX, _SBOX_SWAPPED, _phase2_words, _tk_words
-from lotkip.crypto.michael import MicHeader, _absorb, michael_key_words
+from lotkip.crypto.michael import _absorb
 
 # Michael builds its packed words this many steps at a time, so their
 # buffer stays O(lanes x chunk) whatever the message length.
@@ -75,25 +77,30 @@ def _rows(rows: list[tuple[bytes, ...]], width: int) -> bytearray:
     return buf
 
 
-def michael_mic_lanes(key: bytes,
-                      messages: Sequence[tuple[MicHeader, bytes]]) -> list[bytes]:
-    """`michael_mic(key, header, data)` for every (header, data) pair."""
-    k0, k1 = michael_key_words(key)
+def michael_mic_lanes(midstate: tuple[int, int],
+                      messages: Sequence[tuple[bytes, bytes]]) -> list[bytes]:
+    """`michael_mic(midstate, counter, data)` for every (counter, data)
+    pair."""
+    l0, r0 = midstate
+    # a wider value would spill into its slot's guard bits; a shifted value
+    # is non-zero if it is too large or negative
+    if l0 >> 32 or r0 >> 32:
+        raise ValueError("Michael midstate must be two 32-bit words")
     if not messages:
         return []
-    rows = [(header.packed(), data, b"\x5a") for header, data in messages]
+    rows = [(counter, data, b"\x5a") for counter, data in messages]
     # michael_pad: 0x5a, zeros to a word boundary, then one all-zero word
-    words = [(len(h) + len(d) + 4) // 4 + 1 for h, d, _ in rows]
+    words = [(len(c) + len(d) + 4) // 4 + 1 for c, d, _ in rows]
     order = sorted(range(len(rows)), key=words.__getitem__, reverse=True)
     width = words[order[0]]
     count = len(order)
     # one row of words per lane
     table = np.frombuffer(_rows([rows[n] for n in order], 4 * width),
                           "<u4").reshape(count, width)
-    # lane n runs in bits 64n..64n+31 of l and r; bits 64n+32..64n+63 are
-    # its guard, zero outside `_absorb`
+    # lane n runs in bits 64n..64n+31 of l and r, from the session's
+    # midstate; bits 64n+32..64n+63 are its guard, zero outside `_absorb`
     ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * count, "little")
-    l, r, m = k0 * ones, k1 * ones, 0xFFFFFFFF * ones
+    l, r, m = l0 * ones, r0 * ones, 0xFFFFFFFF * ones
     tags = [b""] * count
     running = count
     for start, stop, lanes in _segments([words[n] for n in order]):

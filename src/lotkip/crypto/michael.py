@@ -1,18 +1,28 @@
 """Michael 64-bit message integrity code.
 
-The tag is computed over a fixed pseudo-header (source address, destination
-address, priority byte, three zero bytes, and optionally the 48-bit packet
-counter) followed by the payload, padded with 0x5a and zeros so the word
-stream always ends in exactly one all-zero word.
+The tag is computed over a pseudo-header (source address, destination
+address, priority byte, three zero bytes, and in the low-overhead mode the
+48-bit packet counter) followed by the payload, padded with 0x5a and zeros
+so the word stream always ends in exactly one all-zero word.
+
+The fixed part of the pseudo-header is 16 bytes, four whole words, and the
+same for every MSDU of a session.  So Michael's (L, R) state after the key
+and those four words, the midstate, is fixed per session too: a session
+computes it once with `michael_midstate`, and each tag starts from it and
+absorbs only the counter, if any, and the payload.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 # (L, R) as two little-endian 32-bit words: the key and the tag
 _TAG = struct.Struct("<2I")
+# the fixed pseudo-header as Michael words
+_HEADER = struct.Struct("<4I")
+# michael_pad's tail by message length mod 4: 0x5a, zeros to a word
+# boundary, then one all-zero word
+_PAD = tuple(b"\x5a" + bytes(7 - n) for n in range(4))
 
 
 def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF) -> tuple[int, int]:
@@ -45,11 +55,8 @@ def michael_pad(message: bytes) -> list[int]:
     The padded stream always ends with exactly one all-zero word, and the
     word before it is non-zero because it contains the 0x5a byte.
     """
-    buf = bytearray(message)
-    buf.append(0x5A)
-    buf.extend(b"\x00" * (-len(buf) % 4))
-    buf.extend(b"\x00\x00\x00\x00")
-    return list(struct.unpack(f"<{len(buf) // 4}I", buf))
+    buf = message + _PAD[len(message) & 3]
+    return list(struct.unpack(f"<{len(buf) >> 2}I", buf))
 
 
 def michael_key_words(key: bytes) -> tuple[int, int]:
@@ -59,42 +66,27 @@ def michael_key_words(key: bytes) -> tuple[int, int]:
     return _TAG.unpack(key)
 
 
-@dataclass(frozen=True)
-class MicHeader:
-    """Pseudo-header mixed into the tag ahead of the payload.
-
-    ``iv`` is the 48-bit packet counter; it is included only in the
-    low-overhead framing mode, where the counter is authenticated because
-    most frames no longer carry its upper bytes on air.
-    """
-
-    sa: bytes
-    da: bytes
-    priority: int = 0
-    iv: int | None = None
-    # the header's bytes, built once: a session reuses one header per MSDU
-    _packed: bytes = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.sa) != 6 or len(self.da) != 6:
-            raise ValueError("sa and da must be 6 bytes each")
-        if not 0 <= self.priority <= 0xFF:
-            raise ValueError("priority must fit in one byte")
-        if self.iv is not None and not 0 <= self.iv < 1 << 48:
-            raise ValueError("iv must be a 48-bit value")
-        out = bytearray(self.sa)
-        out += self.da
-        out.append(self.priority)
-        out += b"\x00\x00\x00"
-        if self.iv is not None:
-            out += self.iv.to_bytes(6, "little")
-        object.__setattr__(self, "_packed", bytes(out))
-
-    def packed(self) -> bytes:
-        return self._packed
+def michael_header(sa: bytes, da: bytes, priority: int) -> bytes:
+    """The pseudo-header's 16 fixed bytes: SA || DA || priority || 0 0 0."""
+    if len(sa) != 6 or len(da) != 6:
+        raise ValueError("sa and da must be 6 bytes each")
+    if not 0 <= priority <= 0xFF:
+        raise ValueError("priority must fit in one byte")
+    return bytes((*sa, *da, priority, 0, 0, 0))
 
 
-def michael_mic(key: bytes, header: MicHeader, data: bytes) -> bytes:
-    """8-byte tag over header.packed() || data, serialized (L, R) little-endian."""
-    l, r = michael_key_words(key)
-    return _TAG.pack(*_absorb(l, r, michael_pad(header.packed() + data)))
+def michael_midstate(key: bytes, header: bytes) -> tuple[int, int]:
+    """Michael's (L, R) after the key has absorbed the 16 header bytes."""
+    if len(header) != _HEADER.size:
+        raise ValueError(f"Michael header must be {_HEADER.size} bytes, "
+                         f"got {len(header)}")
+    return _absorb(*michael_key_words(key), _HEADER.unpack(header))
+
+
+def michael_mic(midstate: tuple[int, int], counter: bytes, data: bytes) -> bytes:
+    """8-byte tag over header || counter || data, serialized (L, R)
+    little-endian, from the header's `michael_midstate`.  `counter` is
+    empty for TKIP and the 48-bit counter, 6 bytes little-endian, for
+    LOTKIP."""
+    l, r = midstate
+    return _TAG.pack(*_absorb(l, r, michael_pad(counter + data)))

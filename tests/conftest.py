@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lotkip.codec import Classification, SessionKeys
+from lotkip.crypto import michael_header, michael_mic, michael_midstate
 
 
 @pytest.fixture
@@ -27,6 +28,18 @@ def symmetric_keys(rng=None, key_id=0):
     mic = r.randbytes(8)
     return SessionKeys(tk=r.randbytes(16), mic_key_tx=mic, mic_key_rx=mic,
                        ta=r.randbytes(6), key_id=key_id)
+
+
+def mic_counter(iv):
+    """Michael's counter input: none for TKIP, the 48-bit counter as 6
+    little-endian bytes for LOTKIP."""
+    return b"" if iv is None else iv.to_bytes(6, "little")
+
+
+def mic_of(key, sa, da, priority, iv, data):
+    """`michael_mic` on the arguments of `lotkip.reference.ref_michael_mic`."""
+    midstate = michael_midstate(key, michael_header(sa, da, priority))
+    return michael_mic(midstate, mic_counter(iv), data)
 
 
 def check_then_admit(window, value):

@@ -631,20 +631,23 @@ def test_lotkip_mic_covers_counter():
 
 
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
-def test_michael_header_built_once_per_tkip_session(monkeypatch, mode):
-    # TKIP's header holds no counter, so each session builds it once;
-    # LOTKIP's carries the counter of each MSDU's first fragment
+def test_michael_midstate_computed_once_per_session(monkeypatch, mode):
+    # the pseudo-header's fixed 16 bytes are absorbed once per session, for
+    # its direction's key; every tag, scalar or in lanes, starts from there
     import lotkip.codec as codec
     cfg = config(mode)
-    built = []
-    original = codec.MicHeader
-    monkeypatch.setattr(codec, "MicHeader", lambda sa, da, priority, iv:
-                        built.append(iv) or original(sa, da, priority, iv))
-    sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
-    msdus = [bytes([n]) * 300 for n in range(5)]
-    assert [receiver.open(sender.seal(m)) for m in msdus] == msdus
+    computed = []
+    original = codec.michael_midstate
+    monkeypatch.setattr(codec, "michael_midstate", lambda key, header:
+                        computed.append((key, header)) or original(key, header))
+    sender = SenderSession(cfg)
+    assert computed == [(cfg.keys.mic_key_tx, SA + DA + bytes(4))]
+    receiver = ReceiverSession(cfg)
+    assert computed[1:] == [(cfg.keys.mic_key_rx, SA + DA + bytes(4))]
+    msdus = [bytes([n]) * 300 for n in range(LANES_MIN_MSDUS)]
+    assert [receiver.open(sender.seal(m)) for m in msdus[:5]] == msdus[:5]
     assert receiver.open_many(sender.seal_many(msdus)) == msdus
-    assert len(built) == (2 if mode == "tkip" else 4 * len(msdus))
+    assert len(computed) == 2
 
 
 @pytest.mark.parametrize("parsed, chosen", [("tkip", "lotkip"), ("lotkip", "tkip")])

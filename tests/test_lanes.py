@@ -1,6 +1,6 @@
 """Michael, phase 2 key mixing and RC4 in lanes: every lane's result
 equals the one-message functions and the reference module, over lane
-counts, mixed lengths (empty to a full MSDU with its header), headers with
+counts, mixed lengths (empty to a full MSDU with its counter), tags with
 and without the counter, and phase 1 keys of two epochs in one call."""
 
 import struct
@@ -8,14 +8,24 @@ import struct
 import pytest
 
 from lotkip.codec import LANES_BLOCK_MSDUS
-from lotkip.crypto import MicHeader, michael_mic, phase1_mix, phase2_mix, rc4_apply
+from lotkip.crypto import (
+    michael_header,
+    michael_mic,
+    michael_midstate,
+    phase1_mix,
+    phase2_mix,
+    rc4_apply,
+)
 from lotkip.crypto.lanes import michael_mic_lanes, phase2_mix_lanes, rc4_apply_lanes
 from lotkip.reference import ref_michael_mic, ref_phase2, ref_rc4
+
+from conftest import mic_counter
 
 LANE_COUNTS = (1, 2, 7, 64, 300)
 # a full MSDU, the fragments of one at threshold 1024 with their check
 # values, and short and empty inputs
 LENGTHS = (0, 1, 2, 3, 4, 5, 2304, 1028, 268)
+M32 = 0xFFFFFFFF
 
 
 def _length(rng, lane):
@@ -23,76 +33,85 @@ def _length(rng, lane):
 
 
 def _messages(rng, count):
-    out = []
-    for lane in range(count):
-        iv = rng.randrange(1 << 48) if lane % 2 else None
-        header = MicHeader(rng.randbytes(6), rng.randbytes(6), rng.randrange(256), iv)
-        out.append((header, rng.randbytes(_length(rng, lane))))
-    return out
+    # (LOTKIP counter or None for TKIP, data) per lane
+    return [(rng.randrange(1 << 48) if lane % 2 else None,
+             rng.randbytes(_length(rng, lane))) for lane in range(count)]
 
 
 def _all_ones(rng, count):
-    # every key, header and data byte 0xFF: the first adds already carry
-    # into the packed lanes' guard bits
-    header = MicHeader(b"\xff" * 6, b"\xff" * 6, 0xFF, (1 << 48) - 1)
-    return [(header, b"\xff" * _length(rng, lane)) for lane in range(count)]
+    # every midstate, counter and data bit set: the first adds already
+    # carry into the packed lanes' guard bits
+    return [((1 << 48) - 1, b"\xff" * _length(rng, lane)) for lane in range(count)]
 
 
 def _staggered(rng, count):
     # three lanes per length, 150 B apart: the lanes finish three at a
     # time, mid-chunk and mid-run, while the rest keep going
-    return [(MicHeader(rng.randbytes(6), rng.randbytes(6)),
-             rng.randbytes(lane // 3 * 150)) for lane in range(count)]
+    return [(None, rng.randbytes(lane // 3 * 150)) for lane in range(count)]
 
 
 def _zero_first_word(rng, count):
-    # SA starts with four zero bytes, so Michael's first word is 0 in
-    # every lane
-    return [(MicHeader(bytes(6), rng.randbytes(6)), rng.randbytes(_length(rng, lane)))
-            for lane in range(count)]
+    # counter 0, so the first word after the midstate is 0 in every lane
+    return [(0, rng.randbytes(_length(rng, lane))) for lane in range(count)]
 
 
 def _rotl(x, n):
-    return ((x << n) | (x >> (32 - n))) & 0xFFFFFFFF
+    return ((x << n) | (x >> (32 - n))) & M32
 
 
 # the four rotations of the round, in order (rotr 2 = rotl 30)
 ROTATIONS = (17, 16, 3, 30)
 
 
-def _saturating_key(rotation):
-    """The key that leaves L = 0xFFFFFFFF and R = 0 just before the round's
-    given rotation when the first word is 0: the sub-rounds before it
-    (R ^= rotl(L); L += R) run backwards from that state.  Packed lanes
+def _saturating_state(rotation):
+    """The state that leaves L = 0xFFFFFFFF and R = 0 just before the
+    round's given rotation when the next word is 0: the sub-rounds before
+    it (R ^= rotl(L); L += R) run backwards from that state.  Packed lanes
     then rotate an all-ones L, whose spill fills every guard bit, and the
     next add carries out of the guard into the next lane unless the
     rotation was masked."""
-    l, r = 0xFFFFFFFF, 0
+    l, r = M32, 0
     for n in reversed(ROTATIONS[:ROTATIONS.index(rotation)]):
-        l = (l - r) & 0xFFFFFFFF
+        l = (l - r) & M32
         r ^= _rotl(l, n)
+    return l, r
+
+
+def _key_for_midstate(midstate, header):
+    """The key whose midstate after `header` is `midstate`: every round
+    over the header's words run backwards."""
+    l, r = midstate
+    for word in reversed(struct.unpack("<4I", header)):
+        for n in reversed(ROTATIONS):
+            l = (l - r) & M32
+            r ^= _rotl(l, n)
+        l ^= word
     return struct.pack("<2I", l, r)
 
 
-# (lane count, message builder, key), by lane count for random messages
+# (lane count, message builder, midstate), by lane count for random messages
 MICHAEL_CASES = [pytest.param(count, _messages, None, id=str(count))
                  for count in LANE_COUNTS] + [
     # the most lanes the codec runs Michael on
     pytest.param(LANES_BLOCK_MSDUS, _messages, None, id="block"),
-    pytest.param(LANES_BLOCK_MSDUS, _all_ones, b"\xff" * 8, id="block-all-ones"),
+    pytest.param(LANES_BLOCK_MSDUS, _all_ones, (M32, M32), id="block-all-ones"),
     pytest.param(48, _staggered, None, id="staggered"),
-] + [pytest.param(16, _zero_first_word, _saturating_key(n), id=f"guard-carry-rotl{n}")
+] + [pytest.param(16, _zero_first_word, _saturating_state(n), id=f"guard-carry-rotl{n}")
      for n in ROTATIONS]
 
 
-@pytest.mark.parametrize("count, build, key", MICHAEL_CASES)
-def test_michael_lanes_match_scalar_and_reference(rng, count, build, key):
-    key = key or rng.randbytes(8)
+@pytest.mark.parametrize("count, build, state", MICHAEL_CASES)
+def test_michael_lanes_match_scalar_and_reference(rng, count, build, state):
+    sa, da, priority = rng.randbytes(6), rng.randbytes(6), rng.randrange(256)
+    header = michael_header(sa, da, priority)
+    key = rng.randbytes(8) if state is None else _key_for_midstate(state, header)
+    midstate = michael_midstate(key, header)
+    assert state in (None, midstate)
     messages = build(rng, count)
-    tags = michael_mic_lanes(key, messages)
-    assert tags == [michael_mic(key, header, data) for header, data in messages]
-    for (h, data), tag in list(zip(messages, tags))[:12]:
-        assert tag == ref_michael_mic(key, h.sa, h.da, h.priority, h.iv, data)
+    tags = michael_mic_lanes(midstate, [(mic_counter(iv), data) for iv, data in messages])
+    assert tags == [michael_mic(midstate, mic_counter(iv), data) for iv, data in messages]
+    for (iv, data), tag in list(zip(messages, tags))[:12]:
+        assert tag == ref_michael_mic(key, sa, da, priority, iv, data)
 
 
 @pytest.mark.parametrize("count", LANE_COUNTS)
@@ -131,12 +150,13 @@ def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
 
 
 def test_lanes_edge_inputs(rng):
-    key = rng.randbytes(8)
-    assert michael_mic_lanes(key, []) == []
+    midstate = michael_midstate(rng.randbytes(8), michael_header(bytes(6), bytes(6), 0))
+    assert michael_mic_lanes(midstate, []) == []
     assert rc4_apply_lanes([], []) == []
     assert rc4_apply_lanes([b"k", b"key"], [b"", b""]) == [b"", b""]
-    with pytest.raises(ValueError):
-        michael_mic_lanes(bytes(7), [(MicHeader(bytes(6), bytes(6)), b"x")])
+    for bad in ((1 << 32, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            michael_mic_lanes(bad, [(b"", b"x")])
     with pytest.raises(ValueError):
         rc4_apply_lanes([b"k"], [b"a", b"b"])
     for bad in (b"", bytes(257)):

@@ -1,16 +1,21 @@
 """Michael MIC: frozen vectors from the reference transcription, padding
-structure, and random equivalence against the reference module."""
+structure, and random equivalence against the reference module, for tags
+started from a session's header midstate on the scalar path and in lanes."""
 
 import pytest
 
 from lotkip.crypto import (
-    MicHeader,
+    michael_header,
     michael_key_words,
     michael_mic,
+    michael_midstate,
     michael_pad,
 )
+from lotkip.crypto.lanes import michael_mic_lanes
 from lotkip.crypto.michael import _absorb
 from lotkip.reference import ref_michael_mic
+
+from conftest import mic_counter, mic_of
 
 
 def test_block_preserves_all_zero():
@@ -45,39 +50,38 @@ def test_key_words():
 
 
 def test_header_packs_fixed_layout():
-    header = MicHeader(bytes([1] * 6), bytes([2] * 6), priority=5)
-    assert header.packed() == bytes([1] * 6) + bytes([2] * 6) + b"\x05\x00\x00\x00"
-    with_iv = MicHeader(bytes([1] * 6), bytes([2] * 6), 5, iv=0x0102030405)
-    assert with_iv.packed().endswith(bytes.fromhex("050403020100"))
-    assert len(with_iv.packed()) == 22
+    header = michael_header(bytes([1] * 6), bytes([2] * 6), priority=5)
+    assert header == bytes([1] * 6) + bytes([2] * 6) + b"\x05\x00\x00\x00"
+    # four whole Michael words, so the midstate after them is fixed
+    assert len(header) == 16
+    assert mic_counter(0x0102030405) == bytes.fromhex("050403020100")
 
 
 def test_header_validation():
     with pytest.raises(ValueError):
-        MicHeader(bytes(5), bytes(6))
+        michael_header(bytes(5), bytes(6), 0)
     with pytest.raises(ValueError):
-        MicHeader(bytes(6), bytes(6), priority=256)
+        michael_header(bytes(6), bytes(6), priority=256)
     with pytest.raises(ValueError):
-        MicHeader(bytes(6), bytes(6), iv=1 << 48)
+        michael_midstate(bytes(8), bytes(15))
+    with pytest.raises(ValueError):
+        michael_midstate(bytes(7), bytes(16))
 
 
 def test_mic_frozen_vectors():
     z6 = bytes(6)
-    assert michael_mic(bytes(8), MicHeader(z6, z6), b"") == \
-        bytes.fromhex("f2de0a28f374fb2f")
-    assert michael_mic(bytes(8), MicHeader(z6, z6, iv=0), b"") == \
-        bytes.fromhex("12a4629e1cac3034")
+    assert mic_of(bytes(8), z6, z6, 0, None, b"") == bytes.fromhex("f2de0a28f374fb2f")
+    assert mic_of(bytes(8), z6, z6, 0, 0, b"") == bytes.fromhex("12a4629e1cac3034")
     key = bytes(range(1, 9))
-    header = MicHeader(bytes([2] * 6), bytes([3] * 6))
-    assert michael_mic(key, header, b"hello") == bytes.fromhex("2d87f8ffac0cd68a")
-    with_iv = MicHeader(bytes([2] * 6), bytes([3] * 6), iv=0x0000AABBCCDD)
-    assert michael_mic(key, with_iv, b"hello") == bytes.fromhex("7b9ebf7190d58b67")
+    sa, da = bytes([2] * 6), bytes([3] * 6)
+    assert mic_of(key, sa, da, 0, None, b"hello") == bytes.fromhex("2d87f8ffac0cd68a")
+    assert mic_of(key, sa, da, 0, 0x0000AABBCCDD, b"hello") == \
+        bytes.fromhex("7b9ebf7190d58b67")
 
 
 def test_iv_presence_changes_tag():
-    header = MicHeader(bytes(6), bytes(6))
-    with_iv = MicHeader(bytes(6), bytes(6), iv=0)
-    assert michael_mic(bytes(8), header, b"") != michael_mic(bytes(8), with_iv, b"")
+    midstate = michael_midstate(bytes(8), michael_header(bytes(6), bytes(6), 0))
+    assert michael_mic(midstate, b"", b"") != michael_mic(midstate, bytes(6), b"")
 
 
 def test_matches_reference_on_random_inputs(rng):
@@ -88,7 +92,7 @@ def test_matches_reference_on_random_inputs(rng):
         priority = rng.randrange(256)
         iv = rng.getrandbits(48) if rng.random() < 0.5 else None
         data = rng.randbytes(rng.randrange(200))
-        assert michael_mic(key, MicHeader(sa, da, priority, iv), data) == \
+        assert mic_of(key, sa, da, priority, iv, data) == \
             ref_michael_mic(key, sa, da, priority, iv, data)
 
 
@@ -98,8 +102,32 @@ def test_matches_reference_at_every_short_length(rng, with_iv):
     key, sa, da = rng.randbytes(8), rng.randbytes(6), rng.randbytes(6)
     priority = rng.randrange(256)
     iv = rng.getrandbits(48) if with_iv else None
-    header = MicHeader(sa, da, priority, iv)
+    midstate = michael_midstate(key, michael_header(sa, da, priority))
     for length in [*range(65), 2304]:
         data = rng.randbytes(length)
-        assert michael_mic(key, header, data) == \
+        assert michael_mic(midstate, mic_counter(iv), data) == \
             ref_michael_mic(key, sa, da, priority, iv, data)
+
+
+# TKIP, then LOTKIP counters at zero, at the top of an epoch, at the first
+# of the next, and at the last before exhaustion
+MIDSTATE_COUNTERS = (None, 0, 0xFFFF, 0x10000, (1 << 48) - 1)
+
+
+@pytest.mark.parametrize("path", ["scalar", "lanes"])
+@pytest.mark.parametrize("iv", MIDSTATE_COUNTERS,
+                         ids=["tkip", "0", "ffff", "10000", "max"])
+def test_midstate_tags_match_reference(rng, path, iv):
+    """A tag started from the header midstate equals the reference's tag
+    over the whole pseudo-header, at every padding phase and for a
+    maximum-size MSDU, one message at a time and across packed lanes."""
+    key, sa, da = rng.randbytes(8), rng.randbytes(6), rng.randbytes(6)
+    priority = rng.randrange(256)
+    midstate = michael_midstate(key, michael_header(sa, da, priority))
+    datas = [rng.randbytes(length) for length in [*range(65), 2304]]
+    counter = mic_counter(iv)
+    if path == "lanes":
+        tags = michael_mic_lanes(midstate, [(counter, data) for data in datas])
+    else:
+        tags = [michael_mic(midstate, counter, data) for data in datas]
+    assert tags == [ref_michael_mic(key, sa, da, priority, iv, data) for data in datas]
