@@ -72,10 +72,16 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _msdu_bytes(text: str) -> int:
-    value = int(text)
+    # argparse prints an ArgumentTypeError's message; any other error it
+    # reports under this function's name
+    error = argparse.ArgumentTypeError(
+        f"must be in 1..{codec.MSDU_MAX_BYTES}, got {text}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
     if not 1 <= value <= codec.MSDU_MAX_BYTES:
-        raise argparse.ArgumentTypeError(
-            f"must be in 1..{codec.MSDU_MAX_BYTES}, got {value}")
+        raise error
     return value
 
 

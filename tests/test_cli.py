@@ -68,6 +68,9 @@ def session_file(tmp_path):
     return write
 
 
+TABLE1_SHA256 = "ea72a7b0daa690082244adfbf052debc26bced2d09bcf66bd484f06a3e66ca49"
+
+
 def test_table1_writes_golden_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert main(["table1", "--csv", str(out)]) == 0
@@ -78,6 +81,7 @@ def test_table1_writes_golden_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "87668" in err            # the m=80 note is part of every run
     first = out.read_bytes()
+    assert hashlib.sha256(first).hexdigest() == TABLE1_SHA256
     assert main(["table1", "--csv", str(out)]) == 0
     assert out.read_bytes() == first
 
@@ -101,6 +105,34 @@ def test_seal_open_round_trip(tmp_path, session_file, mode):
     assert main(["open", "--config", cfg, "--in", str(sealed),
                  "--out", str(opened), "--msdu-bytes", "100"]) == 0
     assert opened.read_bytes() == payload.read_bytes()
+
+
+# SHA-256 of 20 full MSDUs sealed by `lotkip seal` at the default K and
+# fragmentation threshold
+LANES_SEALED_SHA256 = {
+    "tkip": "a10cf30702b150c00522c2cb4c7cda3db45ec585880879b9ec0998ac46b83e5c",
+    "lotkip": "48e0042ef82ae57fa580c6399482c4ff411e252f80b6e84c27d858fa5533d550",
+}
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_lanes_sealed_file_is_pinned(tmp_path, mode):
+    # 20 MSDUs seal and open in lanes; a lane kernel that erred the same way
+    # on both sides would still round-trip, so the sealed bytes are pinned
+    data = random.Random(1).randbytes(20 * 2304)
+    assert len(data) // 2304 >= LANES_MIN_MSDUS
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("tk = 000102030405060708090a0b0c0d0e0f\n"
+                   "mic_key_tx = 0011223344556677\nmic_key_rx = 0011223344556677\n"
+                   f"ta = 10:50:27:ab:9c:4d\nmode = {mode}\n")
+    payload, sealed, opened = (tmp_path / name for name in ("p.bin", "s.bin", "o.bin"))
+    payload.write_bytes(data)
+    assert main(["seal", "--config", str(cfg), "--in", str(payload),
+                 "--out", str(sealed)]) == 0
+    assert main(["open", "--config", str(cfg), "--in", str(sealed),
+                 "--out", str(opened)]) == 0
+    assert opened.read_bytes() == data
+    assert hashlib.sha256(sealed.read_bytes()).hexdigest() == LANES_SEALED_SHA256[mode]
 
 
 def test_one_config_seals_one_stream(tmp_path, session_file, capsys):
@@ -167,9 +199,7 @@ def test_mode_override(tmp_path, session_file):
 
 def test_energy_command(capsys):
     assert main(["energy", "--m", "256", "--case", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "cycles=1356683" in out
-    assert "compute_uJ=26862.3234" in out
+    assert capsys.readouterr().out == "cycles=1356683\ncompute_uJ=26862.3234\n"
     assert main(["energy", "--m", "32", "--case", "2", "--subsequent",
                  "--frame-bytes", "276"]) == 0
     out = capsys.readouterr().out
@@ -490,7 +520,7 @@ def test_numpy_loads_only_for_the_simulator_and_lanes(tmp_path, session_file):
         == "lotkip.netsim"
 
 
-def test_unknown_flags_rejected(tmp_path, session_file):
+def test_unknown_flags_rejected(tmp_path, session_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--bogus"])
     assert exc.value.code == 2
@@ -498,11 +528,13 @@ def test_unknown_flags_rejected(tmp_path, session_file):
         main(["unknown-command"])
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"x")
-    for command, msdu_bytes in (("seal", "0"), ("open", "-5"), ("seal", "2305")):
+    for command, msdu_bytes in (("seal", "0"), ("open", "-5"), ("seal", "2305"),
+                                ("seal", "abc")):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", session_file(), "--in", str(payload),
                   "--out", str(tmp_path / "o.bin"), "--msdu-bytes", msdu_bytes])
         assert exc.value.code == 2
+        assert "_msdu_bytes" not in capsys.readouterr().err
     # the session file sets the mode, the scenario file the scheme and
     # placement, and the cycle energy is the constant cost.CYCLE_ENERGY_UJ
     scenario = tmp_path / "scenario.cfg"
