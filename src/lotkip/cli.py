@@ -144,6 +144,8 @@ def cmd_energy(args: argparse.Namespace) -> int:
         "m": args.m, "case": args.case, "first_packet": first,
         "frame_bytes": args.frame_bytes,
     })
+    if args.subsequent and args.case != 2:
+        raise ValueError("--subsequent applies only to --case 2")
     cycles = cost.tkip_energy_cycles(args.m, case, first)
     energies = {"compute_uJ": cycles * cost.CYCLE_ENERGY_UJ}
     if args.frame_bytes is not None:

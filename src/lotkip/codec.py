@@ -13,9 +13,7 @@ trailer under its own per-packet RC4 seed.
 Open: the check pass is pure.  For each group of frames it checks layout,
 counter resolution, fragment counter continuity and the replay counter,
 against the window and epoch that the block's earlier groups would leave if
-they committed.  TKIP, as in 802.11, admits only a counter above the
-highest it has admitted; LOTKIP admits any counter its `ReplayWindow` does
-not reject.  The compute pass runs key mixing and RC4 for the groups
+they committed.  The compute pass runs key mixing and RC4 for the groups
 that passed, checks each fragment's CRC once, and derives the tags of the
 data groups.  Either pass stops at the first failure and records it instead
 of raising it.  The commit pass then walks the groups in order, reading the
@@ -46,11 +44,13 @@ Wire layouts (after the MAC header, which is not modeled):
   type B                      B0 B1 B2 B3  <ciphertext>
 
 with B0 = TSC1, B1 = (TSC1 | 0x20) & 0x7F, B2 = TSC0 (the WEP IV bytes the
-RC4 seed is required to start with), and the flags byte
-B3 = key_id << 6 | extiv << 5 | type_a << 4 | probe << 3; bits 0-2 are zero.
-Type A frames carry the full 48-bit counter; type B frames carry only its
-low 16 bits and the receiver supplies the upper bits from the last type A
-frame of the epoch.
+RC4 seed is required to start with), and the flags byte B3 = key_id << 6 |
+F, where F is 0x20 (baseline), 0x30 (type A), 0x38 (probe) or 0x00
+(type B).  Bit 5 of F marks the extended counter field TSC2..TSC5; a frame
+whose low six flag bits hold any other value is malformed.  Type A frames
+carry the full 48-bit counter; type B frames carry only its low 16 bits
+and the receiver supplies the upper bits from the last type A frame of the
+epoch.
 """
 
 from __future__ import annotations
@@ -187,7 +187,10 @@ _TYPE_A = FrameLayout.LOTKIP_TYPE_A
 _TYPE_B = FrameLayout.LOTKIP_TYPE_B
 _PROBE = FrameLayout.PROBE
 
-_EXTENDED_LAYOUTS = (_BASELINE, _TYPE_A, _PROBE)
+# The low six bits of each layout's flags byte; bit 5 marks the extended
+# counter field.
+_LAYOUT_FLAGS = {_BASELINE: 0x20, _TYPE_A: 0x30, _PROBE: 0x38, _TYPE_B: 0x00}
+_FLAGS_LAYOUT = {flags: layout for layout, flags in _LAYOUT_FLAGS.items()}
 
 
 @dataclass
@@ -209,12 +212,10 @@ class MpduFrame:
 
     def header(self) -> bytes:
         tsc1 = self.tsc_low >> 8
-        extiv = self.layout in _EXTENDED_LAYOUTS
-        type_a = self.layout in (_TYPE_A, _PROBE)
-        probe = self.layout is _PROBE
-        flags = (self.key_id << 6) | (extiv << 5) | (type_a << 4) | (probe << 3)
-        head = bytes((tsc1, (tsc1 | 0x20) & 0x7F, self.tsc_low & 0xFF, flags))
-        if extiv:
+        flags = _LAYOUT_FLAGS[self.layout]
+        head = bytes((tsc1, (tsc1 | 0x20) & 0x7F, self.tsc_low & 0xFF,
+                      self.key_id << 6 | flags))
+        if flags & 0x20:
             head += self.tsc_hi.to_bytes(4, "little")
         return head
 
@@ -228,31 +229,16 @@ def parse_frame(raw: bytes) -> MpduFrame:
     tsc1, check, tsc0, flags = raw[0], raw[1], raw[2], raw[3]
     if check != (tsc1 | 0x20) & 0x7F:
         raise MalformedFrame("WEP IV structure byte does not match")
-    if flags & 0x07:
-        raise MalformedFrame("reserved flag bits set")
-    key_id = flags >> 6
-    extiv = bool(flags & 0x20)
-    type_a = bool(flags & 0x10)
-    probe = bool(flags & 0x08)
-    if (probe or type_a) and not extiv:
-        raise MalformedFrame("type A and probe frames must carry the full counter")
+    layout = _FLAGS_LAYOUT.get(flags & 0x3F)
+    if layout is None:
+        raise MalformedFrame(f"invalid flags byte {flags:#04x}")
     tsc_low = (tsc1 << 8) | tsc0
-    if extiv:
-        if len(raw) < 8:
-            raise MalformedFrame("truncated extended counter field")
-        tsc_hi = int.from_bytes(raw[4:8], "little")
-        body = raw[8:]
-        if probe:
-            layout = _PROBE
-        elif type_a:
-            layout = _TYPE_A
-        else:
-            layout = _BASELINE
-    else:
-        tsc_hi = None
-        body = raw[4:]
-        layout = _TYPE_B
-    return MpduFrame(layout, key_id, tsc_low, tsc_hi, body)
+    if not flags & 0x20:
+        return MpduFrame(layout, flags >> 6, tsc_low, None, raw[4:])
+    if len(raw) < 8:
+        raise MalformedFrame("truncated extended counter field")
+    return MpduFrame(layout, flags >> 6, tsc_low, int.from_bytes(raw[4:8], "little"),
+                     raw[8:])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +705,7 @@ class SenderSession:
         for frames in allocs:
             out = []
             for tsc, layout, _ in frames:
-                hi = tsc >> 16 if layout in _EXTENDED_LAYOUTS else None
+                hi = None if layout is _TYPE_B else tsc >> 16
                 out.append(MpduFrame(layout, keys.key_id, tsc & 0xFFFF, hi, next(bodies)))
             sealed.append(out)
         return sealed

@@ -15,12 +15,13 @@ and masked away.  Every slot starts from the session's header midstate,
 so a lane absorbs only its counter, if any, and its data.  Phase 2 runs
 the scalar network `keymix._phase2_words` on uint16 arrays, one element
 per packet, so one pass of its fixed network of S-box lookups, adds and
-rotates derives every packet's seed.
-RC4 stays in numpy, one row of a uint8 array per lane, because each step
-gathers from every lane's own permutation.  The numpy kernels keep every
-operand in one dtype, or a Python int that fits it, so additions wrap as
-the algorithms require and the results do not depend on numpy's scalar
-casting rules (value-based before numpy 2, NEP 50 after).
+rotates derives every packet's seed, and hands RC4 all of them as one
+(packets, 16) uint8 array.  RC4 lanes take only such 16-byte per-packet
+seeds.  RC4 stays in numpy, one row of a uint8 array per lane, because
+each step gathers from every lane's own permutation.  The numpy kernels
+keep every operand in one dtype, or a Python int that fits it, so
+additions wrap as the algorithms require and the results do not depend on
+numpy's scalar casting rules (value-based before numpy 2, NEP 50 after).
 
 Each RC4 step and each packed Michael word carries a fixed interpreter
 overhead whatever the lane count, so a batch pays off only with many
@@ -37,10 +38,6 @@ import numpy as np
 
 from lotkip.crypto.keymix import TKIP_SBOX, _SBOX_SWAPPED, _phase2_words, _tk_words
 from lotkip.crypto.michael import _absorb
-
-# Michael builds its packed words this many steps at a time, so their
-# buffer stays O(lanes x chunk) whatever the message length.
-_CHUNK_STEPS = 64
 
 # The phase 2 S-box tables as arrays, so `_phase2_words` gathers all lanes'
 # substitutions with one index operation each.
@@ -111,13 +108,10 @@ def michael_mic_lanes(midstate: tuple[int, int],
             r &= m
             running = lanes
         step = 8 * lanes
-        for at in range(start, stop, _CHUNK_STEPS):
-            # one row of 64-bit slots per step, lane 0 first
-            chunk = np.ascontiguousarray(table[:lanes, at:min(at + _CHUNK_STEPS, stop)].T,
-                                         "<u8")
-            buf = chunk.data.cast("B")
-            l, r = _absorb(l, r, (int.from_bytes(buf[i:i + step], "little")
-                                  for i in range(0, len(buf), step)), m)
+        # one row of 64-bit slots per step, lane 0 first
+        buf = np.ascontiguousarray(table[:lanes, start:stop].T, "<u8").data.cast("B")
+        l, r = _absorb(l, r, (int.from_bytes(buf[i:i + step], "little")
+                              for i in range(0, len(buf), step)), m)
     _read_tags(tags, order, l, r, 0, running)
     return tags
 
@@ -132,15 +126,16 @@ def _read_tags(tags: list[bytes], order: list[int], l: int, r: int,
 
 
 def phase2_mix_lanes(ttaks: Sequence[tuple[int, ...]], tk: bytes,
-                     tsc_los: Sequence[int]) -> list[bytes]:
-    """`phase2_mix(ttak, tk, tsc_lo)` for every (ttak, tsc_lo) pair.  Each
-    pair has its own phase 1 key, so one call may span counter epochs."""
+                     tsc_los: Sequence[int]) -> np.ndarray:
+    """A (pairs, 16) uint8 array whose row n is the bytes of
+    `phase2_mix(ttaks[n], tk, tsc_los[n])`.  Each pair has its own phase 1
+    key, so one call may span counter epochs."""
     k = _tk_words(tk)
     count = len(tsc_los)
     if len(ttaks) != count:
         raise ValueError("one ttak per tsc_lo is required")
     if count == 0:
-        return []
+        return np.empty((0, 16), np.uint8)
     words = np.array(ttaks, dtype=np.int64)
     lows = np.array(tsc_los, dtype=np.int64)
     if words.shape != (count, 5):
@@ -151,25 +146,20 @@ def phase2_mix_lanes(ttaks: Sequence[tuple[int, ...]], tk: bytes,
     seeds = _phase2_words(words.T.astype(np.uint16), k, lows.astype(np.uint16),
                           _SBOX_LO, _SBOX_HI)
     # one row of eight little-endian words per lane: its 16-byte seed
-    buf = np.stack(seeds, axis=1).astype("<u2", copy=False).tobytes()
-    return [buf[at:at + 16] for at in range(0, len(buf), 16)]
+    return np.stack(seeds, axis=1).astype("<u2").view(np.uint8)
 
 
-def rc4_apply_lanes(seeds: Sequence[bytes], datas: Sequence[bytes]) -> list[bytes]:
-    """`rc4_apply(seed, data)` for every (seed, data) pair."""
-    if len(seeds) != len(datas):
-        raise ValueError("one seed per data buffer is required")
-    for seed in seeds:
-        if not 1 <= len(seed) <= 256:
-            raise ValueError(f"RC4 key length must be in 1..256, got {len(seed)}")
+def rc4_apply_lanes(seeds: np.ndarray, datas: Sequence[bytes]) -> list[bytes]:
+    """`rc4_apply(bytes(seeds[n]), datas[n])` for every data buffer, from
+    a (len(datas), 16) uint8 array of per-packet seeds."""
     count = len(datas)
+    if seeds.shape != (count, 16) or seeds.dtype != np.uint8:
+        raise ValueError("one 16-byte uint8 seed row per data buffer is required")
     if count == 0:
         return []
     order = sorted(range(count), key=lambda n: len(datas[n]), reverse=True)
     lengths = [len(datas[n]) for n in order]
     width = lengths[0]
-    if width == 0:
-        return [b""] * count
 
     # state[lane, v] is the lane's permutation, at flat index lane*256 + v.
     # The RC4 indices j and S[i] + S[j] are kept as those flat indices:
@@ -184,10 +174,8 @@ def rc4_apply_lanes(seeds: Sequence[bytes], datas: Sequence[bytes]) -> list[byte
     t_at = j_at.copy()
     j, t = _low_byte(j_at), _low_byte(t_at)
     sj = np.empty(count, dtype=np.uint8)
-    # row i of the schedule is key byte i % keylen of every lane
-    key_rows = b"".join((seeds[n] * (256 // len(seeds[n]) + 1))[:256] for n in order)
-    schedule = np.ascontiguousarray(
-        np.frombuffer(key_rows, np.uint8).reshape(count, 256).T)
+    # row i of the schedule is seed byte i % 16 of every lane
+    schedule = np.tile(seeds[order].T, (16, 1))
     # a contiguous copy of S[i]: numpy adds and scatters from it faster
     # than from the strided column
     si = np.empty_like(sj)

@@ -214,7 +214,11 @@ def test_energy_command(capsys):
     (["--m", "16", "--frame-bytes", "-1"],
      ["lotkip energy: m=16 case=1 first_packet=True frame_bytes=-1",
       "ValueError: size must be non-negative"]),
-], ids=["m-0", "frame-bytes-neg"])
+    # the first-packet value is the only one case 1 has
+    (["--m", "64", "--case", "1", "--subsequent"],
+     ["lotkip energy: m=64 case=1 first_packet=False frame_bytes=None",
+      "ValueError: --subsequent applies only to --case 2"]),
+], ids=["m-0", "frame-bytes-neg", "subsequent-case-1"])
 def test_energy_rejects_bad_m(capsys, flags, err):
     # the settings line comes first, as in every subcommand, then the
     # error; every value is checked before anything goes to stdout

@@ -135,6 +135,19 @@ def test_parse_rejects_malformed():
     truncated_ext = good[:6]                        # extended header cut off
     with pytest.raises(MalformedFrame):
         parse_frame(truncated_ext)
+    # the low six bits of the flags byte are one of the four that `header`
+    # writes, under any key ID; every other flags byte is malformed
+    valid = {0x20: FrameLayout.TKIP_BASELINE, 0x30: FrameLayout.LOTKIP_TYPE_A,
+             0x38: FrameLayout.PROBE, 0x00: FrameLayout.LOTKIP_TYPE_B}
+    for flags in range(256):
+        raw = good[:3] + bytes((flags,)) + good[4:]
+        if flags & 0x3F in valid:
+            frame = parse_frame(raw)
+            assert (frame.layout, frame.key_id) == (valid[flags & 0x3F], flags >> 6)
+            assert frame.raw() == raw
+        else:
+            with pytest.raises(MalformedFrame):
+                parse_frame(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +841,10 @@ def test_parse_session_config_errors():
         with pytest.raises(CodecError):
             parse_session_config(base + line + "\n")
     assert parse_session_config(base).mode == "tkip"
+    # every field left out takes its dataclass default
+    assert parse_session_config(base) == SessionConfig(
+        keys=SessionKeys(tk=bytes(16), mic_key_tx=bytes(8), mic_key_rx=bytes(8),
+                         ta=bytes(6)))
 
 
 def test_sessions_round_trip_both_modes(rng):
@@ -1004,30 +1021,41 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
 def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
     """Below LANES_MIN_MSDUS MSDUs nothing runs in lanes; from it on every
-    tag, seed and body comes from the lanes, so no prediction missed.  The
-    block spans two counter epochs."""
+    tag, seed and body comes from the lanes, so no prediction missed, and
+    seal and open each call every lane kernel by its module-level name
+    once per block.  The block spans two counter epochs."""
     import lotkip.codec as codec
     import lotkip.crypto.lanes as lanes
+
+    kernels = ("michael_mic_lanes", "phase2_mix_lanes", "rc4_apply_lanes")
+    calls = dict.fromkeys(kernels, 0)
 
     def fail(*args):
         raise AssertionError("unexpected call")
 
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
     cfg = config(mode, refresh_interval=3)
     for count in (LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS):
         msdus = [rng.randbytes(rng.randrange(600)) for _ in range(count)]
+        lanes_on = count >= LANES_MIN_MSDUS
         with monkeypatch.context() as patch:
-            if count >= LANES_MIN_MSDUS:
-                patch.setattr(codec, "michael_mic", fail)
-                patch.setattr(codec, "rc4_apply", fail)
-                patch.setattr(codec, "phase2_mix", fail)
-            else:
-                patch.setattr(lanes, "michael_mic_lanes", fail)
-                patch.setattr(lanes, "rc4_apply_lanes", fail)
-                patch.setattr(lanes, "phase2_mix_lanes", fail)
+            if lanes_on:
+                for name in ("michael_mic", "rc4_apply", "phase2_mix"):
+                    patch.setattr(codec, name, fail)
+            for name in kernels:
+                patch.setattr(lanes, name,
+                              counted(name, getattr(lanes, name)) if lanes_on else fail)
             sender = SenderSession(cfg)
             sender.next_tsc = EPOCH_FRAMES - 5
             groups = sender.seal_many(msdus)
+            assert calls == dict.fromkeys(kernels, int(lanes_on))
             assert ReceiverSession(cfg).open_many(groups) == msdus
+            assert calls == dict.fromkeys(kernels, 2 * lanes_on)
 
 
 def test_seal_many_keeps_tags_and_bodies_apart(rng):

@@ -5,6 +5,7 @@ and without the counter, and phase 1 keys of two epochs in one call."""
 
 import struct
 
+import numpy as np
 import pytest
 
 from lotkip.codec import LANES_BLOCK_MSDUS
@@ -116,10 +117,11 @@ def test_michael_lanes_match_scalar_and_reference(rng, count, build, state):
 
 @pytest.mark.parametrize("count", LANE_COUNTS)
 def test_rc4_lanes_match_scalar_and_reference(rng, count):
-    # 16-byte per-packet seeds, plus the shortest and longest keys
-    seeds = [rng.randbytes((16, 16, 1, 256, 5)[lane % 5]) for lane in range(count)]
+    # one 16-byte per-packet seed per lane
+    rows = np.frombuffer(rng.randbytes(16 * count), np.uint8).reshape(count, 16)
+    seeds = [bytes(row) for row in rows]
     datas = [rng.randbytes(_length(rng, lane)) for lane in range(count)]
-    outs = rc4_apply_lanes(seeds, datas)
+    outs = rc4_apply_lanes(rows, datas)
     assert outs == [rc4_apply(seed, data) for seed, data in zip(seeds, datas)]
     for seed, data, out in list(zip(seeds, datas, outs))[:12]:
         assert out == ref_rc4(seed, data)
@@ -144,7 +146,9 @@ def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
         # lane 0 takes each edge value in turn; 300 lanes also take them all
         tsc_los = [first] + [TSC_LO_EDGES[lane - 1] if lane <= len(TSC_LO_EDGES)
                              else rng.randrange(1 << 16) for lane in range(1, count)]
-        seeds = phase2_mix_lanes(ttaks, tk, tsc_los)
+        rows = phase2_mix_lanes(ttaks, tk, tsc_los)
+        assert rows.shape == (count, 16) and rows.dtype == np.uint8
+        seeds = [bytes(row) for row in rows]
         assert seeds == [phase2_mix(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
         assert seeds == [ref_phase2(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
 
@@ -152,18 +156,17 @@ def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
 def test_lanes_edge_inputs(rng):
     midstate = michael_midstate(rng.randbytes(8), michael_header(bytes(6), bytes(6), 0))
     assert michael_mic_lanes(midstate, []) == []
-    assert rc4_apply_lanes([], []) == []
-    assert rc4_apply_lanes([b"k", b"key"], [b"", b""]) == [b"", b""]
+    assert rc4_apply_lanes(np.empty((0, 16), np.uint8), []) == []
+    assert rc4_apply_lanes(np.zeros((2, 16), np.uint8), [b"", b""]) == [b"", b""]
     for bad in ((1 << 32, 0), (0, -1)):
         with pytest.raises(ValueError):
             michael_mic_lanes(bad, [(b"", b"x")])
-    with pytest.raises(ValueError):
-        rc4_apply_lanes([b"k"], [b"a", b"b"])
-    for bad in (b"", bytes(257)):
+    for bad in (np.zeros((1, 16), np.uint8), np.zeros((2, 15), np.uint8),
+                np.zeros((2, 16), np.uint16)):
         with pytest.raises(ValueError):
-            rc4_apply_lanes([b"k", bad], [b"a", b"b"])
+            rc4_apply_lanes(bad, [b"a", b"b"])
     tk, ttak = rng.randbytes(16), (1, 2, 3, 4, 5)
-    assert phase2_mix_lanes([], tk, []) == []
+    assert phase2_mix_lanes([], tk, []).shape == (0, 16)
     for ttaks, tk_, tsc_los in (([ttak], tk, [0, 1]), ([ttak], bytes(15), [0]),
                                 ([ttak[:4]], tk, [0]), ([ttak, ttak[:4]], tk, [0, 1]),
                                 ([(1, 2, 3, 4, 0x10000)], tk, [0]),

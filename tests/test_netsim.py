@@ -721,6 +721,8 @@ def test_parse_scenario_config_defaults_and_errors():
     topo_cfgs, traffic = parse_scenario_config("")
     assert len(topo_cfgs) == 1 and topo_cfgs[0].placement == "grid"
     assert traffic.packet_sizes == DEFAULT_PACKET_SIZES
+    # every field left out takes its dataclass default
+    assert (topo_cfgs, traffic) == ([TopologyConfig()], TrafficConfig())
     with pytest.raises(ScenarioError):
         parse_scenario_config("bogus_key = 1")
     with pytest.raises(ScenarioError):
