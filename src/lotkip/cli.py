@@ -116,6 +116,8 @@ def cmd_open(args: argparse.Namespace) -> int:
     })
     _check_output(args.out)
     frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
+    if not frames:                  # seal writes a frame even for no payload
+        raise codec.MalformedFrame("empty container")
     per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
     groups = []
     pos = 0

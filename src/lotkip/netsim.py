@@ -35,11 +35,16 @@ topologies set their states on the call's one generator; each pair is
 drawn in pure Python from its stream's 32-bit PCG64 words
 (`_pcg64_words`), bounded as numpy's `Generator.integers` bounds them.  It
 decides topologies in chunks of as many scenarios as fit in
-`TOPOLOGY_PAIR_BUDGET` station pairs.  What no seed changes is made once
-per call and handed to every chunk: the i<j pair indices, a grid's
-positions and pair classes (`_fixed_links`), the generator, and each
-(scheme, P) role rate.  So its memory does not grow with the scenario
-count: O(budget) per chunk, plus one batch's seed states, plus the call's
+`TOPOLOGY_PAIR_BUDGET` station pairs, and takes a chunk's float pair
+offsets in blocks of at most `PAIR_BLOCK` = 2^13 pairs (`_pair_classes`).
+A 64 KB block stays on the allocator's heap and in cache; a whole chunk's
+offsets do not, and fault their pages in again for every chunk: 530-570
+minor page faults per paper-scenario `lotkip sim` call, against 0-9 with
+blocks.  What no seed changes is made once per call and handed to every
+chunk: the i<j pair indices, a grid's positions and pair classes
+(`_fixed_links`), the generator, and each (scheme, P) role rate.  So its
+memory does not grow with the scenario count: O(budget) per chunk, O(2^13)
+per block of float offsets, plus one batch's seed states, plus the call's
 pair indices and grid classes, O(n^2).  From n = 256 stations a chunk
 holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix take
 O(n^2) too.  No cache outlives a call.
@@ -72,6 +77,9 @@ SCHEMES = ("tkip", "lotkip")
 # Station pairs `run_experiment` decides in one chunk of scenarios; see
 # `_scenarios_per_chunk`.
 TOPOLOGY_PAIR_BUDGET = 1 << 15
+# Station pairs `_pair_classes` offsets and classes at a time: 64 KB per
+# float64 array, small enough to stay on the allocator's heap and in cache.
+PAIR_BLOCK = 1 << 13
 # Scenarios whose seeds `run_experiment` hashes in one `_pcg64_states` call,
 # rounded up to whole chunks: a call costs ~100 us however few seeds it has.
 _SEED_BATCH = 256
@@ -294,12 +302,30 @@ def _pair_classes(cfg: TopologyConfig, xy: np.ndarray,
                   pairs: tuple[np.ndarray, np.ndarray]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_link_classes` of the i<j ``pairs`` of each row of station positions
-    ``xy`` (rows x n x 2), flat and row-major."""
+    ``xy`` (rows x n x 2), flat and row-major.
+
+    Offsets are taken and classed in blocks of at most `PAIR_BLOCK` pairs:
+    whole rows while they fit, else consecutive slices of one row's pairs.
+    The blocks' results are joined in row-major order, so they equal one
+    `_link_classes` call on all the offsets, bit for bit.  A block's float
+    arrays take at most 64 KB, which the allocator reuses from its heap and
+    the cache still holds.  A whole 26-scenario chunk's offsets, 239 KB per
+    array, go back to the system after every chunk and are faulted in again
+    by the next: 530-570 minor page faults per paper-scenario `lotkip sim`
+    call, against 0-9 with blocks."""
     i, j = pairs
     x, y = xy.transpose(2, 0, 1)
-    return _link_classes(x.take(i, axis=1) - x.take(j, axis=1),
-                         y.take(i, axis=1) - y.take(j, axis=1),
-                         cfg.radio_range, cfg.alpha * cfg.radio_range)
+    rows_per_block = max(1, PAIR_BLOCK // i.size)
+    step = min(i.size, PAIR_BLOCK)
+    parts = []
+    for row in range(0, len(xy), rows_per_block):
+        xs, ys = x[row:row + rows_per_block], y[row:row + rows_per_block]
+        for lo in range(0, i.size, step):
+            a, b = i[lo:lo + step], j[lo:lo + step]
+            parts.append(_link_classes(xs.take(a, axis=1) - xs.take(b, axis=1),
+                                       ys.take(a, axis=1) - ys.take(b, axis=1),
+                                       cfg.radio_range, cfg.alpha * cfg.radio_range))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _fixed_links(cfg: TopologyConfig, pairs: tuple[np.ndarray, np.ndarray]

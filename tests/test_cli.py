@@ -172,6 +172,17 @@ def test_open_names_failed_check(tmp_path, session_file, capsys):
     assert "IcvMismatch" in capsys.readouterr().err
 
 
+def test_open_rejects_empty_container(tmp_path, session_file, capsys):
+    # seal writes one frame for an empty payload, so no container is empty
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    out = tmp_path / "o.bin"
+    assert main(["open", "--config", session_file("tkip"), "--in", str(empty),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "MalformedFrame: empty container"
+    assert not out.exists()
+
+
 def test_lotkip_seal_refresh_fraction(tmp_path, session_file):
     payload = tmp_path / "p.bin"
     payload.write_bytes(bytes(1000))

@@ -217,6 +217,34 @@ def test_link_classes_exact_at_thresholds(r, alpha):
     assert np.array_equal(prob, (r - hypot[band]) / (r - near))
 
 
+@pytest.mark.parametrize("rows, n, blocks", [
+    (26, 49, 5),        # blocks of up to six whole scenarios, 7 056 pairs
+    (1, 200, 3),        # one scenario's 19 900 pairs in slices of 8 192
+])
+def test_pair_classes_blocks_equal_one_block(monkeypatch, rows, n, blocks):
+    cfg = TopologyConfig(node_count=n, placement="random")
+    xy = np.random.default_rng(n).random((rows, n, 2)) * (cfg.area_w, cfg.area_h)
+    i, j = pairs = np.triu_indices(n, 1)
+    x, y = xy.transpose(2, 0, 1)
+    expected = netsim._link_classes(x.take(i, axis=1) - x.take(j, axis=1),
+                                    y.take(i, axis=1) - y.take(j, axis=1),
+                                    cfg.radio_range, cfg.alpha * cfg.radio_range)
+    sizes = []
+    link_classes = netsim._link_classes
+
+    def counting(dx, dy, r, near):
+        sizes.append(dx.size)
+        return link_classes(dx, dy, r, near)
+
+    monkeypatch.setattr(netsim, "_link_classes", counting)
+    got = netsim._pair_classes(cfg, xy, pairs)
+    assert len(sizes) == blocks and max(sizes) <= netsim.PAIR_BLOCK
+    assert sum(sizes) == rows * i.size and expected[2].size > 0
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_topology_respects_link_rules():
     topo = generate_topology(TopologyConfig(placement="random", seed=3))
     cfg = TopologyConfig(placement="random", seed=3)
@@ -638,7 +666,7 @@ def test_seed_free_work_runs_once_per_call(monkeypatch):
     # role rate, depend on no seed, so one call makes each of them once,
     # while each random chunk classes its own pairs
     assert netsim._scenarios_per_chunk(49) == 26
-    calls = {"_grid_positions": 0, "_link_classes": 0, "_role_rates": 0}
+    calls = {"_grid_positions": 0, "_pair_classes": 0, "_role_rates": 0}
 
     def counting(name):
         original = getattr(netsim, name)
@@ -653,7 +681,7 @@ def test_seed_free_work_runs_once_per_call(monkeypatch):
     cfgs = [TopologyConfig(placement=pl, seed=3) for pl in ("grid", "random")]
     traffic = _small_traffic(scenario_count=79, packet_sizes=(256, 512, 1024))
     run_experiment(cfgs, traffic)
-    assert calls == {"_grid_positions": 1, "_link_classes": 1 + 4,
+    assert calls == {"_grid_positions": 1, "_pair_classes": 1 + 4,
                      "_role_rates": len(traffic.schemes) * len(traffic.packet_sizes)}
 
 
