@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from lotkip.crypto.keymix import TKIP_SBOX, _SBOX_SWAPPED, _phase2_words, _tk_words
-from lotkip.crypto.michael import _absorb
+from lotkip.crypto.michael import _PAD, _absorb
 
 # The phase 2 S-box tables as arrays, so `_phase2_words` gathers all lanes'
 # substitutions with one index operation each.
@@ -85,9 +85,9 @@ def michael_mic_lanes(midstate: tuple[int, int],
         raise ValueError("Michael midstate must be two 32-bit words")
     if not messages:
         return []
-    rows = [(counter, data, b"\x5a") for counter, data in messages]
-    # michael_pad: 0x5a, zeros to a word boundary, then one all-zero word
-    words = [(len(c) + len(d) + 4) // 4 + 1 for c, d, _ in rows]
+    rows = [(counter, data, _PAD[(len(counter) + len(data)) & 3])
+            for counter, data in messages]
+    words = [sum(map(len, row)) >> 2 for row in rows]
     order = sorted(range(len(rows)), key=words.__getitem__, reverse=True)
     width = words[order[0]]
     count = len(order)
@@ -98,6 +98,7 @@ def michael_mic_lanes(midstate: tuple[int, int],
     # midstate; bits 64n+32..64n+63 are its guard, zero outside `_absorb`
     ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * count, "little")
     l, r, m = l0 * ones, r0 * ones, 0xFFFFFFFF * ones
+    hi, lo = 0xFF00FF00 * ones, 0x00FF00FF * ones
     tags = [b""] * count
     running = count
     for start, stop, lanes in _segments([words[n] for n in order]):
@@ -111,7 +112,7 @@ def michael_mic_lanes(midstate: tuple[int, int],
         # one row of 64-bit slots per step, lane 0 first
         buf = np.ascontiguousarray(table[:lanes, start:stop].T, "<u8").data.cast("B")
         l, r = _absorb(l, r, (int.from_bytes(buf[i:i + step], "little")
-                              for i in range(0, len(buf), step)), m)
+                              for i in range(0, len(buf), step)), m, hi, lo)
     _read_tags(tags, order, l, r, 0, running)
     return tags
 

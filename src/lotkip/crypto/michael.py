@@ -1,9 +1,10 @@
 """Michael 64-bit message integrity code.
 
-The tag is computed over a pseudo-header (source address, destination
+The tag is computed over a pseudo-header (destination address, source
 address, priority byte, three zero bytes, and in the low-overhead mode the
 48-bit packet counter) followed by the payload, padded with 0x5a and zeros
-so the word stream always ends in exactly one all-zero word.
+so the word stream always ends in exactly one all-zero word.  The round and
+the header order are 802.11's: the standard's chained test vectors pin them.
 
 The fixed part of the pseudo-header is 16 bytes, four whole words, and the
 same for every MSDU of a session.  So Michael's (L, R) state after the key
@@ -25,22 +26,25 @@ _HEADER = struct.Struct("<4I")
 _PAD = tuple(b"\x5a" + bytes(7 - n) for n in range(4))
 
 
-def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF) -> tuple[int, int]:
-    """XOR each word into L and run the b() mixing round: rotates, a
-    half-word swap, and mod-2^32 adds.  The only copy of the round.
+def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF, hi: int = 0xFF00FF00,
+            lo: int = 0x00FF00FF) -> tuple[int, int]:
+    """XOR each word into L and run the b() mixing round: rotates, XSWAP
+    (the two bytes of each 16-bit half swapped), and mod-2^32 adds.  The
+    only copy of the round.
 
-    With the default mask L, R and the words are 32-bit values.
+    With the default masks L, R and the words are 32-bit values.
     `lotkip.crypto.lanes` passes many lanes packed into one integer, each
-    a 64-bit slot of 32 value bits under 32 zero guard bits, and `m` with
-    0xFFFFFFFF in every slot: a carry or a shifted-out bit lands in a
-    guard, which `& m` clears, and a right shift pulls in only zero
-    guards, so every slot runs the 32-bit round on its own.
+    a 64-bit slot of 32 value bits under 32 zero guard bits, and the masks
+    repeated in every slot: a carry or a shifted-out bit lands in a guard,
+    which `& m` or XSWAP's `& hi` clears, and a right shift pulls in only
+    zero guards, or for XSWAP the next slot's low byte, which `& lo`
+    clears, so every slot runs the 32-bit round on its own.
     """
     for word in words:
         l ^= word
         r ^= ((l << 17) | (l >> 15)) & m
         l = (l + r) & m
-        r ^= ((l << 16) | (l >> 16)) & m
+        r ^= ((l << 8) & hi) | ((l >> 8) & lo)
         l = (l + r) & m
         r ^= ((l << 3) | (l >> 29)) & m
         l = (l + r) & m
@@ -67,12 +71,13 @@ def michael_key_words(key: bytes) -> tuple[int, int]:
 
 
 def michael_header(sa: bytes, da: bytes, priority: int) -> bytes:
-    """The pseudo-header's 16 fixed bytes: SA || DA || priority || 0 0 0."""
+    """The pseudo-header's 16 fixed bytes: DA || SA || priority || 0 0 0,
+    as 802.11 (and Linux mac80211's ``michael_mic_hdr``) orders them."""
     if len(sa) != 6 or len(da) != 6:
         raise ValueError("sa and da must be 6 bytes each")
     if not 0 <= priority <= 0xFF:
         raise ValueError("priority must fit in one byte")
-    return bytes((*sa, *da, priority, 0, 0, 0))
+    return bytes((*da, *sa, priority, 0, 0, 0))
 
 
 def michael_midstate(key: bytes, header: bytes) -> tuple[int, int]:

@@ -8,8 +8,8 @@ i<j row-major order, so the links equal those of `link_decide` called
 pair by pair on hypot distances.  Squared offsets decide the pairs well
 inside alpha*R or beyond R; hypot runs only on the band and on the pairs
 within a relative 1e-9 of either squared threshold (`_link_classes`).  A
-topology keeps its links as one integer bit mask per station, bit j set
-when the station is linked to station j.
+topology is its links and nothing else: a list of one integer bit mask per
+station, bit j set when the station is linked to station j.
 
 Traffic scenarios pick random connected source/destination pairs and push
 a stream of fixed-size packets along the min-hop route that `route`
@@ -41,13 +41,13 @@ A 64 KB block stays on the allocator's heap and in cache; a whole chunk's
 offsets do not, and fault their pages in again for every chunk: 530-570
 minor page faults per paper-scenario `lotkip sim` call, against 0-9 with
 blocks.  What no seed changes is made once per call and handed to every
-chunk: the i<j pair indices, a grid's positions and pair classes
-(`_fixed_links`), the generator, and each (scheme, P) role rate.  So its
-memory does not grow with the scenario count: O(budget) per chunk, O(2^13)
-per block of float offsets, plus one batch's seed states, plus the call's
-pair indices and grid classes, O(n^2).  From n = 256 stations a chunk
-holds one scenario, whose n(n-1)/2 pairs and n x n adjacency matrix take
-O(n^2) too.  No cache outlives a call.
+chunk: the i<j pair indices, a grid's pair classes (`_fixed_links`), the
+generator, and each (scheme, P) role rate.  So its memory does not grow
+with the scenario count: O(budget) per chunk, O(2^13) per block of float
+offsets, plus one batch's seed states, plus the call's pair indices and
+grid classes, O(n^2).  From n = 256 stations a chunk holds one scenario,
+whose n(n-1)/2 pairs and n x n adjacency matrix take O(n^2) too.  No
+cache outlives a call.
 """
 
 from __future__ import annotations
@@ -120,19 +120,6 @@ class TopologyConfig:
         # numpy seeds a generator only from non-negative integers
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-class Topology:
-    """Station positions, in meters, and links: bit j of ``masks[i]`` is
-    set when stations i and j are linked."""
-
-    def __init__(self, positions: np.ndarray, masks: list[int]) -> None:
-        self.positions = positions
-        self.masks = masks
-
-    @property
-    def node_count(self) -> int:
-        return len(self.masks)
 
 
 def link_decide(dist: float, radio_range: float, alpha: float,
@@ -329,23 +316,25 @@ def _pair_classes(cfg: TopologyConfig, xy: np.ndarray,
 
 
 def _fixed_links(cfg: TopologyConfig, pairs: tuple[np.ndarray, np.ndarray]
-                 ) -> Optional[tuple[np.ndarray, tuple]]:
-    """What no seed changes in the topologies of ``cfg``: for a grid, its
-    positions and the `_pair_classes` of its ``pairs``; None for a random
-    placement."""
+                 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """What no seed changes in the topologies of ``cfg``: for a grid, the
+    `_pair_classes` of its ``pairs``; None for a random placement.  The
+    grid's positions are not kept."""
     if cfg.placement != "grid":
         return None
-    positions = _grid_positions(cfg)
-    return positions, _pair_classes(cfg, positions[None], pairs)
+    return _pair_classes(cfg, _grid_positions(cfg)[None], pairs)
 
 
 def _decide_topologies(cfg: TopologyConfig, states: list[dict],
                        rng: np.random.Generator,
                        pairs: tuple[np.ndarray, np.ndarray],
-                       fixed: Optional[tuple[np.ndarray, tuple]]) -> list[Topology]:
-    """The topology of ``cfg`` under each seed's PCG64 state (`_pcg64_states`),
-    all seeds' pairs at once: ``pairs`` holds the i<j station indices, and
-    ``fixed`` is `_fixed_links` of ``cfg`` and ``pairs``.
+                       fixed: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                       ) -> list[list[int]]:
+    """The link masks of ``cfg``'s topology under each seed's PCG64 state
+    (`_pcg64_states`), all seeds' pairs at once: ``pairs`` holds the i<j
+    station indices, and ``fixed`` is `_fixed_links` of ``cfg`` and
+    ``pairs``.  A topology is its list of n masks, bit j of ``masks[i]``
+    set when stations i and j are linked; no positions are kept.
 
     Each seed's stream is drawn exactly as if its topology were decided
     alone: the random positions first, then one draw per band pair in i<j
@@ -375,9 +364,7 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict],
         linked, band, prob = _pair_classes(cfg, np.stack(positions), pairs)
         skip = 2 * n
     else:
-        grid, classes = fixed
-        positions = [grid] * count
-        linked, band, prob = (np.tile(a, count) for a in classes)
+        linked, band, prob = (np.tile(a, count) for a in fixed)
         skip = 0
     draws = []
     for state, k in zip(states, band.reshape(count, size).sum(axis=1).tolist()):
@@ -396,12 +383,12 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict],
     adjacent[(s * n + u) * n + v] = True
     adjacent[(s * n + v) * n + u] = True
     masks = _link_masks(adjacent.reshape(count * n, n))
-    return [Topology(pos, masks[s * n:(s + 1) * n])
-            for s, pos in enumerate(positions)]
+    return [masks[s * n:(s + 1) * n] for s in range(count)]
 
 
-def generate_topology(cfg: TopologyConfig) -> Topology:
-    """Place the stations, then decide every i<j pair at once, drawing as
+def generate_topology(cfg: TopologyConfig) -> list[int]:
+    """The link masks of ``cfg``'s topology: place the stations, then
+    decide every i<j pair at once, drawing as
     ``np.random.default_rng(cfg.seed)`` would.  `run_experiment` decides
     scenario s's topology the same way, from stream ``(seed, s, 0)`` of the
     one scenario seed; the scenario's pair draws from ``(seed, s, 1)``."""
@@ -411,8 +398,9 @@ def generate_topology(cfg: TopologyConfig) -> Topology:
                               _fixed_links(cfg, pairs))[0]
 
 
-def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
-    """Minimum-hop path, or None if the pair is disconnected.
+def route(masks: list[int], src: int, dst: int) -> Optional[list[int]]:
+    """Minimum-hop path over a topology's link ``masks``, or None if the
+    pair is disconnected.
 
     Breadth first from ``src``: stations leave the queue in the order they
     joined it, and each joins it once, from the first station it is
@@ -422,7 +410,6 @@ def route(topology: Topology, src: int, dst: int) -> Optional[list[int]]:
     joins, so the search stops when ``dst`` would join."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    masks = topology.masks
     parent = [src] * len(masks)
     reached = 1 << src
     target = 1 << dst
@@ -566,21 +553,21 @@ def _draw_below(words: Iterator[int], n: int) -> int:
     return m >> 32
 
 
-def _sample_pair(topology: Topology, words: Iterator[int]) -> list[int]:
-    """The route between the first linked pair of distinct stations drawn
-    from the 32-bit ``words`` of a PCG64 stream (`_pcg64_words`), in at most
-    `_PAIR_DRAWS` draws.
+def _sample_pair(masks: list[int], words: Iterator[int]) -> list[int]:
+    """The route over link ``masks`` between the first linked pair of
+    distinct stations drawn from the 32-bit ``words`` of a PCG64 stream
+    (`_pcg64_words`), in at most `_PAIR_DRAWS` draws.
 
     Source and destination are each drawn as ``int(rng.integers(n))`` draws
     them from that stream's generator: numpy's Lemire bound for n <= 2**32
     (`_draw_below`), which every topology that can be decided meets."""
-    n = topology.node_count
+    n = len(masks)
     for _ in range(_PAIR_DRAWS):
         src = _draw_below(words, n)
         dst = _draw_below(words, n)
         if src == dst:
             continue
-        path = route(topology, src, dst)
+        path = route(masks, src, dst)
         if path is not None:
             return path
     raise ScenarioError("no connected node pair found after bounded resampling")
@@ -632,11 +619,11 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
             for c in range(0, len(scenarios), chunk):
                 topologies = _decide_topologies(cfg, topo_states[c:c + chunk],
                                                 rng, pairs, links)
-                for s, topology, state in zip(scenarios[c:c + chunk], topologies,
-                                              pair_states[c:c + chunk]):
+                for s, masks, state in zip(scenarios[c:c + chunk], topologies,
+                                           pair_states[c:c + chunk]):
                     words = _pcg64_words(state["state"]["state"], state["state"]["inc"])
                     try:
-                        path = _sample_pair(topology, words)
+                        path = _sample_pair(masks, words)
                     except ScenarioError as exc:
                         raise ScenarioError(f"scenario {s} ({cfg.placement} placement, "
                                             f"seed {seed}): {exc}") from exc

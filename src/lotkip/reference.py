@@ -24,7 +24,7 @@ def ref_michael_b(l: int, r: int) -> tuple[int, int]:
     """The b() mixing round, written out step by step."""
     r = r ^ (((l << 17) | (l >> 15)) & MASK32)
     l = (l + r) & MASK32
-    r = r ^ (((l & 0xFFFF) << 16) | (l >> 16))
+    r = r ^ (((l & 0x00FF00FF) << 8) | ((l & 0xFF00FF00) >> 8))
     l = (l + r) & MASK32
     r = r ^ (((l << 3) | (l >> 29)) & MASK32)
     l = (l + r) & MASK32
@@ -47,10 +47,10 @@ def ref_michael_pad(message: bytes) -> list[int]:
 
 def ref_michael_mic(key: bytes, sa: bytes, da: bytes, priority: int,
                     iv: int | None, data: bytes) -> bytes:
-    """Tag over sa || da || priority || 3 zero bytes || [iv] || data."""
+    """Tag over da || sa || priority || 3 zero bytes || [iv] || data."""
     message = bytearray()
-    message += sa
     message += da
+    message += sa
     message.append(priority)
     message += b"\x00\x00\x00"
     if iv is not None:

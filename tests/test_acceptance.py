@@ -9,6 +9,7 @@ budgets are asserted alongside the functional checks.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,15 +370,16 @@ def test_criterion_7_quasi_udg_soundness():
     violations = 0
     seed = 0
     while pairs_checked < 100_000:
-        topo = generate_topology(TopologyConfig(
-            placement="random", alpha=cfg.alpha, radio_range=cfg.radio_range,
-            seed=seed))
+        masks = generate_topology(replace(cfg, seed=seed))
+        # the stations generate_topology places, as default_rng(seed) draws them
+        positions = np.random.default_rng(seed).uniform(
+            (0.0, 0.0), (cfg.area_w, cfg.area_h), size=(cfg.node_count, 2))
         seed += 1
-        n = topo.node_count
+        n = len(masks)
         for i in range(n):
             for j in range(i + 1, n):
-                dist = float(np.hypot(*(topo.positions[i] - topo.positions[j])))
-                linked = bool(topo.masks[i] >> j & 1)
+                dist = float(np.hypot(*(positions[i] - positions[j])))
+                linked = bool(masks[i] >> j & 1)
                 if dist > cfg.radio_range and linked:
                     violations += 1
                 if dist <= cfg.alpha * cfg.radio_range and not linked:

@@ -110,8 +110,8 @@ def test_seal_open_round_trip(tmp_path, session_file, mode):
 # SHA-256 of 20 full MSDUs sealed by `lotkip seal` at the default K and
 # fragmentation threshold
 LANES_SEALED_SHA256 = {
-    "tkip": "a10cf30702b150c00522c2cb4c7cda3db45ec585880879b9ec0998ac46b83e5c",
-    "lotkip": "48e0042ef82ae57fa580c6399482c4ff411e252f80b6e84c27d858fa5533d550",
+    "tkip": "3385348979c2448a9d0c65841492041332970534a178f50887217c3125c9e271",
+    "lotkip": "d904581d3a456a0b7a0f793185a1eff32753625aee694fa30371517cf09a16ee",
 }
 
 
@@ -181,6 +181,27 @@ def test_open_rejects_empty_container(tmp_path, session_file, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "MalformedFrame: empty container"
     assert not out.exists()
+
+
+def test_open_takes_a_probe_as_its_own_group(tmp_path, session_file):
+    # open groups frames by full MSDUs, two frames each at threshold 256,
+    # but a probe alone: grouped with the next frame, it would misalign
+    # every MSDU after it
+    data = random.Random(3).randbytes(6 * 300)
+    msdus = [data[k:k + 300] for k in range(0, len(data), 300)]
+    sender = SenderSession(parse_session_config(SESSION_TEXT.format(mode="lotkip")))
+    groups = sender.seal_many(msdus[:3])
+    sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+    groups.append([sender.make_probe()])
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    groups += sender.seal_many(msdus[3:])
+    assert [len(g) for g in groups] == [2, 2, 2, 1, 2, 2, 2]
+    assert groups[3][0].layout is FrameLayout.PROBE
+    sealed, out = tmp_path / "s.bin", tmp_path / "o.bin"
+    sealed.write_bytes(frames_to_container(f for g in groups for f in g))
+    assert main(["open", "--config", session_file("lotkip"), "--in", str(sealed),
+                 "--out", str(out), "--msdu-bytes", "300"]) == 0
+    assert out.read_bytes() == data
 
 
 def test_lotkip_seal_refresh_fraction(tmp_path, session_file):
@@ -335,8 +356,59 @@ def test_sim_wide_scenarios_csv_is_pinned(tmp_path):
     assert digest.hexdigest() == WIDE_SIM_SHA256
 
 
+@pytest.mark.parametrize("text", [PAPER_SCENARIO_TEXT, *WIDE_SIM_SCENARIOS],
+                         ids=["paper", *(f"wide-{k}" for k in range(len(WIDE_SIM_SCENARIOS)))])
+def test_sim_csv_rows_follow_role_model(tmp_path, monkeypatch, text):
+    # Each route costs its source a, each relay b and its sink c
+    # (`_role_rates`, in microjoules), so with R relays over S scenarios every
+    # row is a closed form: network energy (a + c + b*R/S) * 1e-6 J, per-node
+    # energy that over n, and the factor TKIP's over LOTKIP's network energy
+    relays, scenarios, placement = {}, {}, None
+    decide, sample_pair = netsim._decide_topologies, netsim._sample_pair
+
+    def recording_decide(cfg, *args):
+        nonlocal placement
+        placement = cfg.placement
+        return decide(cfg, *args)
+
+    def recording_sample(masks, words):
+        path = sample_pair(masks, words)
+        relays[placement] = relays.get(placement, 0) + len(path) - 2
+        scenarios[placement] = scenarios.get(placement, 0) + 1
+        return path
+
+    monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
+    monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
+    scenario, out = tmp_path / "scenario.cfg", tmp_path / "sim.csv"
+    scenario.write_text(text)
+    assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 0
+    topo_cfgs, traffic = netsim.parse_scenario_config(text)
+    n, count = topo_cfgs[0].node_count, traffic.scenario_count
+    assert scenarios == {cfg.placement: count for cfg in topo_cfgs}
+
+    def network(scheme, p, placement):
+        a, b, c = netsim._role_rates(scheme, p, traffic)
+        return (a + c + b * relays[placement] / count) * 1e-6
+
+    lines = out.read_text().splitlines()
+    assert lines[0] == netsim.SERIES_CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == len(traffic.packet_sizes) * len(traffic.schemes) * len(topo_cfgs)
+    for p, scheme, placement, network_j, per_node_j, factor in rows:
+        p = int(p)
+        expected = network(scheme, p, placement)
+        # the CSV prints six decimals
+        assert float(network_j) == pytest.approx(expected, abs=1e-6)
+        assert float(per_node_j) == pytest.approx(expected / n, abs=1e-6)
+        if len(traffic.schemes) == 1:
+            assert factor == ""
+        else:
+            assert float(factor) == pytest.approx(
+                network("tkip", p, placement) / network("lotkip", p, placement), abs=1e-6)
+
+
 # SHA-256 of the sealed corpus below: sealed container bytes are a contract.
-SEALED_CORPUS_SHA256 = "77e955f9247be7c113ad83e7ece78d8cdf7e13267ca9f4582b45c0ded5359d9b"
+SEALED_CORPUS_SHA256 = "5841382e303decca1ab0fa826bb33336b7b6c57a5cfc978bc31e3f595d73043a"
 
 
 def _library_corpus(mode: str) -> bytes:

@@ -654,9 +654,9 @@ def test_michael_midstate_computed_once_per_session(monkeypatch, mode):
     monkeypatch.setattr(codec, "michael_midstate", lambda key, header:
                         computed.append((key, header)) or original(key, header))
     sender = SenderSession(cfg)
-    assert computed == [(cfg.keys.mic_key_tx, SA + DA + bytes(4))]
+    assert computed == [(cfg.keys.mic_key_tx, DA + SA + bytes(4))]
     receiver = ReceiverSession(cfg)
-    assert computed[1:] == [(cfg.keys.mic_key_rx, SA + DA + bytes(4))]
+    assert computed[1:] == [(cfg.keys.mic_key_rx, DA + SA + bytes(4))]
     msdus = [bytes([n]) * 300 for n in range(LANES_MIN_MSDUS)]
     assert [receiver.open(sender.seal(m)) for m in msdus[:5]] == msdus[:5]
     assert receiver.open_many(sender.seal_many(msdus)) == msdus

@@ -56,25 +56,32 @@ def _zero_first_word(rng, count):
     return [(0, rng.randbytes(_length(rng, lane))) for lane in range(count)]
 
 
-def _rotl(x, n):
-    return ((x << n) | (x >> (32 - n))) & M32
+def _rotl(n):
+    return lambda x: ((x << n) | (x >> (32 - n))) & M32
 
 
-# the four rotations of the round, in order (rotr 2 = rotl 30)
-ROTATIONS = (17, 16, 3, 30)
+def _xswap(x):
+    # the two bytes of each 16-bit half swapped
+    return ((x & 0x00FF00FF) << 8) | ((x & 0xFF00FF00) >> 8)
 
 
-def _saturating_state(rotation):
+# the four steps of the round, in order, by name (rotr 2 = rotl 30); each
+# is R ^= step(L), then L += R
+STEPS = {"rotl17": _rotl(17), "xswap": _xswap, "rotl3": _rotl(3), "rotl30": _rotl(30)}
+
+
+def _saturating_state(step):
     """The state that leaves L = 0xFFFFFFFF and R = 0 just before the
-    round's given rotation when the next word is 0: the sub-rounds before
-    it (R ^= rotl(L); L += R) run backwards from that state.  Packed lanes
-    then rotate an all-ones L, whose spill fills every guard bit, and the
+    round's given step when the next word is 0: the sub-rounds before it
+    (R ^= step(L); L += R) run backwards from that state.  Packed lanes
+    then shift an all-ones L, whose spill fills every guard bit, and the
     next add carries out of the guard into the next lane unless the
-    rotation was masked."""
+    step was masked."""
+    names = list(STEPS)
     l, r = M32, 0
-    for n in reversed(ROTATIONS[:ROTATIONS.index(rotation)]):
+    for name in reversed(names[:names.index(step)]):
         l = (l - r) & M32
-        r ^= _rotl(l, n)
+        r ^= STEPS[name](l)
     return l, r
 
 
@@ -83,9 +90,9 @@ def _key_for_midstate(midstate, header):
     over the header's words run backwards."""
     l, r = midstate
     for word in reversed(struct.unpack("<4I", header)):
-        for n in reversed(ROTATIONS):
+        for step in reversed(STEPS.values()):
             l = (l - r) & M32
-            r ^= _rotl(l, n)
+            r ^= step(l)
         l ^= word
     return struct.pack("<2I", l, r)
 
@@ -97,8 +104,8 @@ MICHAEL_CASES = [pytest.param(count, _messages, None, id=str(count))
     pytest.param(LANES_BLOCK_MSDUS, _messages, None, id="block"),
     pytest.param(LANES_BLOCK_MSDUS, _all_ones, (M32, M32), id="block-all-ones"),
     pytest.param(48, _staggered, None, id="staggered"),
-] + [pytest.param(16, _zero_first_word, _saturating_state(n), id=f"guard-carry-rotl{n}")
-     for n in ROTATIONS]
+] + [pytest.param(16, _zero_first_word, _saturating_state(step), id=f"guard-carry-{step}")
+     for step in STEPS]
 
 
 @pytest.mark.parametrize("count, build, state", MICHAEL_CASES)

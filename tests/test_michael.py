@@ -1,6 +1,7 @@
-"""Michael MIC: frozen vectors from the reference transcription, padding
-structure, and random equivalence against the reference module, for tags
-started from a session's header midstate on the scalar path and in lanes."""
+"""Michael MIC: the 802.11 chained test vectors, frozen vectors from the
+reference transcription, padding structure, and random equivalence against
+the reference module, for tags started from a session's header midstate on
+the scalar path and in lanes."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from lotkip.crypto import (
 )
 from lotkip.crypto.lanes import michael_mic_lanes
 from lotkip.crypto.michael import _absorb
-from lotkip.reference import ref_michael_mic
+from lotkip.reference import ref_michael_b, ref_michael_mic, ref_michael_pad
 
 from conftest import mic_counter, mic_of
 
@@ -23,9 +24,45 @@ def test_block_preserves_all_zero():
     assert _absorb(0, 0, (0,)) == (0, 0)
 
 
+# 802.11's Michael test vectors, chained: each tag keys the next message
+IEEE_VECTORS = (
+    (b"", "82925c1ca1d130b8"),
+    (b"M", "434721ca40639b3f"),
+    (b"Mi", "e8f9becae97e5d29"),
+    (b"Mic", "90038fc6cf13c1db"),
+    (b"Mich", "d55e100510128986"),
+    (b"Michael", "0a942b124ecaa546"),
+)
+
+
+def _ref_michael(key, message):
+    """The reference round over a raw message, with no pseudo-header."""
+    l, r = int.from_bytes(key[:4], "little"), int.from_bytes(key[4:], "little")
+    for word in ref_michael_pad(message):
+        l, r = ref_michael_b(l ^ word, r)
+    return (l | r << 32).to_bytes(8, "little")
+
+
+@pytest.mark.parametrize("path", ["scalar", "lanes", "reference"])
+def test_ieee_chained_vectors(path):
+    # a key's words are the midstate of an empty header; three packed lanes
+    # of the same message, so a slot's spill would reach its neighbours
+    key = bytes(8)
+    for message, tag in IEEE_VECTORS:
+        if path == "lanes":
+            tags = michael_mic_lanes(michael_key_words(key), [(b"", message)] * 3)
+            assert tags[1:] == tags[:-1]
+            key = tags[0]
+        elif path == "scalar":
+            key = michael_mic(michael_key_words(key), b"", message)
+        else:
+            key = _ref_michael(key, message)
+        assert key.hex() == tag
+
+
 def test_block_frozen_vectors():
-    # computed with the straight-line reference before the main build
-    assert _absorb(1, 0, (0,)) == (0x4057003A, 0x4027001D)
+    # computed with the straight-line reference
+    assert _absorb(1, 0, (0,)) == (0x6B519593, 0x572B8B8A)
     assert _absorb(0xFFFFFFFF, 0xFFFFFFFF, (0,)) == (0x8000000F, 0x80000009)
 
 
@@ -50,8 +87,9 @@ def test_key_words():
 
 
 def test_header_packs_fixed_layout():
-    header = michael_header(bytes([1] * 6), bytes([2] * 6), priority=5)
-    assert header == bytes([1] * 6) + bytes([2] * 6) + b"\x05\x00\x00\x00"
+    # DA || SA || priority || 0 0 0, as 802.11 orders them
+    header = michael_header(sa=bytes([1] * 6), da=bytes([2] * 6), priority=5)
+    assert header == bytes([2] * 6) + bytes([1] * 6) + b"\x05\x00\x00\x00"
     # four whole Michael words, so the midstate after them is fixed
     assert len(header) == 16
     assert mic_counter(0x0102030405) == bytes.fromhex("050403020100")
@@ -70,13 +108,14 @@ def test_header_validation():
 
 def test_mic_frozen_vectors():
     z6 = bytes(6)
-    assert mic_of(bytes(8), z6, z6, 0, None, b"") == bytes.fromhex("f2de0a28f374fb2f")
-    assert mic_of(bytes(8), z6, z6, 0, 0, b"") == bytes.fromhex("12a4629e1cac3034")
+    # an all-zero header leaves a zero key at zero: 802.11's first vector
+    assert mic_of(bytes(8), z6, z6, 0, None, b"") == bytes.fromhex("82925c1ca1d130b8")
+    assert mic_of(bytes(8), z6, z6, 0, 0, b"") == bytes.fromhex("b1a0fe6dd8332b2d")
     key = bytes(range(1, 9))
     sa, da = bytes([2] * 6), bytes([3] * 6)
-    assert mic_of(key, sa, da, 0, None, b"hello") == bytes.fromhex("2d87f8ffac0cd68a")
+    assert mic_of(key, sa, da, 0, None, b"hello") == bytes.fromhex("65d56e153ed797a9")
     assert mic_of(key, sa, da, 0, 0x0000AABBCCDD, b"hello") == \
-        bytes.fromhex("7b9ebf7190d58b67")
+        bytes.fromhex("e15903de2ac6c13f")
 
 
 def test_iv_presence_changes_tag():

@@ -19,7 +19,6 @@ from lotkip.netsim import (
     MAC_OVERHEAD_BYTES,
     TOPOLOGY_PAIR_BUDGET,
     ScenarioError,
-    Topology,
     TopologyConfig,
     TrafficConfig,
     emit_series,
@@ -61,9 +60,23 @@ def packet_energy(scheme: str, packet_size: int, hop_count: int,
     return 2.0 * compute + radio
 
 
-def _neighbors(topo):
+def _neighbors(masks):
     """Each station's links as a list in ascending order."""
-    return [[j for j in range(topo.node_count) if mask >> j & 1] for mask in topo.masks]
+    return [[j for j in range(len(masks)) if mask >> j & 1] for mask in masks]
+
+
+def _recording_positions(monkeypatch):
+    """Every station position `netsim._pair_classes` classes from here on,
+    one (n, 2) array per topology, in call order."""
+    positions = []
+    pair_classes = netsim._pair_classes
+
+    def recording(cfg, xy, pairs):
+        positions.extend(xy)
+        return pair_classes(cfg, xy, pairs)
+
+    monkeypatch.setattr(netsim, "_pair_classes", recording)
+    return positions
 
 
 def test_topology_config_validation():
@@ -128,7 +141,7 @@ def test_topology_deterministic_and_symmetric():
     cfg = TopologyConfig(placement="random", seed=11)
     a = generate_topology(cfg)
     b = generate_topology(cfg)
-    assert np.array_equal(a.positions, b.positions)
+    assert len(a) == cfg.node_count and a == b
     neighbors = _neighbors(a)
     assert neighbors == _neighbors(b)
     for i, nbrs in enumerate(neighbors):
@@ -184,15 +197,16 @@ _LINK_RULE_CASES = [
 
 
 @pytest.mark.parametrize("placement, n, alpha, geometry", _LINK_RULE_CASES)
-def test_topology_matches_scalar_link_rule(placement, n, alpha, geometry):
+def test_topology_matches_scalar_link_rule(monkeypatch, placement, n, alpha, geometry):
     # alpha = 1 leaves the band empty (and its probability denominator 0)
+    classed = _recording_positions(monkeypatch)
     for seed in range(3):
         cfg = TopologyConfig(node_count=n, placement=placement, alpha=alpha,
                              seed=seed, **geometry)
         positions, neighbors = _loop_topology(cfg)
-        topo = generate_topology(cfg)
-        assert np.array_equal(topo.positions, positions)
-        assert _neighbors(topo) == neighbors
+        masks = generate_topology(cfg)
+        assert np.array_equal(classed.pop(), positions) and not classed
+        assert _neighbors(masks) == neighbors
 
 
 @pytest.mark.parametrize("r, alpha", [
@@ -246,13 +260,14 @@ def test_pair_classes_blocks_equal_one_block(monkeypatch, rows, n, blocks):
 
 
 def test_topology_respects_link_rules():
-    topo = generate_topology(TopologyConfig(placement="random", seed=3))
     cfg = TopologyConfig(placement="random", seed=3)
-    n = topo.node_count
-    neighbors = _neighbors(topo)
+    positions = np.random.default_rng(cfg.seed).uniform(
+        (0.0, 0.0), (cfg.area_w, cfg.area_h), size=(cfg.node_count, 2))
+    n = cfg.node_count
+    neighbors = _neighbors(generate_topology(cfg))
     for i in range(n):
         for j in range(i + 1, n):
-            dist = float(np.hypot(*(topo.positions[i] - topo.positions[j])))
+            dist = float(np.hypot(*(positions[i] - positions[j])))
             linked = j in neighbors[i]
             if dist > cfg.radio_range:
                 assert not linked
@@ -264,31 +279,30 @@ def test_grid_layout_and_corner_degree():
     spacing = 500.0 / 6
     cfg = TopologyConfig(placement="grid", alpha=1.0,
                          radio_range=spacing * math.sqrt(2) * 1.01)
-    topo = generate_topology(cfg)
-    assert topo.node_count == 49
-    assert topo.positions[0].tolist() == [0.0, 0.0]
-    assert topo.positions[48].tolist() == [500.0, 500.0]
-    assert min(mask.bit_count() for mask in topo.masks) >= 2
+    masks = generate_topology(cfg)
+    assert len(masks) == 49
+    positions = netsim._grid_positions(cfg)
+    assert positions[0].tolist() == [0.0, 0.0]
+    assert positions[48].tolist() == [500.0, 500.0]
+    assert min(mask.bit_count() for mask in masks) >= 2
 
 
 def test_route_basics():
     # square with one diagonal: 0-1, 0-2, 1-3, 2-3, plus direct 0-3? no.
-    topo = Topology(np.zeros((4, 2)), [0b0110, 0b1001, 0b1001, 0b0110])
-    assert route(topo, 0, 1) == [0, 1]
+    masks = [0b0110, 0b1001, 0b1001, 0b0110]
+    assert route(masks, 0, 1) == [0, 1]
     # two equal-length paths; tie broken toward the lower middle index
-    assert route(topo, 0, 3) == [0, 1, 3]
+    assert route(masks, 0, 3) == [0, 1, 3]
     with pytest.raises(ValueError):
-        route(topo, 2, 2)
+        route(masks, 2, 2)
 
 
 def test_route_triangle_prefers_direct_hop():
-    topo = Topology(np.zeros((3, 2)), [0b110, 0b101, 0b011])
-    assert route(topo, 0, 2) == [0, 2]
+    assert route([0b110, 0b101, 0b011], 0, 2) == [0, 2]
 
 
 def test_route_disconnected_returns_none():
-    topo = Topology(np.zeros((4, 2)), [0b0010, 0b0001, 0b1000, 0b0100])
-    assert route(topo, 0, 3) is None
+    assert route([0b0010, 0b0001, 0b1000, 0b0100], 0, 3) is None
 
 
 def _list_route(neighbors, src, dst):
@@ -330,15 +344,15 @@ def test_route_matches_list_reference_on_every_pair():
     topologies = disconnected = 0
     for n, placement, side, r, seeds in _ROUTE_TOPOLOGIES:
         for seed in seeds:
-            topo = generate_topology(TopologyConfig(
+            masks = generate_topology(TopologyConfig(
                 node_count=n, placement=placement, area_w=side, area_h=side,
                 radio_range=r, seed=seed))
             topologies += 1
-            neighbors = _neighbors(topo)
+            neighbors = _neighbors(masks)
             for src in range(n):
                 for dst in range(n):
                     if src != dst:
-                        path = route(topo, src, dst)
+                        path = route(masks, src, dst)
                         assert path == _list_route(neighbors, src, dst)
                         disconnected += path is None
     assert topologies >= 50 and disconnected > 0
@@ -507,16 +521,16 @@ def test_energy_lands_on_route_nodes(monkeypatch, scheme):
         assert {int(i) for i in np.flatnonzero(per_node)} == on_route
 
 
-def _numpy_sample_pair(topology, rng):
+def _numpy_sample_pair(masks, rng):
     """The route between the first linked pair of distinct stations that
     numpy's ``rng.integers`` draws: the reference for `_sample_pair`."""
-    n = topology.node_count
+    n = len(masks)
     for _ in range(netsim._PAIR_DRAWS):
         src = int(rng.integers(n))
         dst = int(rng.integers(n))
         if src == dst:
             continue
-        path = route(topology, src, dst)
+        path = route(masks, src, dst)
         if path is not None:
             return path
     raise ScenarioError("no connected node pair found after bounded resampling")
@@ -530,10 +544,10 @@ def _scenario_loop(cfg, traffic):
     for s in range(traffic.scenario_count):
         state = np.random.default_rng((cfg.seed, s, 0)).bit_generator.state
         pairs = np.triu_indices(cfg.node_count, 1)
-        topo = netsim._decide_topologies(cfg, [state], np.random.default_rng(0), pairs,
-                                         netsim._fixed_links(cfg, pairs))[0]
-        path = _numpy_sample_pair(topo, np.random.default_rng((cfg.seed, s, 1)))
-        runs.append((topo, path))
+        masks = netsim._decide_topologies(cfg, [state], np.random.default_rng(0),
+                                          pairs, netsim._fixed_links(cfg, pairs))[0]
+        path = _numpy_sample_pair(masks, np.random.default_rng((cfg.seed, s, 1)))
+        runs.append((masks, path))
     return runs
 
 
@@ -552,23 +566,33 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
         chunks.append(len(seeds))
         return decide(cfg, seeds, *shared)
 
-    def recording_sample(topology, words):
-        path = sample_pair(topology, words)
-        runs.append((topology, path))
+    def recording_sample(masks, words):
+        path = sample_pair(masks, words)
+        runs.append((masks, path))
         return path
 
     monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
     monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
+    classed = _recording_positions(monkeypatch)
     cfg = TopologyConfig(node_count=n, placement=placement, seed=42)
     traffic = _small_traffic(scenario_count=full_chunks * per_chunk + last)
     run_experiment([cfg], traffic)
     monkeypatch.undo()
     assert chunks == [per_chunk] * full_chunks + [last]
+    # a grid's one position set, or each scenario's draws from (seed, s, 0)
+    if placement == "grid":
+        ref_positions = [netsim._grid_positions(cfg)]
+    else:
+        ref_positions = [np.random.default_rng((cfg.seed, s, 0)).uniform(
+            (0.0, 0.0), (cfg.area_w, cfg.area_h), size=(n, 2))
+            for s in range(traffic.scenario_count)]
+    assert len(classed) == len(ref_positions)
+    for xy, ref_xy in zip(classed, ref_positions):
+        assert np.array_equal(xy, ref_xy)
     expected = _scenario_loop(cfg, traffic)
     assert len(runs) == len(expected) == traffic.scenario_count
-    for (topo, path), (ref_topo, ref_path) in zip(runs, expected):
-        assert np.array_equal(topo.positions, ref_topo.positions)
-        assert _neighbors(topo) == _neighbors(ref_topo)
+    for (masks, path), (ref_masks, ref_path) in zip(runs, expected):
+        assert masks == ref_masks
         assert path == ref_path
 
 
