@@ -18,12 +18,11 @@ from pathlib import Path
 from lotkip import codec
 from lotkip.codec import (
     CodecError,
-    FrameLayout,
     ReceiverSession,
     SenderSession,
     container_to_frames,
-    fragment_count,
     frames_to_container,
+    msdu_groups,
     parse_session_config,
 )
 
@@ -38,11 +37,16 @@ def _print_resolved(command: str, settings: dict[str, object]) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Fail before any work when the output file's directory is missing."""
-    parent = Path(path).parent
-    if path != "-" and not parent.is_dir():
+    """Fail before any work when the output path is a directory or its
+    directory is missing."""
+    if path == "-":
+        return
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
+    if not out.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "no such output directory",
-                                str(parent))
+                                str(out.parent))
 
 
 def _write_output(path: str, data: bytes) -> None:
@@ -111,22 +115,14 @@ def cmd_open(args: argparse.Namespace) -> int:
     config = parse_session_config(Path(args.config).read_text())
     _print_resolved("open", {
         "config": args.config, "in": getattr(args, "in"), "out": args.out,
-        "mode": config.mode, "msdu_bytes": args.msdu_bytes,
-        "frag_threshold": config.frag_threshold,
+        "mode": config.mode,
     })
     _check_output(args.out)
     frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
     if not frames:                  # seal writes a frame even for no payload
         raise codec.MalformedFrame("empty container")
-    per_full_msdu = fragment_count(args.msdu_bytes, config.frag_threshold)
-    groups = []
-    pos = 0
-    while pos < len(frames):
-        take = 1 if frames[pos].layout is FrameLayout.PROBE else per_full_msdu
-        groups.append(frames[pos:pos + take])
-        pos += take
     receiver = ReceiverSession(config, clock=time.monotonic)
-    recovered = b"".join(msdu for msdu in receiver.open_many(groups)
+    recovered = b"".join(msdu for msdu in receiver.open_many(msdu_groups(frames))
                          if msdu is not None)
     _write_output(args.out, recovered)
     _say(f"recovered {len(recovered)} bytes")
@@ -216,9 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="session config file")
         p.add_argument("--in", required=True, help="input file")
         p.add_argument("--out", required=True, help="output file ('-' for stdout)")
-        p.add_argument("--msdu-bytes", type=_msdu_bytes,
-                       default=codec.MSDU_MAX_BYTES, dest="msdu_bytes",
-                       help="input chunking unit (default %(default)s)")
+        # open reads where each MSDU ends from the container's records
+        if name == "seal":
+            p.add_argument("--msdu-bytes", type=_msdu_bytes,
+                           default=codec.MSDU_MAX_BYTES, dest="msdu_bytes",
+                           help="input chunking unit (default %(default)s)")
 
     p = sub.add_parser("energy", help="evaluate the per-packet energy formulas")
     p.add_argument("--m", type=int, required=True, help="bytes encrypted")

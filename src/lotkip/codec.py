@@ -11,19 +11,19 @@ tag, splits the result into fragments, and encrypts each with a CRC
 trailer under its own per-packet RC4 seed.
 
 Open: the check pass is pure.  For each group of frames it checks layout,
-counter resolution, fragment counter continuity and the replay counter,
-against the window and epoch that the block's earlier groups would leave if
-they committed.  The compute pass runs key mixing and RC4 for the groups
-that passed, checks each fragment's CRC once, and derives the tags of the
-data groups.  Either pass stops at the first failure and records it instead
-of raising it.  The commit pass then walks the groups in order, reading the
-clock and checking for blackout before each.  It verifies the probe
-payload or the Michael tag, and only then admits the group's counters to
-the window and takes its epoch into the phase 1 cache; at the failed group
-it raises the recorded failure.  So noise, replays, forgeries and spliced
-fragments can never move receiver state or feed the MIC-failure
-countermeasures, and a block's results, state and first exception are
-those of a loop of `seal`/`open`.
+counter resolution, fragment numbers and more-fragments bits, fragment
+counter continuity and the replay counter, against the window and epoch
+that the block's earlier groups would leave if they committed.  The compute
+pass runs key mixing and RC4 for the groups that passed, checks each
+fragment's CRC once, and derives the tags of the data groups.  Either pass
+stops at the first failure and records it instead of raising it.  The
+commit pass then walks the groups in order, reading the clock and checking
+for blackout before each.  It verifies the probe payload or the Michael
+tag, and only then admits the group's counters to the window and takes its
+epoch into the phase 1 cache; at the failed group it raises the recorded
+failure.  So noise, replays, forgeries and spliced fragments can never move
+receiver state or feed the MIC-failure countermeasures, and a block's
+results, state and first exception are those of a loop of `seal`/`open`.
 
 Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
 (`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
@@ -51,6 +51,19 @@ whose low six flag bits hold any other value is malformed.  Type A frames
 carry the full 48-bit counter; type B frames carry only its low 16 bits
 and the receiver supplies the upper bits from the last type A frame of the
 epoch.
+
+Container (`lotkip seal`'s output): one record per frame, a 4-byte
+big-endian prefix and then the frame's bytes,
+
+  prefix = more_fragments << 28 | fragment << 24 | length
+
+where length (bits 0-23) is the frame's byte count, fragment (bits 24-27)
+its number within its MSDU, and more_fragments (bit 28) is set on every
+fragment but an MSDU's last, as the 802.11 MAC header carries them.  Bits
+29-31 are reserved and zero.  A record of a one-fragment MSDU or of a
+probe is a plain length.  The record bits are not authenticated, as the
+MAC header's are not; a receiver checks them against each group's
+position before any crypto.
 """
 
 from __future__ import annotations
@@ -195,13 +208,17 @@ _FLAGS_LAYOUT = {flags: layout for layout, flags in _LAYOUT_FLAGS.items()}
 
 @dataclass
 class MpduFrame:
-    """One on-air fragment: parsed header fields plus the encrypted body."""
+    """One on-air fragment: parsed header fields plus the encrypted body,
+    and its fragment number within its MSDU and whether more fragments
+    follow, which the MAC header (here the container record) carries."""
 
     layout: FrameLayout
     key_id: int
     tsc_low: int
     tsc_hi: Optional[int]
     body: bytes
+    fragment: int = 0
+    more_fragments: bool = False
 
     @property
     def tsc(self) -> Optional[int]:
@@ -461,11 +478,13 @@ def overhead_of(layout: FrameLayout) -> OverheadLedger:
 # ---------------------------------------------------------------------------
 
 def frames_to_container(frames: Iterable[MpduFrame]) -> bytes:
-    """Length-prefixed concatenation: 4-byte big-endian size per frame."""
+    """One record per frame: the 4-byte prefix of the module docstring,
+    then the frame's bytes."""
     out = bytearray()
     for frame in frames:
         raw = frame.raw()
-        out += struct.pack(">I", len(raw))
+        out += struct.pack(">I", frame.more_fragments << 28 | frame.fragment << 24
+                           | len(raw))
         out += raw
     return bytes(out)
 
@@ -476,13 +495,34 @@ def container_to_frames(data: bytes) -> list[MpduFrame]:
     while pos < len(data):
         if pos + 4 > len(data):
             raise MalformedFrame("truncated container length prefix")
-        (length,) = struct.unpack_from(">I", data, pos)
+        (prefix,) = struct.unpack_from(">I", data, pos)
+        if prefix >> 29:
+            raise MalformedFrame("reserved container record bits set")
+        length = prefix & 0xFFFFFF
         pos += 4
         if pos + length > len(data):
             raise MalformedFrame("container frame extends past end of data")
-        frames.append(parse_frame(data[pos:pos + length]))
+        frame = parse_frame(data[pos:pos + length])
+        frame.fragment = prefix >> 24 & 0xF
+        frame.more_fragments = bool(prefix >> 28)
+        frames.append(frame)
         pos += length
     return frames
+
+
+def msdu_groups(frames: Iterable[MpduFrame]) -> list[list[MpduFrame]]:
+    """The frames split into the groups `ReceiverSession.open_many` takes.
+    A group ends after a frame whose more-fragments bit is clear, and a
+    frame numbered 0 starts a new one, so a lost, repeated or reordered
+    frame spoils only its own MSDU.  Grouping never raises: a group whose
+    fragment numbers or bits are out of place fails when it is opened."""
+    groups: list[list[MpduFrame]] = []
+    for frame in frames:
+        if groups and frame.fragment and groups[-1][-1].more_fragments:
+            groups[-1].append(frame)
+        else:
+            groups.append([frame])
+    return groups
 
 
 def _parse_hex(value: str, expect_len: int, key: str) -> bytes:
@@ -703,10 +743,12 @@ class SenderSession:
         bodies = iter(_rc4_many(ttaks, keys.tk, tsc_los, plains, lanes))
         sealed = []
         for frames in allocs:
+            last = len(frames) - 1
             out = []
-            for tsc, layout, _ in frames:
+            for n, (tsc, layout, _) in enumerate(frames):
                 hi = None if layout is _TYPE_B else tsc >> 16
-                out.append(MpduFrame(layout, keys.key_id, tsc & 0xFFFF, hi, next(bodies)))
+                out.append(MpduFrame(layout, keys.key_id, tsc & 0xFFFF, hi,
+                                     next(bodies), n, n < last))
             sealed.append(out)
         return sealed
 
@@ -795,6 +837,7 @@ class ReceiverSession:
                 if probe and len(frames) != 1:
                     raise MalformedFrame("probe frames are not fragmented")
                 accepted = (_PROBE,) if probe else _DATA_LAYOUTS[mode]
+                last = len(frames) - 1
                 counters = []
                 for frame in frames:
                     if frame.layout not in accepted:
@@ -811,6 +854,10 @@ class ReceiverSession:
                     if frame.tsc_low >> 16 or hi >> 32:
                         raise MalformedFrame("counter field out of range")
                     tsc = (hi << 16) | frame.tsc_low
+                    n = len(counters)
+                    if frame.fragment != n or frame.more_fragments != (n < last):
+                        raise MalformedFrame("fragment number or more-fragments "
+                                             "bit out of place")
                     if counters and tsc != counters[-1] + 1:
                         raise MalformedFrame("fragment counters are not consecutive")
                     # admitting the group's own earlier counters, which are

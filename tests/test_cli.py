@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,14 @@ from lotkip.cli import main
 from lotkip.codec import (
     LANES_BLOCK_MSDUS,
     LANES_MIN_MSDUS,
+    CodecError,
     FrameLayout,
     ProbeEvent,
     ReceiverSession,
     SenderSession,
     container_to_frames,
     frames_to_container,
+    msdu_groups,
     parse_session_config,
 )
 
@@ -103,7 +106,7 @@ def test_seal_open_round_trip(tmp_path, session_file, mode):
     assert main(["seal", "--config", cfg, "--in", str(payload),
                  "--out", str(sealed), "--msdu-bytes", "100"]) == 0
     assert main(["open", "--config", cfg, "--in", str(sealed),
-                 "--out", str(opened), "--msdu-bytes", "100"]) == 0
+                 "--out", str(opened)]) == 0
     assert opened.read_bytes() == payload.read_bytes()
 
 
@@ -184,9 +187,8 @@ def test_open_rejects_empty_container(tmp_path, session_file, capsys):
 
 
 def test_open_takes_a_probe_as_its_own_group(tmp_path, session_file):
-    # open groups frames by full MSDUs, two frames each at threshold 256,
-    # but a probe alone: grouped with the next frame, it would misalign
-    # every MSDU after it
+    # a probe is a group of its own, since its more-fragments bit is clear;
+    # grouped with the next frame, it would spoil that MSDU
     data = random.Random(3).randbytes(6 * 300)
     msdus = [data[k:k + 300] for k in range(0, len(data), 300)]
     sender = SenderSession(parse_session_config(SESSION_TEXT.format(mode="lotkip")))
@@ -200,8 +202,97 @@ def test_open_takes_a_probe_as_its_own_group(tmp_path, session_file):
     sealed, out = tmp_path / "s.bin", tmp_path / "o.bin"
     sealed.write_bytes(frames_to_container(f for g in groups for f in g))
     assert main(["open", "--config", session_file("lotkip"), "--in", str(sealed),
-                 "--out", str(out), "--msdu-bytes", "300"]) == 0
+                 "--out", str(out)]) == 0
     assert out.read_bytes() == data
+
+
+def _mutate(rng: random.Random, container: bytes) -> tuple[str, bytes]:
+    """One seeded mutation of a sealed container: its kind and the result."""
+    records, pos = [], 0
+    while pos < len(container):
+        end = pos + 4 + (int.from_bytes(container[pos:pos + 4], "big") & 0xFFFFFF)
+        records.append(container[pos:end])
+        pos = end
+    kind = rng.choice(("bit", "record_bit", "truncate", "bytes",
+                       "drop", "duplicate", "swap"))
+    data = bytearray(container)
+    i, j = rng.randrange(len(records)), rng.randrange(len(records))
+    if kind == "bit":
+        bit = rng.randrange(8 * len(data))
+        data[bit // 8] ^= 1 << bit % 8
+    elif kind == "record_bit":
+        # the prefix's top byte: reserved, more-fragments and fragment bits
+        data[sum(map(len, records[:i]))] ^= 1 << rng.randrange(8)
+    elif kind == "truncate":
+        del data[rng.randrange(len(data)):]
+    elif kind == "bytes":
+        at = rng.randrange(len(data))
+        run = len(data[at:at + rng.randint(1, 16)])
+        data[at:at + run] = rng.randbytes(run)
+    else:
+        if kind == "drop":
+            del records[i]
+        elif kind == "duplicate":
+            records.insert(j, records[i])
+        else:
+            records[i], records[j] = records[j], records[i]
+        data = b"".join(records)
+    return kind, bytes(data)
+
+
+@pytest.mark.parametrize("frag_threshold", [256, 2346])
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_mutated_containers_open_only_sent_msdus(tmp_path, capsys, mode,
+                                                  frag_threshold):
+    # a damaged container raises only CodecError subclasses, and every MSDU
+    # that opens was sent; a lost, repeated or reordered record never
+    # reaches Michael, and `lotkip open` fails with one `Name: message` line
+    rng = random.Random(f"mutate:{mode}:{frag_threshold}")
+    text = SESSION_TEXT.format(mode=mode).replace(
+        "frag_threshold = 256", f"frag_threshold = {frag_threshold}")
+    cfg = parse_session_config(text)
+    msdus = [rng.randbytes(rng.choice((0, 1, 300, 700))) for _ in range(8)]
+    sender = SenderSession(cfg)
+    groups = sender.seal_many(msdus[:4])
+    if mode == "lotkip":
+        sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+        groups.append([sender.make_probe()])
+        sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    groups += sender.seal_many(msdus[4:])
+    container = frames_to_container(f for g in groups for f in g)
+    config_path = tmp_path / "session.cfg"
+    config_path.write_text(text)
+    sealed, out = tmp_path / "s.bin", tmp_path / "o.bin"
+    opened = 0
+    for n in range(300):
+        kind, data = _mutate(rng, container)
+        receiver = ReceiverSession(cfg)
+        try:
+            frames = container_to_frames(data)
+        except CodecError:
+            frames = []
+        for group in msdu_groups(frames):
+            try:
+                msdu = receiver.open(group)
+            except CodecError:
+                continue
+            assert msdu is None or msdu in msdus, kind
+            opened += msdu is not None
+        if kind in ("drop", "duplicate", "swap"):
+            assert receiver.cm_state.last_failure is None, kind
+        if n % 50 == 0:
+            sealed.write_bytes(data)
+            out.unlink(missing_ok=True)
+            code = main(["open", "--config", str(config_path), "--in", str(sealed),
+                         "--out", str(out)])
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("lotkip open: ") and len(err) == 2
+            if code == 1:
+                assert re.fullmatch(r"[A-Z]\w+: .+", err[1]), err[1]
+                assert not out.exists()
+            else:
+                assert code == 0 and err[1].startswith("recovered ")
+    assert opened > 300 * len(msdus) // 2
 
 
 def test_lotkip_seal_refresh_fraction(tmp_path, session_file):
@@ -408,7 +499,7 @@ def test_sim_csv_rows_follow_role_model(tmp_path, monkeypatch, text):
 
 
 # SHA-256 of the sealed corpus below: sealed container bytes are a contract.
-SEALED_CORPUS_SHA256 = "5841382e303decca1ab0fa826bb33336b7b6c57a5cfc978bc31e3f595d73043a"
+SEALED_CORPUS_SHA256 = "18668932110b00cc594a1a01584c4dabc589c9b1712545c634ff88c46257f1b5"
 
 
 def _library_corpus(mode: str) -> bytes:
@@ -585,9 +676,10 @@ def test_numpy_loads_only_for_the_simulator_and_lanes(tmp_path, session_file):
     def seal_open(mode, msdus):
         payload = tmp_path / f"{mode}-{msdus}.bin"
         payload.write_bytes(random.Random(msdus).randbytes(100 * msdus))
-        common = ["--config", session_file(mode), "--msdu-bytes", "100"]
-        return [["seal", *common, "--in", str(payload), "--out", f"{payload}.s"],
-                ["open", *common, "--in", f"{payload}.s", "--out", f"{payload}.o"]]
+        cfg = ["--config", session_file(mode)]
+        return [["seal", *cfg, "--msdu-bytes", "100", "--in", str(payload),
+                 "--out", f"{payload}.s"],
+                ["open", *cfg, "--in", f"{payload}.s", "--out", f"{payload}.o"]]
 
     scalar = [["table1", "--csv", str(tmp_path / "t.csv")],
               ["energy", "--m", "256", "--frame-bytes", "276"],
@@ -615,13 +707,16 @@ def test_unknown_flags_rejected(tmp_path, session_file, capsys):
         main(["unknown-command"])
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"x")
-    for command, msdu_bytes in (("seal", "0"), ("open", "-5"), ("seal", "2305"),
-                                ("seal", "abc")):
+    for command, msdu_bytes in (("seal", "0"), ("seal", "-5"), ("seal", "2305"),
+                                ("seal", "abc"), ("open", "100")):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", session_file(), "--in", str(payload),
                   "--out", str(tmp_path / "o.bin"), "--msdu-bytes", msdu_bytes])
         assert exc.value.code == 2
-        assert "_msdu_bytes" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "_msdu_bytes" not in err
+    # open reads where each MSDU ends from the container's records
+    assert "unrecognized arguments: --msdu-bytes 100" in err
     # the session file sets the mode, the scenario file the scheme and
     # placement, and the cycle energy is the constant cost.CYCLE_ENERGY_UJ
     scenario = tmp_path / "scenario.cfg"
@@ -706,21 +801,29 @@ def test_missing_files_exit_nonzero(tmp_path, capsys, args):
 @pytest.mark.parametrize("command", ["table1", "seal", "open", "sim"])
 def test_output_directory_is_checked_before_any_work(tmp_path, session_file,
                                                      capsys, monkeypatch, command):
-    # seal's and open's input file is missing too, and sim would fail in its
-    # first scenario, but the output's directory is checked first
+    # seal's and open's input file is missing too, and sim's run_experiment
+    # would fail, but an output path that is a directory, or whose
+    # directory is missing, fails first
     def never(*args):
         raise AssertionError("run_experiment ran")
     monkeypatch.setattr(netsim, "run_experiment", never)
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO_TEXT)
-    out = tmp_path / "missing" / "out"
-    args = {"table1": ["--csv", str(out)],
-            "sim": ["--scenario", str(scenario), "--csv", str(out)]}.get(
-        command, ["--config", session_file(), "--in", str(tmp_path / "absent.bin"),
-                  "--out", str(out)])
-    assert main([command, *args]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith(f"lotkip {command}: ")
-    assert err[1:] == ["FileNotFoundError: [Errno 2] no such output directory: "
-                       f"'{out.parent}'"]
-    assert not out.parent.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    missing = tmp_path / "missing" / "out"
+    for out, message in (
+            (missing, "FileNotFoundError: [Errno 2] no such output directory: "
+                      f"'{missing.parent}'"),
+            (existing, f"IsADirectoryError: [Errno 21] output is a directory: "
+                       f"'{existing}'")):
+        args = {"table1": ["--csv", str(out)],
+                "sim": ["--scenario", str(scenario), "--csv", str(out)]}.get(
+            command, ["--config", session_file(), "--in",
+                      str(tmp_path / "absent.bin"), "--out", str(out)])
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"lotkip {command}: ")
+        assert err[1:] == [message]
+    assert not missing.parent.exists()
+    assert not any(existing.iterdir())

@@ -39,6 +39,7 @@ from lotkip.codec import (
     fragment_count,
     frames_to_container,
     lotkip_frame_classes,
+    msdu_groups,
     overhead_of,
     parse_frame,
     parse_session_config,
@@ -773,6 +774,88 @@ def test_container_round_trip():
     assert [f.raw() for f in parsed] == [f.raw() for f in frames]
 
 
+def test_container_record_carries_fragment_bits():
+    # prefix = more_fragments << 28 | fragment << 24 | length; a record of
+    # a one-fragment MSDU is a plain length, and bits 29-31 are reserved
+    sender = sessions()[0]
+    frames = sender.seal(bytes(600))        # 608 B with the tag: 3 fragments
+    blob = frames_to_container(frames)
+    assert container_to_frames(blob) == frames
+    prefixes, pos = [], 0
+    for frame in frames:
+        prefixes.append(int.from_bytes(blob[pos:pos + 4], "big"))
+        pos += 4 + len(frame.raw())
+    assert prefixes == [0x1000010C, 0x1100010C, 0x0200006C]
+    single = sender.seal(b"x")
+    assert frames_to_container(single)[:4] == len(single[0].raw()).to_bytes(4, "big")
+    for bit in (29, 30, 31):
+        with pytest.raises(MalformedFrame, match="reserved"):
+            container_to_frames((prefixes[0] | 1 << bit).to_bytes(4, "big") + blob[4:])
+
+
+def test_msdu_groups_split_at_fragment_bits():
+    # a group ends after a frame without the more-fragments bit, and a
+    # frame numbered 0 starts one
+    sender, _ = sessions("lotkip")
+    a, b = sender.seal(bytes(600)), sender.seal(b"x")
+    sender.probe_cycle(ProbeEvent.ACK_TIMEOUT)
+    probe = sender.make_probe()
+    sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
+    c = sender.seal(bytes(300))
+    assert msdu_groups(a + b + [probe] + c) == [a, b, [probe], c]
+    assert msdu_groups(a[:1] + c) == [a[:1], c]
+    assert msdu_groups(a[1:] + a[1:]) == [a[1:], a[1:]]
+    assert msdu_groups([]) == []
+    # records written without fragment bits: every frame is its own group
+    bare = [replace(f, fragment=0, more_fragments=False) for f in a]
+    assert msdu_groups(bare) == [[f] for f in bare]
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "swap"])
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_lost_or_reordered_fragment_spoils_only_its_msdu(mode, fault):
+    # each record says where its MSDU ends, so a lost, repeated or
+    # reordered fragment fails its own MSDU, before any crypto, and the
+    # MSDUs after it still open
+    sender, receiver = sessions(mode)
+    msdus = [bytes([n]) * 700 for n in range(6)]
+    groups = sender.seal_many(msdus)
+    assert all(len(g) == 3 for g in groups)
+    third = list(groups[3])
+    if fault == "drop":
+        del third[1]
+    elif fault == "duplicate":
+        third.insert(1, third[1])
+    else:
+        third[1], third[2] = third[2], third[1]
+    frames = [f for g in groups[:3] for f in g] + third + \
+        [f for g in groups[4:] for f in g]
+    opened, failed = [], []
+    for group in msdu_groups(container_to_frames(frames_to_container(frames))):
+        try:
+            opened.append(receiver.open(group))
+        except CodecError as exc:
+            failed.append(type(exc))
+    assert opened == msdus[:3] + msdus[4:]
+    assert failed and set(failed) == {MalformedFrame}
+    assert receiver.cm_state.last_failure is None
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_last_fragment_with_more_fragments_bit_is_malformed(mode):
+    sender, receiver = sessions(mode)
+    # a genuine MSDU gives a LOTKIP receiver its epoch
+    assert receiver.open(sender.seal(b"first")) == b"first"
+    alone, following = sender.seal(b"alone"), sender.seal(b"following")
+    alone = [replace(alone[0], more_fragments=True)]
+    groups = msdu_groups(container_to_frames(frames_to_container(alone + following)))
+    assert groups == [alone, following]
+    with pytest.raises(MalformedFrame, match="more-fragments"):
+        receiver.open(groups[0])
+    assert receiver.cm_state.last_failure is None
+    assert receiver.open(groups[1]) == b"following"
+
+
 def test_container_truncation_rejected():
     blob = frames_to_container(sessions()[0].seal(b"x"))
     with pytest.raises(MalformedFrame):
@@ -994,8 +1077,7 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
         frame = groups[mid][1]
         body = bytearray(frame.body)
         body[rng.randrange(len(body))] ^= 1 << rng.randrange(8)
-        groups[mid][1] = MpduFrame(frame.layout, frame.key_id, frame.tsc_low,
-                                   frame.tsc_hi, bytes(body))
+        groups[mid][1] = replace(frame, body=bytes(body))
     elif fault == "wrong_mic_key":
         keys = cfg.keys
         other = SenderSession(config(mode, keys=SessionKeys(
