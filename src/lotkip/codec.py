@@ -5,10 +5,11 @@ Both modes run one pipeline, owned by `SenderSession` and `ReceiverSession`.
 blocks of up to LANES_BLOCK_MSDUS, in three passes: check, compute, commit.
 
 Seal: the sender's state never depends on the crypto, so the check pass
-allocates each MSDU's counters, layouts and phase 1 keys in order, raising
-at the first failed check.  The compute pass appends each MSDU's Michael
-tag, splits the result into fragments, and encrypts each with a CRC
-trailer under its own per-packet RC4 seed.
+builds each MSDU's frames in order, with their counters and layouts but
+empty bodies, and takes each frame's phase 1 key, raising at the first
+failed check.  The compute pass appends each MSDU's Michael tag, splits the
+result into fragments, and encrypts each with a CRC trailer under its own
+per-packet RC4 seed, as its frame's body.
 
 Open: the check pass is pure.  For each group of frames it checks layout,
 counter resolution, fragment numbers and more-fragments bits, fragment
@@ -24,6 +25,8 @@ epoch into the phase 1 cache; at the failed group it raises the recorded
 failure.  So noise, replays, forgeries and spliced fragments can never move
 receiver state or feed the MIC-failure countermeasures, and a block's
 results, state and first exception are those of a loop of `seal`/`open`.
+The clock is `time.monotonic` unless the receiver is given another, as
+tests and simulations give one.
 
 Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
 (`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import time
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
@@ -219,13 +223,6 @@ class MpduFrame:
     body: bytes
     fragment: int = 0
     more_fragments: bool = False
-
-    @property
-    def tsc(self) -> Optional[int]:
-        """The 48-bit counter, if the frame carries all of it."""
-        if self.tsc_hi is None:
-            return None
-        return (self.tsc_hi << 16) | self.tsc_low
 
     def header(self) -> bytes:
         tsc1 = self.tsc_low >> 8
@@ -466,11 +463,12 @@ class OverheadLedger:
 
 
 def overhead_of(layout: FrameLayout) -> OverheadLedger:
-    if layout is _TYPE_B:
-        return OverheadLedger(iv_keyid=4, extiv=0, mic=8, icv=4)
-    if layout in (_BASELINE, _TYPE_A):
-        return OverheadLedger(iv_keyid=4, extiv=4, mic=8, icv=4)
-    raise ValueError("probe frames carry no data and are not accounted")
+    """A data frame's overhead, its extended counter field read from the
+    layout's flags byte."""
+    if layout is _PROBE:
+        raise ValueError("probe frames carry no data and are not accounted")
+    extiv = 4 if _LAYOUT_FLAGS[layout] & 0x20 else 0
+    return OverheadLedger(iv_keyid=4, extiv=extiv, mic=MIC_BYTES, icv=ICV_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +679,14 @@ class SenderSession:
         self.next_tsc += 1
         return self.next_tsc - 1
 
-    def _next_frame(self) -> tuple[int, FrameLayout, tuple]:
-        """Counter, layout and phase 1 key of the next data frame."""
+    def _next_frame(self, fragment: int,
+                    more_fragments: bool) -> tuple[MpduFrame, tuple]:
+        """The next data frame, its body still empty, and its phase 1 key."""
         cfg = self.config
         tsc = self._alloc()
-        epoch_changed = self.ttak_cache.hi != tsc >> 16
-        ttak = self.ttak_cache.get(cfg.keys, tsc >> 16)
+        hi = tsc >> 16
+        epoch_changed = self.ttak_cache.hi != hi
+        ttak = self.ttak_cache.get(cfg.keys, hi)
         if cfg.mode == "tkip":
             layout = _BASELINE
         elif is_type_a(self.probe_mode is _INITIAL, epoch_changed,
@@ -694,10 +694,11 @@ class SenderSession:
             layout = _TYPE_A
             self.since_type_a = 1
         else:
-            layout = _TYPE_B
+            layout, hi = _TYPE_B, None
             self.since_type_a += 1
         self.probe_mode = _STREAMING
-        return tsc, layout, ttak
+        return MpduFrame(layout, cfg.keys.key_id, tsc & 0xFFFF, hi, b"",
+                         fragment, more_fragments), ttak
 
     def seal(self, msdu: bytes) -> list[MpduFrame]:
         """Encapsulate one MSDU into frames with consecutive counters.  In
@@ -713,11 +714,10 @@ class SenderSession:
 
     def _seal_block(self, block: list[bytes]) -> list[list[MpduFrame]]:
         cfg = self.config
-        keys = cfg.keys
         lotkip = cfg.mode == "lotkip"
-        # check each MSDU and allocate its frames; sender state never
-        # depends on the crypto, so a failed check raises at once
-        mic_counters, msdus, allocs = [], [], []
+        # check each MSDU and build its frames; sender state never depends
+        # on the crypto, so a failed check raises at once
+        mic_counters, msdus, sealed, frames, ttaks = [], [], [], [], []
         for msdu in block:
             if self.probe_mode is _PROBING:
                 raise ProbingActive("sender is probing; data transmission stopped")
@@ -729,27 +729,20 @@ class SenderSession:
             # LOTKIP's tag covers the counter of the MSDU's first fragment
             mic_counters.append(self.next_tsc.to_bytes(6, "little") if lotkip else b"")
             msdus.append(bytes(msdu))
-            allocs.append([self._next_frame() for _ in range(count)])
+            for n in range(count):
+                frame, ttak = self._next_frame(n, n < count - 1)
+                frames.append(frame)
+                ttaks.append(ttak)
+            sealed.append(frames[-count:])
         # compute every tag, one check value per chunk, then every body
         lanes = len(block) >= LANES_MIN_MSDUS
         tags = _michael_many(self._mic_state, mic_counters, msdus, lanes)
-        ttaks, tsc_los, plains = [], [], []
-        for msdu, tag, frames in zip(msdus, tags, allocs):
-            for chunk, (tsc, _, ttak) in zip(_chunks(msdu + tag, cfg.frag_threshold),
-                                             frames):
-                ttaks.append(ttak)
-                tsc_los.append(tsc & 0xFFFF)
-                plains.append(chunk + crc32_icv(chunk))
-        bodies = iter(_rc4_many(ttaks, keys.tk, tsc_los, plains, lanes))
-        sealed = []
-        for frames in allocs:
-            last = len(frames) - 1
-            out = []
-            for n, (tsc, layout, _) in enumerate(frames):
-                hi = None if layout is _TYPE_B else tsc >> 16
-                out.append(MpduFrame(layout, keys.key_id, tsc & 0xFFFF, hi,
-                                     next(bodies), n, n < last))
-            sealed.append(out)
+        plains = [chunk + crc32_icv(chunk) for msdu, tag in zip(msdus, tags)
+                  for chunk in _chunks(msdu + tag, cfg.frag_threshold)]
+        bodies = _rc4_many(ttaks, cfg.keys.tk, [f.tsc_low for f in frames],
+                           plains, lanes)
+        for frame, body in zip(frames, bodies):
+            frame.body = body
         return sealed
 
     def probe_cycle(self, event: ProbeEvent) -> None:
@@ -782,9 +775,11 @@ class ReceiverSession:
     Only a group that passes every check, the Michael verify or the probe
     payload last, moves the window or the epoch.  In TKIP mode a counter
     must exceed the window's highest; the window's own `WINDOW` verdict,
-    an unseen counter below it, counts as a replay."""
+    an unseen counter below it, counts as a replay.  Michael failures and
+    blackouts are timed by `clock`, `time.monotonic` unless tests or
+    simulations inject another."""
 
-    def __init__(self, config: SessionConfig, clock: Optional[Clock] = None) -> None:
+    def __init__(self, config: SessionConfig, clock: Clock = time.monotonic) -> None:
         self.config = config
         self.clock = clock
         self.window = ReplayWindow()
@@ -807,7 +802,7 @@ class ReceiverSession:
 
     def _now(self) -> float:
         """The clock's time, unless countermeasures suspend traffic then."""
-        now = self.clock() if self.clock is not None else 0.0
+        now = self.clock()
         if self.cm_state.in_blackout(now):
             raise Blackout("countermeasures active; frame dropped")
         return now

@@ -14,7 +14,8 @@ TABLE1_NOTES rather than silently matched.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 
@@ -38,30 +39,13 @@ class OpCounts:
     t_sub: int = 0
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.t_and + other.t_and,
-            self.t_or + other.t_or,
-            self.t_shift + other.t_shift,
-            self.t_mem + other.t_mem,
-            self.t_rot + other.t_rot,
-            self.t_swap + other.t_swap,
-            self.t_sub + other.t_sub,
-        )
+        return OpCounts(*map(operator.add, astuple(self), astuple(other)))
 
     def scaled(self, factor: int) -> "OpCounts":
-        return OpCounts(
-            self.t_and * factor,
-            self.t_or * factor,
-            self.t_shift * factor,
-            self.t_mem * factor,
-            self.t_rot * factor,
-            self.t_swap * factor,
-            self.t_sub * factor,
-        )
+        return OpCounts(*(c * factor for c in astuple(self)))
 
     def total(self) -> int:
-        return (self.t_and + self.t_or + self.t_shift + self.t_mem
-                + self.t_rot + self.t_swap + self.t_sub)
+        return sum(astuple(self))
 
 
 # Device energy constants in microjoules: the compute cost of one cycle and
@@ -201,7 +185,7 @@ def table1() -> list[Table1Row]:
     return rows
 
 
-TABLE1_CSV_HEADER = "m,mic,crc,keymix_case1,keymix_case2,rc4,tkip_case1,tkip_case2"
+TABLE1_CSV_HEADER = ",".join(Table1Row._fields)
 
 
 def table1_csv() -> str:

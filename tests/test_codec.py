@@ -3,6 +3,7 @@ modes, replay window, countermeasures, the type A schedule and probe
 machinery, overhead accounting, and the container/config formats."""
 
 import random
+import time
 from dataclasses import FrozenInstanceError, astuple, replace
 
 import pytest
@@ -66,10 +67,15 @@ def config(mode="tkip", keys=None, **fields):
     return SessionConfig(keys=keys or symmetric_keys(), mode=mode, **fields)
 
 
-def sessions(mode="tkip", keys=None, clock=None, **fields):
+def sessions(mode="tkip", keys=None, clock=time.monotonic, **fields):
     """Sender and receiver sessions sharing one config."""
     cfg = config(mode, keys, **fields)
     return SenderSession(cfg), ReceiverSession(cfg, clock)
+
+
+def tsc_of(frame):
+    """The 48-bit counter of a frame that carries all of it."""
+    return (frame.tsc_hi << 16) | frame.tsc_low
 
 
 def test_session_keys_validation():
@@ -167,7 +173,7 @@ def test_fragmentation_split():
     sender, _ = sessions()
     frames = sender.seal(b"y" * 300)
     assert len(frames) == 2
-    assert [f.tsc for f in frames] == [0, 1]
+    assert [tsc_of(f) for f in frames] == [0, 1]
     # the tag rides at the tail of the stream, split across fragments
     assert len(frames[0].body) == 256 + 4
     assert len(frames[1].body) == 52 + 4
@@ -220,7 +226,7 @@ def _check_exhaustion(mode):
     with pytest.raises(TscExhausted):
         sender.seal(bytes(300))                     # second fragment past the end
     # last usable counter value still seals
-    assert sender.seal(b"z")[0].tsc == TSC_MAX
+    assert tsc_of(sender.seal(b"z")[0]) == TSC_MAX
     with pytest.raises(TscExhausted):
         sender.seal(b"z")
 
@@ -312,6 +318,19 @@ def test_wrong_mic_key_fails_after_icv_passes():
     # the failure is recorded, but the unauthenticated counter is not admitted
     assert receiver.window.recent == []
     assert receiver.ttak_cache.hi is None
+
+
+def test_receiver_reads_the_monotonic_clock_by_default():
+    # a receiver built without a clock times a Michael failure by
+    # time.monotonic, so two failures far apart do not start countermeasures
+    keys = symmetric_keys()
+    other = SessionKeys(keys.tk, bytes(8), keys.mic_key_rx, keys.ta)
+    forged = SenderSession(config(keys=other)).seal(b"forged")
+    receiver = ReceiverSession(config(keys=keys))
+    before = time.monotonic()
+    with pytest.raises(MicFailure):
+        receiver.open(forged)
+    assert before <= receiver.cm_state.last_failure <= time.monotonic()
 
 
 def _forged_frame(mode, tsc_hi, tsc_low=0):
@@ -459,7 +478,7 @@ def test_out_of_order_counter_strict_for_tkip_only(mode):
             receiver.open(first)
         with pytest.raises(ReplayRejected):
             batch.open_many([second, first])
-        assert receiver.window.recent == batch.window.recent == [second[0].tsc]
+        assert receiver.window.recent == batch.window.recent == [tsc_of(second[0])]
     else:
         assert receiver.open(first) == bytes([0]) * 40
         assert batch.open_many([second, first]) == [bytes([1]) * 40, bytes([0]) * 40]
@@ -563,11 +582,11 @@ def test_type_a_schedule_matches_closed_form(refresh):
     first = refreshed = 0
     mismatched = []
     for n in range(1, 2 * EPOCH_FRAMES + 1000):
-        tsc, layout, _ = sender._next_frame()
-        if tsc & 0xFFFF == 0:
-            first += layout is FrameLayout.LOTKIP_TYPE_A
+        frame, _ = sender._next_frame(0, False)
+        if frame.tsc_low == 0:
+            first += frame.layout is FrameLayout.LOTKIP_TYPE_A
         else:
-            refreshed += layout is FrameLayout.LOTKIP_TYPE_A
+            refreshed += frame.layout is FrameLayout.LOTKIP_TYPE_A
         if lotkip_frame_classes(n, refresh) != (first, refreshed,
                                                 n - first - refreshed):
             mismatched.append(n)
@@ -636,7 +655,7 @@ def test_lotkip_mic_covers_counter():
     from lotkip.crypto import phase2_mix, rc4_apply
     ttak = sender.ttak_cache.ttak
     plain = rc4_apply(phase2_mix(ttak, keys.tk, frame.tsc_low), frame.body)
-    moved_tsc = frame.tsc + 1
+    moved_tsc = tsc_of(frame) + 1
     moved_body = rc4_apply(phase2_mix(ttak, keys.tk, moved_tsc & 0xFFFF), plain)
     moved = MpduFrame(FrameLayout.LOTKIP_TYPE_A, frame.key_id,
                       moved_tsc & 0xFFFF, moved_tsc >> 16, moved_body)
@@ -1029,7 +1048,7 @@ def _open_many(receiver, groups):
         return type(exc), str(exc)
 
 
-def _assert_open_many_matches_loop(cfg, groups, clock=None):
+def _assert_open_many_matches_loop(cfg, groups, clock=lambda: 0.0):
     loop, many = ReceiverSession(cfg, clock), ReceiverSession(cfg, clock)
     expected = _open_loop(loop, groups)
     assert _open_many(many, groups) == expected
