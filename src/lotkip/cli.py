@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import sys
-import time
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -89,14 +88,8 @@ def _msdu_bytes(text: str) -> int:
     return value
 
 
-def _split_msdus(data: bytes, msdu_bytes: int) -> list[bytes]:
-    if not data:
-        return [b""]
-    return [data[i:i + msdu_bytes] for i in range(0, len(data), msdu_bytes)]
-
-
 def cmd_seal(args: argparse.Namespace) -> int:
-    config = parse_session_config(Path(args.config).read_text())
+    config = parse_session_config(Path(args.config).read_text(encoding="utf-8"))
     _print_resolved("seal", {
         "config": args.config, "in": getattr(args, "in"), "out": args.out,
         "mode": config.mode, "msdu_bytes": args.msdu_bytes,
@@ -104,7 +97,7 @@ def cmd_seal(args: argparse.Namespace) -> int:
     })
     _check_output(args.out)
     data = Path(getattr(args, "in")).read_bytes()
-    sealed = SenderSession(config).seal_many(_split_msdus(data, args.msdu_bytes))
+    sealed = SenderSession(config).seal_many(codec.split(data, args.msdu_bytes))
     frames = [frame for msdu_frames in sealed for frame in msdu_frames]
     _write_output(args.out, frames_to_container(frames))
     _say(f"sealed {len(frames)} frames")
@@ -112,16 +105,14 @@ def cmd_seal(args: argparse.Namespace) -> int:
 
 
 def cmd_open(args: argparse.Namespace) -> int:
-    config = parse_session_config(Path(args.config).read_text())
+    config = parse_session_config(Path(args.config).read_text(encoding="utf-8"))
     _print_resolved("open", {
         "config": args.config, "in": getattr(args, "in"), "out": args.out,
         "mode": config.mode,
     })
     _check_output(args.out)
     frames = container_to_frames(Path(getattr(args, "in")).read_bytes())
-    if not frames:                  # seal writes a frame even for no payload
-        raise codec.MalformedFrame("empty container")
-    receiver = ReceiverSession(config, clock=time.monotonic)
+    receiver = ReceiverSession(config)
     recovered = b"".join(msdu for msdu in receiver.open_many(msdu_groups(frames))
                          if msdu is not None)
     _write_output(args.out, recovered)
@@ -136,7 +127,7 @@ def cmd_open(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     from lotkip import cost
 
-    case = cost.Case.NO_CACHE if args.case == 1 else cost.Case.CACHE
+    case = cost.Case(args.case)
     first = not args.subsequent
     _print_resolved("energy", {
         "m": args.m, "case": args.case, "first_packet": first,
@@ -164,7 +155,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     from lotkip import netsim
 
     topo_cfgs, traffic = netsim.parse_scenario_config(
-        Path(args.scenario).read_text())
+        Path(args.scenario).read_text(encoding="utf-8"))
     if args.seed is not None:
         topo_cfgs = [replace(tc, seed=args.seed) for tc in topo_cfgs]
     _print_resolved("sim", {

@@ -13,20 +13,20 @@ per-packet RC4 seed, as its frame's body.
 
 Open: the check pass is pure.  For each group of frames it checks layout,
 counter resolution, fragment numbers and more-fragments bits, fragment
-counter continuity and the replay counter, against the window and epoch
-that the block's earlier groups would leave if they committed.  The compute
-pass runs key mixing and RC4 for the groups that passed, checks each
-fragment's CRC once, and derives the tags of the data groups.  Either pass
-stops at the first failure and records it instead of raising it.  The
-commit pass then walks the groups in order, reading the clock and checking
-for blackout before each.  It verifies the probe payload or the Michael
-tag, and only then admits the group's counters to the window and takes its
-epoch into the phase 1 cache; at the failed group it raises the recorded
-failure.  So noise, replays, forgeries and spliced fragments can never move
-receiver state or feed the MIC-failure countermeasures, and a block's
-results, state and first exception are those of a loop of `seal`/`open`.
-The clock is `time.monotonic` unless the receiver is given another, as
-tests and simulations give one.
+counter continuity and the replay counter, against the window and epoch the
+block's earlier groups would leave if they committed, and builds the window
+it would leave.  The compute pass runs key mixing and RC4 for the groups
+that passed, checks each fragment's CRC once, fails a data MSDU too short
+for a tag as malformed, and derives the other tags.  Either pass records
+its first failure instead of raising it.  The commit pass then walks the
+groups in order, reading the clock and checking for blackout before each.
+It verifies the probe payload or the Michael tag, and only then installs
+the group's window and takes its epoch into the phase 1 cache; at the
+failed group it raises the recorded failure.  So unauthenticated input
+never moves receiver state or feeds the MIC-failure countermeasures, and a
+block's results, state and first exception are those of a loop of
+`seal`/`open`.  The clock is `time.monotonic` unless the receiver is given
+another, as tests and simulations give one.
 
 Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
 (`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
@@ -335,11 +335,11 @@ def fragment_count(msdu_len: int, frag_threshold: int) -> int:
     return max(1, -(-total // frag_threshold))
 
 
-def _chunks(stream: bytes, frag_threshold: int) -> list[bytes]:
-    if len(stream) <= frag_threshold:
-        return [stream]
-    return [stream[i:i + frag_threshold]
-            for i in range(0, len(stream), frag_threshold)]
+def split(data: bytes, size: int) -> list[bytes]:
+    """`data` in `size`-byte pieces, the last maybe shorter; empty data is one piece."""
+    if len(data) <= size:
+        return [data]
+    return [data[i:i + size] for i in range(0, len(data), size)]
 
 
 class _TtakCache:
@@ -488,6 +488,8 @@ def frames_to_container(frames: Iterable[MpduFrame]) -> bytes:
 
 
 def container_to_frames(data: bytes) -> list[MpduFrame]:
+    if not data:                    # seal writes a record even for no payload
+        raise MalformedFrame("empty container")
     frames = []
     pos = 0
     while pos < len(data):
@@ -738,7 +740,7 @@ class SenderSession:
         lanes = len(block) >= LANES_MIN_MSDUS
         tags = _michael_many(self._mic_state, mic_counters, msdus, lanes)
         plains = [chunk + crc32_icv(chunk) for msdu, tag in zip(msdus, tags)
-                  for chunk in _chunks(msdu + tag, cfg.frag_threshold)]
+                  for chunk in split(msdu + tag, cfg.frag_threshold)]
         bodies = _rc4_many(ttaks, cfg.keys.tk, [f.tsc_low for f in frames],
                            plains, lanes)
         for frame, body in zip(frames, bodies):
@@ -764,8 +766,9 @@ class SenderSession:
         fixed zero payload with its check value."""
         keys = self.config.keys
         tsc = self._alloc()
-        seed = phase2_mix(self.ttak_cache.get(keys, tsc >> 16), keys.tk, tsc & 0xFFFF)
-        body = rc4_apply(seed, PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD))
+        ttak = self.ttak_cache.get(keys, tsc >> 16)
+        (body,) = _rc4_many([ttak], keys.tk, [tsc & 0xFFFF],
+                            [PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD)], False)
         return MpduFrame(_PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
 
 
@@ -773,11 +776,11 @@ class ReceiverSession:
     """Owns the replay window, the countermeasure state, and the phase 1
     cache, whose upper counter value is the epoch type B frames resolve to.
     Only a group that passes every check, the Michael verify or the probe
-    payload last, moves the window or the epoch.  In TKIP mode a counter
-    must exceed the window's highest; the window's own `WINDOW` verdict,
-    an unseen counter below it, counts as a replay.  Michael failures and
-    blackouts are timed by `clock`, `time.monotonic` unless tests or
-    simulations inject another."""
+    payload last, moves the epoch or installs the window `_check` built for
+    it.  In TKIP mode a counter must exceed the window's highest; the
+    window's own `WINDOW` verdict, an unseen counter below it, counts as a
+    replay.  Michael failures and blackouts are timed by `clock`,
+    `time.monotonic` unless tests or simulations inject another."""
 
     def __init__(self, config: SessionConfig, clock: Clock = time.monotonic) -> None:
         self.config = config
@@ -808,11 +811,11 @@ class ReceiverSession:
         return now
 
     def _check(self, block: list) -> tuple[list, Optional[CodecError]]:
-        """(frames, counters, probe) of each group up to the first that fails
-        a header check, and that failure.  Each group is checked against the
-        window and epoch its earlier groups leave, as if they had committed:
-        the first against the session's window, which checking leaves as it
-        is, the later ones against a trial copy."""
+        """(frames, counters, probe, window) of each group up to the first
+        that fails a header check, and that failure.  Each group is checked
+        against the window and epoch its earlier groups leave, as if they
+        had committed, and its window is a copy of the one it was checked
+        against with its counters admitted, which commit installs."""
         mode = self.config.mode
         key_id = self.config.keys.key_id
         # 802.11 TKIP keeps one strictly increasing counter per priority
@@ -822,11 +825,6 @@ class ReceiverSession:
         plans = []
         try:
             for group in block:
-                if plans:
-                    if window is self.window:
-                        window = ReplayWindow(list(window.recent))
-                    for tsc in plans[-1][1]:
-                        window.admit(tsc)
                 frames = _as_frame_list(group)
                 probe = mode == "lotkip" and frames[0].layout is _PROBE
                 if probe and len(frames) != 1:
@@ -860,7 +858,10 @@ class ReceiverSession:
                     if window.check(tsc) in replays:
                         raise ReplayRejected(f"counter {tsc:#014x} rejected")
                     counters.append(tsc)
-                plans.append((frames, counters, probe))
+                window = ReplayWindow(window.recent[:])
+                for tsc in counters:
+                    window.admit(tsc)
+                plans.append((frames, counters, probe, window))
         except CodecError as exc:
             return plans, exc
         return plans, None
@@ -875,7 +876,7 @@ class ReceiverSession:
         # every data group whose fragments all check out
         ttaks = {cache.hi: cache.ttak}
         frame_ttaks, tsc_los, bodies = [], [], []
-        for frames, counters, _ in plans:
+        for frames, counters, _, _ in plans:
             for frame, tsc in zip(frames, counters):
                 hi = tsc >> 16
                 if hi not in ttaks:
@@ -887,31 +888,32 @@ class ReceiverSession:
         plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies, lanes))
         streams, mic_counters, msdus = [], [], []
         try:
-            for frames, counters, probe in plans:
+            for frames, counters, probe, _ in plans:
                 stream = b"".join(map(_strip_icv, islice(plains, len(frames))))
-                streams.append(stream)
-                if not probe and len(stream) >= MIC_BYTES:
+                if not probe:
+                    if len(stream) < MIC_BYTES:
+                        raise MalformedFrame("MSDU too short to carry a Michael tag")
                     mic_counters.append(counters[0].to_bytes(6, "little")
                                         if lotkip else b"")
                     msdus.append(stream[:-MIC_BYTES])
-        except IcvMismatch as exc:
+                streams.append(stream)
+        except (IcvMismatch, MalformedFrame) as exc:
             error = exc         # raised in place of this group and the rest
         tags = iter(_michael_many(self._mic_state, mic_counters, msdus, lanes))
-        # verify each group in order, then commit its counters and epoch
+        # verify each group in order, then install its window and epoch
         opened = []
-        for (_, counters, probe), stream in zip(plans, streams):
+        for (_, counters, probe, window), stream in zip(plans, streams):
             now = self._now()
             if probe:
                 if stream != PROBE_PAYLOAD:
                     raise MalformedFrame("probe payload mismatch")
                 opened.append(None)
-            elif len(stream) >= MIC_BYTES and stream[-MIC_BYTES:] == next(tags):
+            elif stream[-MIC_BYTES:] == next(tags):
                 opened.append(stream[:-MIC_BYTES])
             else:
                 self.cm_state.record_failure(now)
                 raise MicFailure("Michael tag mismatch")
-            for tsc in counters:
-                self.window.admit(tsc)
+            self.window = window
             hi = counters[-1] >> 16
             cache.take(hi, ttaks[hi])
         if error is not None:

@@ -636,14 +636,18 @@ def test_sim_rejects_bad_seed_and_repeated_key(tmp_path, capsys, line, args, err
     assert len(err) == 1 and err[0].startswith(error)
 
 
+def _fresh_env(**extra):
+    """This environment, with `extra` set and this lotkip first on the path."""
+    src = str(Path(lotkip.__file__).resolve().parent.parent)
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(code, *args):
     """Last stdout line of `code` run in a new interpreter that imports
     this lotkip."""
-    src = str(Path(lotkip.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                            env=env, capture_output=True, text=True, check=True)
+                            env=_fresh_env(), capture_output=True, text=True, check=True)
     return result.stdout.splitlines()[-1]
 
 
@@ -783,6 +787,28 @@ def test_non_utf8_config_exits_with_one_line(tmp_path, session_file, capsys,
                  "--out", str(tmp_path / "o.bin")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("UnicodeDecodeError: ")
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, Python's default text encoding
+    # is ASCII; the config and scenario files are UTF-8 all the same
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("# caf\u00e9\n" + SESSION_TEXT.format(mode="lotkip"), encoding="utf-8")
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("# caf\u00e9\n" + SCENARIO_TEXT, encoding="utf-8")
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(random.Random(3).randbytes(700))
+    env = _fresh_env(LC_ALL="C", PYTHONUTF8="0")
+
+    def lotkip(*args):
+        subprocess.run([sys.executable, "-m", "lotkip.cli", *map(str, args)],
+                       env=env, capture_output=True, check=True)
+
+    lotkip("seal", "--config", cfg, "--in", payload, "--out", tmp_path / "s.bin")
+    lotkip("open", "--config", cfg, "--in", tmp_path / "s.bin", "--out", tmp_path / "o.bin")
+    assert (tmp_path / "o.bin").read_bytes() == payload.read_bytes()
+    lotkip("sim", "--scenario", scenario, "--csv", tmp_path / "sim.csv")
+    assert (tmp_path / "sim.csv").read_text().startswith("P,scheme,")
 
 
 @pytest.mark.parametrize("args", [

@@ -3,8 +3,10 @@ modes, replay window, countermeasures, the type A schedule and probe
 machinery, overhead accounting, and the container/config formats."""
 
 import random
+import re
 import time
 from dataclasses import FrozenInstanceError, astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -331,6 +333,29 @@ def test_receiver_reads_the_monotonic_clock_by_default():
     with pytest.raises(MicFailure):
         receiver.open(forged)
     assert before <= receiver.cm_state.last_failure <= time.monotonic()
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+@pytest.mark.parametrize("size", [0, 3, 7])
+def test_msdu_too_short_for_a_tag_is_malformed(mode, size):
+    # a frame whose check value holds but whose MSDU is shorter than a tag
+    # never reaches Michael, so it must not feed the countermeasures: two
+    # such frames at one instant would otherwise start a blackout
+    cfg = config(mode)
+    receiver = ReceiverSession(cfg, clock=lambda: 5.0)
+    for tsc in (0, 1):
+        # a fresh sender's first frame, so type A in LOTKIP mode
+        sender = SenderSession(cfg)
+        sender.next_tsc = tsc
+        frame = sender.seal(b"")[0]
+        frame.body = _ref_frame_parts(cfg.keys, tsc, bytes(size))[1]
+        with pytest.raises(MalformedFrame, match="too short"):
+            receiver.open(frame)
+        with pytest.raises(MalformedFrame, match="too short"):
+            receiver.open_many([[frame]])
+    assert receiver.cm_state == CountermeasureState()
+    assert receiver.window.recent == []
+    assert receiver.ttak_cache.hi is None
 
 
 def _forged_frame(mode, tsc_hi, tsc_low=0):
@@ -1170,3 +1195,18 @@ def test_seal_many_keeps_tags_and_bodies_apart(rng):
     loop = SenderSession(cfg)
     assert groups == [loop.seal(m) for m in msdus]
     assert ReceiverSession(cfg).open_many(groups) == msdus
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_library_use_runs():
+    # the README's two python blocks run in order, in one namespace
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        readme.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
