@@ -28,11 +28,12 @@ block's results, state and first exception are those of a loop of
 `seal`/`open`.  The clock is `time.monotonic` unless the receiver is given
 another, as tests and simulations give one.
 
-Each crypto step (Michael, phase 2 key mixing and RC4) runs in lanes
-(`lotkip.crypto.lanes`) for a block of at least LANES_MIN_MSDUS MSDUs, and
-on the scalar functions otherwise.  Michael's pseudo-header is fixed for a
-session but for LOTKIP's counter, so each session absorbs the fixed part
-once, into its direction's midstate, and every tag starts from there.
+Phase 2 key mixing and RC4 run once per frame, RC4 on libcrypto where it
+binds (`lotkip.crypto.rc4`).  Michael runs in lanes (`lotkip.crypto.lanes`)
+for at least LANES_MIN_MSDUS MSDUs, and on `michael_mic` otherwise.
+Michael's pseudo-header is fixed for a session but for LOTKIP's counter, so
+each session absorbs the fixed part once, into its direction's midstate,
+and every tag starts from there.
 
 `SessionConfig.mode` selects the only four things that differ: the frame
 layout policy (always baseline, or the type A/type B schedule of
@@ -106,16 +107,17 @@ PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 # not: at 2304-B messages packed was faster only up to about 230 lanes (one
 # pinned CPU), so a larger block needs Michael measured again.
 LANES_BLOCK_MSDUS = 128
-# Smallest block whose crypto runs in lanes.  A numpy RC4 step costs about
-# the same for 1 lane as for 100, so lanes pay off only with enough MSDUs.
-# seal_many + open_many in LOTKIP mode, lanes against scalar, best of 11,
-# two runs on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4), with
-# Michael on packed integers and phase 2 on uint16 arrays: lanes broke even
-# near 6 to 8 MSDUs of 2304 B at threshold 2346, 2 to 4 at threshold 1024,
-# 8 to 10 of 300 B, and 12 to 14 of 60 B, where RC4's 256-step key schedule
-# dominates.  The threshold stays at 18, at or above all of those, until a
-# benchmark workload of small blocks can show that a lower one pays.
-LANES_MIN_MSDUS = 18
+# Fewest MSDUs whose Michael tags run in lanes, the codec's only lane
+# kernel.  seal_many + open_many, lanes against scalar, best of 11, two runs
+# per mode on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4): lanes
+# were faster from 2 MSDUs of 300 B or of 2304 B (at threshold 1024 or
+# 2346), by 1.15 to 1.97 times, and from 3 of 60 B, where 2 ran at 0.74 to
+# 1.07 times.  So the break-even is a count, the same for 60-B and 2304-B
+# MSDUs, not a byte count.  The first block in lanes also imports numpy,
+# ~65 ms once per process, which a short-lived process does not earn back:
+# a cold `lotkip seal` of 3 MSDUs of 2304 B took 135 ms, against 73 ms
+# when 18 was the threshold.
+LANES_MIN_MSDUS = 3
 
 Clock = Callable[[], float]
 
@@ -371,20 +373,17 @@ class _TtakCache:
 # `lotkip.crypto.lanes` loads on first use; lanes and scalar give the same bytes.
 
 def _michael_many(midstate: tuple[int, int], counters: list[bytes],
-                  msdus: list[bytes], lanes: bool) -> list[bytes]:
-    if lanes:
+                  msdus: list[bytes]) -> list[bytes]:
+    if len(msdus) >= LANES_MIN_MSDUS:
         from lotkip.crypto.lanes import michael_mic_lanes
         return michael_mic_lanes(midstate, list(zip(counters, msdus)))
     return list(map(michael_mic, repeat(midstate), counters, msdus))
 
 
-def _rc4_many(ttaks: list, tk: bytes, tsc_los: list[int], datas: list[bytes],
-              lanes: bool) -> list[bytes]:
+def _rc4_many(ttaks: list, tk: bytes, tsc_los: list[int],
+              datas: list[bytes]) -> list[bytes]:
     """Each data buffer through RC4 under its packet's phase 2 seed, from
     the packet's phase 1 key and low 16 counter bits."""
-    if lanes:
-        from lotkip.crypto.lanes import phase2_mix_lanes, rc4_apply_lanes
-        return rc4_apply_lanes(phase2_mix_lanes(ttaks, tk, tsc_los), datas)
     return list(map(rc4_apply, map(phase2_mix, ttaks, repeat(tk), tsc_los), datas))
 
 
@@ -737,12 +736,10 @@ class SenderSession:
                 ttaks.append(ttak)
             sealed.append(frames[-count:])
         # compute every tag, one check value per chunk, then every body
-        lanes = len(block) >= LANES_MIN_MSDUS
-        tags = _michael_many(self._mic_state, mic_counters, msdus, lanes)
+        tags = _michael_many(self._mic_state, mic_counters, msdus)
         plains = [chunk + crc32_icv(chunk) for msdu, tag in zip(msdus, tags)
                   for chunk in split(msdu + tag, cfg.frag_threshold)]
-        bodies = _rc4_many(ttaks, cfg.keys.tk, [f.tsc_low for f in frames],
-                           plains, lanes)
+        bodies = _rc4_many(ttaks, cfg.keys.tk, [f.tsc_low for f in frames], plains)
         for frame, body in zip(frames, bodies):
             frame.body = body
         return sealed
@@ -768,7 +765,7 @@ class SenderSession:
         tsc = self._alloc()
         ttak = self.ttak_cache.get(keys, tsc >> 16)
         (body,) = _rc4_many([ttak], keys.tk, [tsc & 0xFFFF],
-                            [PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD)], False)
+                            [PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD)])
         return MpduFrame(_PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
 
 
@@ -884,8 +881,7 @@ class ReceiverSession:
                 frame_ttaks.append(ttaks[hi])
                 tsc_los.append(tsc & 0xFFFF)
                 bodies.append(frame.body)
-        lanes = len(block) >= LANES_MIN_MSDUS
-        plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies, lanes))
+        plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies))
         streams, mic_counters, msdus = [], [], []
         try:
             for frames, counters, probe, _ in plans:
@@ -899,7 +895,7 @@ class ReceiverSession:
                 streams.append(stream)
         except (IcvMismatch, MalformedFrame) as exc:
             error = exc         # raised in place of this group and the rest
-        tags = iter(_michael_many(self._mic_state, mic_counters, msdus, lanes))
+        tags = iter(_michael_many(self._mic_state, mic_counters, msdus))
         # verify each group in order, then install its window and epoch
         opened = []
         for (_, counters, probe, window), stream in zip(plans, streams):

@@ -59,9 +59,9 @@ _SBOX_SWAPPED = tuple(((v & 0xFF) << 8) | (v >> 8) for v in TKIP_SBOX)
 # The temporal key as eight little-endian 16-bit words: word n is
 # Mk16(TK[2n+1], TK[2n]).
 _TK_WORDS = struct.Struct("<8H")
-# The RC4 seed as eight little-endian 16-bit words: the three WEP IV
-# bytes, one byte derived from P5, then P0..P5.
-_SEED = struct.Struct("<8H")
+# The RC4 seed: the three WEP IV bytes, one byte derived from P5, then
+# P0..P5 as little-endian 16-bit words.
+_SEED = struct.Struct("<4B6H")
 
 
 def _tk_words(tk: bytes) -> tuple[int, ...]:
@@ -104,20 +104,15 @@ def phase1_mix(tk: bytes, ta: bytes, tsc_hi: int) -> tuple[int, int, int, int, i
     return t0, t1, t2, t3, t4
 
 
-def _phase2_words(ttak, tk_words, tsc_lo, lo, hi) -> tuple:
-    """The RC4 seed as eight 16-bit words (see `_SEED`), from the phase 1
-    key's five words, the eight TK words and the low 16 counter bits, with
-    S(v) = lo[lo8(v)] ^ hi[hi8(v)].  The only copy of the phase 2 network.
+def phase2_mix(ttak: tuple[int, int, int, int, int], tk: bytes, tsc_lo: int) -> bytes:
+    """16-byte RC4 seed for one packet; bytes 0-2 are the on-air WEP IV."""
+    k0, k1, k2, k3, k4, k5, k6, k7 = _tk_words(tk)
+    if len(ttak) != 5:
+        raise ValueError("ttak must hold five 16-bit words")
+    if not 0 <= tsc_lo <= 0xFFFF:
+        raise ValueError("tsc_lo must be a 16-bit value")
 
-    It runs unchanged on Python ints, where each `& 0xFFFF` wraps an add
-    or drops what a left shift carries past bit 15, and on uint16 numpy
-    arrays of one element per packet, where the adds and shifts already
-    wrap and the masks change nothing; `lotkip.crypto.lanes` passes the
-    tables as uint16 arrays.  Every constant fits in 16 bits, so uint16
-    arrays stay uint16 under value-based casting (before numpy 2) and NEP 50
-    alike.
-    """
-    k0, k1, k2, k3, k4, k5, k6, k7 = tk_words
+    lo, hi = TKIP_SBOX, _SBOX_SWAPPED
     p0, p1, p2, p3, p4 = ttak
     p5 = (p4 + tsc_lo) & 0xFFFF
     v = p5 ^ k0
@@ -143,19 +138,8 @@ def _phase2_words(ttak, tk_words, tsc_lo, lo, hi) -> tuple:
     p4 = (p4 + (p3 >> 1 | p3 << 15)) & 0xFFFF
     p5 = (p5 + (p4 >> 1 | p4 << 15)) & 0xFFFF
 
-    # seed bytes 0-1: TSC1, then TSC1 with bit 5 set and bit 7 clear so the
-    # IV avoids the weak-key classes; bytes 2-3: TSC0, then (P5 ^ TK0) >> 1
+    # TSC1, then TSC1 with bit 5 set and bit 7 clear so the IV avoids the
+    # weak-key classes; TSC0, then (P5 ^ TK0) >> 1
     tsc1 = tsc_lo >> 8
-    return (tsc1 | ((tsc1 | 0x20) & 0x7F) << 8,
-            (tsc_lo & 0xFF) | (((p5 ^ k0) >> 1) & 0xFF) << 8,
-            p0, p1, p2, p3, p4, p5)
-
-
-def phase2_mix(ttak: tuple[int, int, int, int, int], tk: bytes, tsc_lo: int) -> bytes:
-    """16-byte RC4 seed for one packet; bytes 0-2 are the on-air WEP IV."""
-    k = _tk_words(tk)
-    if len(ttak) != 5:
-        raise ValueError("ttak must hold five 16-bit words")
-    if not 0 <= tsc_lo <= 0xFFFF:
-        raise ValueError("tsc_lo must be a 16-bit value")
-    return _SEED.pack(*_phase2_words(ttak, k, tsc_lo, TKIP_SBOX, _SBOX_SWAPPED))
+    return _SEED.pack(tsc1, (tsc1 | 0x20) & 0x7F, tsc_lo & 0xFF,
+                      ((p5 ^ k0) >> 1) & 0xFF, p0, p1, p2, p3, p4, p5)

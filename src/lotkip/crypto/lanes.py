@@ -1,48 +1,29 @@
-"""Michael, phase 2 key mixing and RC4 over many independent messages at
-once.
+"""Michael over many independent messages at once.
 
-Each algorithm is strictly sequential within one message, but the messages
-of a batch do not depend on each other.  Each message gets a lane and all
-lanes take the same step together.  Michael and RC4 sort their lanes
-longest first, so the lanes still running at any step are a prefix.  The
-results equal `michael_mic`, `phase2_mix` and `rc4_apply` called once per
-message.
+Michael is strictly sequential within one message, but the messages of a
+batch do not depend on each other.  Each message gets a lane and all lanes
+take the same step together.  The lanes are sorted longest first, so the
+lanes still running at any step are a prefix.  The tags equal
+`michael_mic` called once per message.
 
-Michael packs its lanes into one Python integer, a 64-bit slot per lane,
-and runs the scalar round `michael._absorb` on it, so one round of integer
+The lanes are packed into one Python integer, a 64-bit slot per lane, and
+the scalar round `michael._absorb` runs on it, so one round of integer
 operations serves every lane; a lane that finishes is read out of its slot
-and masked away.  Every slot starts from the session's header midstate,
-so a lane absorbs only its counter, if any, and its data.  Phase 2 runs
-the scalar network `keymix._phase2_words` on uint16 arrays, one element
-per packet, so one pass of its fixed network of S-box lookups, adds and
-rotates derives every packet's seed, and hands RC4 all of them as one
-(packets, 16) uint8 array.  RC4 lanes take only such 16-byte per-packet
-seeds.  RC4 stays in numpy, one row of a uint8 array per lane, because
-each step gathers from every lane's own permutation.  The numpy kernels
-keep every operand in one dtype, or a Python int that fits it, so
-additions wrap as the algorithms require and the results do not depend on
-numpy's scalar casting rules (value-based before numpy 2, NEP 50 after).
+and masked away.  Every slot starts from the session's header midstate, so
+a lane absorbs only its counter, if any, and its data.  numpy only
+transposes the table of message words into one row of slots per step.
 
-Each RC4 step and each packed Michael word carries a fixed interpreter
-overhead whatever the lane count, so a batch pays off only with many
-lanes; the codec decides when to use it.
+A batch has a fixed cost (sorting, the word table and its transpose), so
+it pays off only from a few messages; the codec decides when to use it.
 """
 
 from __future__ import annotations
 
-import sys
-from itertools import cycle
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from lotkip.crypto.keymix import TKIP_SBOX, _SBOX_SWAPPED, _phase2_words, _tk_words
 from lotkip.crypto.michael import _PAD, _absorb
-
-# The phase 2 S-box tables as arrays, so `_phase2_words` gathers all lanes'
-# substitutions with one index operation each.
-_SBOX_LO = np.array(TKIP_SBOX, dtype=np.uint16)
-_SBOX_HI = np.array(_SBOX_SWAPPED, dtype=np.uint16)
 
 
 def _segments(lengths: list[int]) -> Iterator[tuple[int, int, int]]:
@@ -54,12 +35,6 @@ def _segments(lengths: list[int]) -> Iterator[tuple[int, int, int]]:
         if stop > step:
             yield step, stop, lanes
             step = stop
-
-
-def _low_byte(values: np.ndarray) -> np.ndarray:
-    """A writable uint8 view of the least significant byte of each element."""
-    first = 0 if sys.byteorder == "little" else values.itemsize - 1
-    return values.view(np.uint8)[first::values.itemsize]
 
 
 def _rows(rows: list[tuple[bytes, ...]], width: int) -> bytearray:
@@ -124,95 +99,3 @@ def _read_tags(tags: list[bytes], order: list[int], l: int, r: int,
     lb, rb = l.to_bytes(8 * stop, "little"), r.to_bytes(8 * stop, "little")
     for lane in range(first, stop):
         tags[order[lane]] = lb[8 * lane:8 * lane + 4] + rb[8 * lane:8 * lane + 4]
-
-
-def phase2_mix_lanes(ttaks: Sequence[tuple[int, ...]], tk: bytes,
-                     tsc_los: Sequence[int]) -> np.ndarray:
-    """A (pairs, 16) uint8 array whose row n is the bytes of
-    `phase2_mix(ttaks[n], tk, tsc_los[n])`.  Each pair has its own phase 1
-    key, so one call may span counter epochs."""
-    k = _tk_words(tk)
-    count = len(tsc_los)
-    if len(ttaks) != count:
-        raise ValueError("one ttak per tsc_lo is required")
-    if count == 0:
-        return np.empty((0, 16), np.uint8)
-    words = np.array(ttaks, dtype=np.int64)
-    lows = np.array(tsc_los, dtype=np.int64)
-    if words.shape != (count, 5):
-        raise ValueError("ttak must hold five 16-bit words")
-    # a shifted value is non-zero if it is too large or negative
-    if (words >> 16).any() or (lows >> 16).any():
-        raise ValueError("ttak words and tsc_lo must be 16-bit values")
-    seeds = _phase2_words(words.T.astype(np.uint16), k, lows.astype(np.uint16),
-                          _SBOX_LO, _SBOX_HI)
-    # one row of eight little-endian words per lane: its 16-byte seed
-    return np.stack(seeds, axis=1).astype("<u2").view(np.uint8)
-
-
-def rc4_apply_lanes(seeds: np.ndarray, datas: Sequence[bytes]) -> list[bytes]:
-    """`rc4_apply(bytes(seeds[n]), datas[n])` for every data buffer, from
-    a (len(datas), 16) uint8 array of per-packet seeds."""
-    count = len(datas)
-    if seeds.shape != (count, 16) or seeds.dtype != np.uint8:
-        raise ValueError("one 16-byte uint8 seed row per data buffer is required")
-    if count == 0:
-        return []
-    order = sorted(range(count), key=lambda n: len(datas[n]), reverse=True)
-    lengths = [len(datas[n]) for n in order]
-    width = lengths[0]
-
-    # state[lane, v] is the lane's permutation, at flat index lane*256 + v.
-    # The RC4 indices j and S[i] + S[j] are kept as those flat indices:
-    # each starts at lane*256, and uint8 arithmetic on its lowest byte
-    # wraps mod 256 without touching the lane part.
-    state = np.empty((count, 256), dtype=np.uint8)
-    state[:] = np.arange(256, dtype=np.uint8)
-    flat = state.reshape(-1)
-    # cols[i] is column i of the state: S[i] of every lane
-    cols = list(state.T)
-    j_at = np.arange(count, dtype=np.intp) * 256
-    t_at = j_at.copy()
-    j, t = _low_byte(j_at), _low_byte(t_at)
-    sj = np.empty(count, dtype=np.uint8)
-    # row i of the schedule is seed byte i % 16 of every lane
-    schedule = np.tile(seeds[order].T, (16, 1))
-    # a contiguous copy of S[i]: numpy adds and scatters from it faster
-    # than from the strided column
-    si = np.empty_like(sj)
-    for col, key in zip(cols, schedule):
-        si[...] = col
-        j += si
-        j += key
-        flat.take(j_at, out=sj, mode="wrap")
-        flat[j_at] = si
-        col[...] = sj
-
-    # keystream byte k of every running lane goes to row k of `stream`,
-    # then one XOR applies it to every lane's data
-    stream = np.empty((width, count), dtype=np.uint8)
-    j[...] = 0
-    for start, stop, lanes in _segments(lengths):
-        jv, tv, sjv = j[:lanes], t[:lanes], sj[:lanes]
-        j_atv, t_atv = j_at[:lanes], t_at[:lanes]
-        # step k uses column (k + 1) mod 256 of the running lanes, so the
-        # segment's column views repeat every 256 steps
-        heads = [cols[(k + 1) & 0xFF][:lanes]
-                 for k in range(start, min(stop, start + 256))]
-        siv = si[:lanes]
-        for col, row in zip(cycle(heads), stream[start:stop, :lanes]):
-            siv[...] = col
-            jv += siv
-            flat.take(j_atv, out=sjv, mode="wrap")
-            np.add(siv, sjv, out=tv)
-            flat[j_atv] = siv
-            col[...] = sjv
-            flat.take(t_atv, out=row, mode="wrap")
-
-    text = np.frombuffer(_rows([(datas[n],) for n in order], width),
-                         np.uint8).reshape(count, width)
-    text ^= stream.T
-    out = [b""] * count
-    for lane, n in enumerate(order):
-        out[n] = text[lane, :lengths[lane]].tobytes()
-    return out

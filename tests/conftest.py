@@ -72,3 +72,13 @@ class BruteForceWindow:
             return Classification.REJECT
         self.accepted.append(value)
         return Classification.WINDOW
+
+
+@pytest.fixture
+def python_rc4(monkeypatch):
+    """`rc4_apply` on the pure-Python path, as on a machine without
+    libcrypto's RC4: the next call binds again and finds no library.
+    monkeypatch restores the binding afterwards."""
+    from lotkip.crypto import libcrypto, rc4
+    monkeypatch.setattr(libcrypto, "_SONAMES", ())
+    monkeypatch.setattr(rc4, "_backend", None)

@@ -510,8 +510,8 @@ def _library_corpus(mode: str) -> bytes:
     sender, receiver = SenderSession(cfg), ReceiverSession(cfg)
     sender.next_tsc = 0xFFFF - 30
     msdus = [rng.randbytes(rng.choice((0, 1, 255, 700, 2304))) for _ in range(40)]
-    # the corpus's only crypto in lanes: this first seal_many and the
-    # open_many below, each one block of at least LANES_MIN_MSDUS
+    # Michael in lanes: both seal_many calls and the open_many below, each
+    # one block of at least LANES_MIN_MSDUS; the seals between are scalar
     first = msdus[:20]
     assert len(first) >= LANES_MIN_MSDUS
     groups = sender.seal_many(first)
@@ -528,9 +528,8 @@ def _library_corpus(mode: str) -> bytes:
 
 def test_sealed_corpus_is_pinned(tmp_path):
     # both modes x fragmentation thresholds x K, over files of 0, 1 and
-    # ~7 000 bytes and one of 11 MSDUs, all sealed on the scalar path (11
-    # is below LANES_MIN_MSDUS); only `_library_corpus`'s 20-MSDU seal_many
-    # and its open_many run in lanes
+    # ~7 000 bytes and one of 11 MSDUs; the files of 0 and 1 byte seal their
+    # Michael tags on the scalar path, those of 4 and 11 MSDUs in lanes
     rng = random.Random(6)
     payloads = {"empty": b"", "one": b"\x5a", "small": rng.randbytes(6929),
                 "lanes": rng.randbytes(10 * 2304 + 1960)}
@@ -653,11 +652,12 @@ def _fresh_python(code, *args):
 
 def test_cli_import_leaves_oracle_and_lanes_unloaded():
     # lotkip.reference is a test oracle, the numpy lanes load on first use,
-    # and only table1, energy and sim need the cost model: none of them
-    # belongs in the import cost of every lotkip process
+    # RC4 binds libcrypto through ctypes on its first call, and only table1,
+    # energy and sim need the cost model: none of them belongs in the
+    # import cost of every lotkip process
     probe = ("import sys, lotkip.cli; print(' '.join(m for m in "
-             "('lotkip.reference', 'lotkip.crypto.lanes', 'lotkip.cost') "
-             "if m in sys.modules))")
+             "('lotkip.reference', 'lotkip.crypto.lanes', 'lotkip.cost', "
+             "'lotkip.crypto.libcrypto', 'ctypes') if m in sys.modules))")
     assert _fresh_python(probe) == ""
 
 

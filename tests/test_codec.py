@@ -1146,23 +1146,20 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
 
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])
 def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
-    """Below LANES_MIN_MSDUS MSDUs nothing runs in lanes; from it on every
-    tag, seed and body comes from the lanes, so no prediction missed, and
-    seal and open each call every lane kernel by its module-level name
-    once per block.  The block spans two counter epochs."""
+    """Below LANES_MIN_MSDUS MSDUs Michael runs on `michael_mic`; from it on
+    every tag comes from one `michael_mic_lanes` call per block in seal and
+    in open.  Phase 2 and RC4 run once per frame through the codec's
+    module-level names either way.  The block spans two counter epochs."""
     import lotkip.codec as codec
     import lotkip.crypto.lanes as lanes
 
-    kernels = ("michael_mic_lanes", "phase2_mix_lanes", "rc4_apply_lanes")
-    calls = dict.fromkeys(kernels, 0)
+    names = ("michael_mic_lanes", "michael_mic", "phase2_mix", "rc4_apply")
+    calls = dict.fromkeys(names, 0)
 
-    def fail(*args):
-        raise AssertionError("unexpected call")
-
-    def counted(name, kernel):
+    def counted(name, function):
         def call(*args):
             calls[name] += 1
-            return kernel(*args)
+            return function(*args)
         return call
 
     cfg = config(mode, refresh_interval=3)
@@ -1170,18 +1167,21 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
         msdus = [rng.randbytes(rng.randrange(600)) for _ in range(count)]
         lanes_on = count >= LANES_MIN_MSDUS
         with monkeypatch.context() as patch:
-            if lanes_on:
-                for name in ("michael_mic", "rc4_apply", "phase2_mix"):
-                    patch.setattr(codec, name, fail)
-            for name in kernels:
-                patch.setattr(lanes, name,
-                              counted(name, getattr(lanes, name)) if lanes_on else fail)
+            patch.setattr(lanes, "michael_mic_lanes",
+                          counted("michael_mic_lanes", lanes.michael_mic_lanes))
+            for name in names[1:]:
+                patch.setattr(codec, name, counted(name, getattr(codec, name)))
+            calls.update(dict.fromkeys(names, 0))
             sender = SenderSession(cfg)
             sender.next_tsc = EPOCH_FRAMES - 5
             groups = sender.seal_many(msdus)
-            assert calls == dict.fromkeys(kernels, int(lanes_on))
+            frames = sum(map(len, groups))
+            expected = {"michael_mic_lanes": int(lanes_on),
+                        "michael_mic": 0 if lanes_on else count,
+                        "phase2_mix": frames, "rc4_apply": frames}
+            assert calls == expected
             assert ReceiverSession(cfg).open_many(groups) == msdus
-            assert calls == dict.fromkeys(kernels, 2 * lanes_on)
+            assert calls == {name: 2 * n for name, n in expected.items()}
 
 
 def test_seal_many_keeps_tags_and_bodies_apart(rng):

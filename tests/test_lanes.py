@@ -1,14 +1,16 @@
-"""Michael, phase 2 key mixing and RC4 in lanes: every lane's result
-equals the one-message functions and the reference module, over lane
-counts, mixed lengths (empty to a full MSDU with its counter), tags with
-and without the counter, and phase 1 keys of two epochs in one call."""
+"""Michael in lanes: every lane's tag equals `michael_mic` and the
+reference module, over lane counts, mixed lengths (empty to a full MSDU
+with its counter), tags with and without the counter, and midstates that
+carry into the packed lanes' guard bits. The codec's many-packet phase 2
+and RC4 path gives, packet by packet, what the one-packet functions and
+the reference module give, also with phase 1 keys of two epochs in one
+call."""
 
 import struct
 
-import numpy as np
 import pytest
 
-from lotkip.codec import LANES_BLOCK_MSDUS
+from lotkip.codec import LANES_BLOCK_MSDUS, _rc4_many
 from lotkip.crypto import (
     michael_header,
     michael_mic,
@@ -17,7 +19,7 @@ from lotkip.crypto import (
     phase2_mix,
     rc4_apply,
 )
-from lotkip.crypto.lanes import michael_mic_lanes, phase2_mix_lanes, rc4_apply_lanes
+from lotkip.crypto.lanes import michael_mic_lanes
 from lotkip.reference import ref_michael_mic, ref_phase2, ref_rc4
 
 from conftest import mic_counter
@@ -124,11 +126,13 @@ def test_michael_lanes_match_scalar_and_reference(rng, count, build, state):
 
 @pytest.mark.parametrize("count", LANE_COUNTS)
 def test_rc4_lanes_match_scalar_and_reference(rng, count):
-    # one 16-byte per-packet seed per lane
-    rows = np.frombuffer(rng.randbytes(16 * count), np.uint8).reshape(count, 16)
-    seeds = [bytes(row) for row in rows]
+    # one phase 1 key and low counter per packet
+    tk = rng.randbytes(16)
+    ttaks = [tuple(rng.randrange(1 << 16) for _ in range(5)) for _ in range(count)]
+    tsc_los = [rng.randrange(1 << 16) for _ in range(count)]
     datas = [rng.randbytes(_length(rng, lane)) for lane in range(count)]
-    outs = rc4_apply_lanes(rows, datas)
+    seeds = [phase2_mix(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
+    outs = _rc4_many(ttaks, tk, tsc_los, datas)
     assert outs == [rc4_apply(seed, data) for seed, data in zip(seeds, datas)]
     for seed, data, out in list(zip(seeds, datas, outs))[:12]:
         assert out == ref_rc4(seed, data)
@@ -145,38 +149,27 @@ def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
     tk = rng.randbytes(16) if tk_kind == "random" else b"\xff" * 16
     ta = rng.randbytes(6)
     hi = rng.randrange((1 << 32) - 1)
-    # the phase 1 keys of two consecutive epochs, mixed lane by lane
+    # the phase 1 keys of two consecutive epochs, mixed packet by packet
     epochs = (phase1_mix(tk, ta, hi), phase1_mix(tk, ta, hi + 1))
+    # 256 bytes of zeros, so each output is the seed's first keystream
+    zeros = [bytes(256)] * count
     for first in TSC_LO_EDGES + (rng.randrange(1 << 16),):
         ttaks = [epochs[(lane + first) % 2] if lane < 2 else rng.choice(epochs)
                  for lane in range(count)]
-        # lane 0 takes each edge value in turn; 300 lanes also take them all
+        # packet 0 takes each edge value in turn; 300 packets also take them all
         tsc_los = [first] + [TSC_LO_EDGES[lane - 1] if lane <= len(TSC_LO_EDGES)
                              else rng.randrange(1 << 16) for lane in range(1, count)]
-        rows = phase2_mix_lanes(ttaks, tk, tsc_los)
-        assert rows.shape == (count, 16) and rows.dtype == np.uint8
-        seeds = [bytes(row) for row in rows]
-        assert seeds == [phase2_mix(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
-        assert seeds == [ref_phase2(p1k, tk, lo) for p1k, lo in zip(ttaks, tsc_los)]
+        streams = _rc4_many(ttaks, tk, tsc_los, zeros)
+        assert streams == [rc4_apply(phase2_mix(p1k, tk, lo), z)
+                           for p1k, lo, z in zip(ttaks, tsc_los, zeros)]
+        assert streams == [ref_rc4(ref_phase2(p1k, tk, lo), z)
+                           for p1k, lo, z in zip(ttaks, tsc_los, zeros)]
 
 
 def test_lanes_edge_inputs(rng):
     midstate = michael_midstate(rng.randbytes(8), michael_header(bytes(6), bytes(6), 0))
     assert michael_mic_lanes(midstate, []) == []
-    assert rc4_apply_lanes(np.empty((0, 16), np.uint8), []) == []
-    assert rc4_apply_lanes(np.zeros((2, 16), np.uint8), [b"", b""]) == [b"", b""]
+    assert _rc4_many([], rng.randbytes(16), [], []) == []
     for bad in ((1 << 32, 0), (0, -1)):
         with pytest.raises(ValueError):
             michael_mic_lanes(bad, [(b"", b"x")])
-    for bad in (np.zeros((1, 16), np.uint8), np.zeros((2, 15), np.uint8),
-                np.zeros((2, 16), np.uint16)):
-        with pytest.raises(ValueError):
-            rc4_apply_lanes(bad, [b"a", b"b"])
-    tk, ttak = rng.randbytes(16), (1, 2, 3, 4, 5)
-    assert phase2_mix_lanes([], tk, []).shape == (0, 16)
-    for ttaks, tk_, tsc_los in (([ttak], tk, [0, 1]), ([ttak], bytes(15), [0]),
-                                ([ttak[:4]], tk, [0]), ([ttak, ttak[:4]], tk, [0, 1]),
-                                ([(1, 2, 3, 4, 0x10000)], tk, [0]),
-                                ([ttak], tk, [0x10000]), ([ttak], tk, [-1])):
-        with pytest.raises(ValueError):
-            phase2_mix_lanes(ttaks, tk_, tsc_los)
