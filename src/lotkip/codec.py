@@ -29,7 +29,7 @@ block's results, state and first exception are those of a loop of
 another, as tests and simulations give one.
 
 Phase 2 key mixing and RC4 run once per frame, RC4 on libcrypto where it
-binds (`lotkip.crypto.rc4`).  Michael runs in lanes (`lotkip.crypto.lanes`)
+binds (`lotkip.crypto.rc4`).  Michael runs in lanes (`michael_mic_lanes`)
 for at least LANES_MIN_MSDUS MSDUs, and on `michael_mic` otherwise.
 Michael's pseudo-header is fixed for a session but for LOTKIP's counter, so
 each session absorbs the fixed part once, into its direction's midstate,
@@ -83,6 +83,7 @@ from lotkip.crypto import (
     crc32_icv,
     michael_header,
     michael_mic,
+    michael_mic_lanes,
     michael_midstate,
     phase1_mix,
     phase2_mix,
@@ -103,21 +104,16 @@ BLACKOUT_S = 60.0
 PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 # `seal_many`/`open_many` work through MSDUs in blocks of this many, so
 # their lane buffers stay O(block) whatever the file size.  A packed
-# Michael step costs more with every lane, where a numpy uint32 step would
-# not: at 2304-B messages packed was faster only up to about 230 lanes (one
-# pinned CPU), so a larger block needs Michael measured again.
+# Michael step costs more with every lane, so a larger block needs Michael
+# measured again.
 LANES_BLOCK_MSDUS = 128
 # Fewest MSDUs whose Michael tags run in lanes, the codec's only lane
 # kernel.  seal_many + open_many, lanes against scalar, best of 11, two runs
-# per mode on one pinned CPU of a 2-vCPU VM (Python 3.11, numpy 2.4): lanes
-# were faster from 2 MSDUs of 300 B or of 2304 B (at threshold 1024 or
-# 2346), by 1.15 to 1.97 times, and from 3 of 60 B, where 2 ran at 0.74 to
-# 1.07 times.  So the break-even is a count, the same for 60-B and 2304-B
-# MSDUs, not a byte count.  The first block in lanes also imports numpy,
-# ~65 ms once per process, which a short-lived process does not earn back:
-# a cold `lotkip seal` of 3 MSDUs of 2304 B took 135 ms, against 73 ms
-# when 18 was the threshold.
-LANES_MIN_MSDUS = 3
+# per mode on one pinned CPU of a 2-vCPU VM (Python 3.11).  At 2 MSDUs lanes
+# ran 1.22 to 1.48 times as fast at 300 B and 2304 B (threshold 1024 or
+# 2346), level at 60 B, and 0.79 to 0.95 times as fast at 1 to 20 B.  A
+# loss costs 5 to 18 us per block and a win at 2304 B saves ~0.5 ms.
+LANES_MIN_MSDUS = 2
 
 Clock = Callable[[], float]
 
@@ -370,12 +366,10 @@ class _TtakCache:
         return self.ttak
 
 
-# `lotkip.crypto.lanes` loads on first use; lanes and scalar give the same bytes.
-
 def _michael_many(midstate: tuple[int, int], counters: list[bytes],
                   msdus: list[bytes]) -> list[bytes]:
+    """Each MSDU's tag; lanes and scalar give the same bytes."""
     if len(msdus) >= LANES_MIN_MSDUS:
-        from lotkip.crypto.lanes import michael_mic_lanes
         return michael_mic_lanes(midstate, list(zip(counters, msdus)))
     return list(map(michael_mic, repeat(midstate), counters, msdus))
 

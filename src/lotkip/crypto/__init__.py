@@ -11,6 +11,7 @@ from lotkip.crypto.michael import (
     michael_header,
     michael_key_words,
     michael_mic,
+    michael_mic_lanes,
     michael_midstate,
     michael_pad,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "michael_header",
     "michael_key_words",
     "michael_mic",
+    "michael_mic_lanes",
     "michael_midstate",
     "michael_pad",
     "phase1_mix",

@@ -651,12 +651,11 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_leaves_oracle_and_lanes_unloaded():
-    # lotkip.reference is a test oracle, the numpy lanes load on first use,
-    # RC4 binds libcrypto through ctypes on its first call, and only table1,
-    # energy and sim need the cost model: none of them belongs in the
-    # import cost of every lotkip process
+    # lotkip.reference is a test oracle, RC4 binds libcrypto through ctypes
+    # on its first call, and only table1, energy and sim need the cost
+    # model: none of them belongs in the import cost of every lotkip process
     probe = ("import sys, lotkip.cli; print(' '.join(m for m in "
-             "('lotkip.reference', 'lotkip.crypto.lanes', 'lotkip.cost', "
+             "('lotkip.reference', 'lotkip.cost', "
              "'lotkip.crypto.libcrypto', 'ctypes') if m in sys.modules))")
     assert _fresh_python(probe) == ""
 
@@ -674,9 +673,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_numpy_loads_only_for_the_simulator_and_lanes(tmp_path, session_file):
-    # table1, energy, and seal/open of fewer than LANES_MIN_MSDUS MSDUs
-    # never load numpy; a block of LANES_MIN_MSDUS MSDUs and `sim` do
+def test_numpy_loads_only_for_the_simulator(tmp_path, session_file):
+    # table1, energy, and seal/open in both modes, with Michael on the
+    # scalar path, in lanes and over two blocks, never load numpy; `sim` does
     def seal_open(mode, msdus):
         payload = tmp_path / f"{mode}-{msdus}.bin"
         payload.write_bytes(random.Random(msdus).randbytes(100 * msdus))
@@ -685,13 +684,13 @@ def test_numpy_loads_only_for_the_simulator_and_lanes(tmp_path, session_file):
                  "--out", f"{payload}.s"],
                 ["open", *cfg, "--in", f"{payload}.s", "--out", f"{payload}.o"]]
 
-    scalar = [["table1", "--csv", str(tmp_path / "t.csv")],
-              ["energy", "--m", "256", "--frame-bytes", "276"],
-              *seal_open("tkip", LANES_MIN_MSDUS - 1),
-              *seal_open("lotkip", LANES_MIN_MSDUS - 1)]
-    lanes = seal_open("lotkip", LANES_MIN_MSDUS)[:1]
-    loaded = json.loads(_fresh_python(NUMPY_PROBE, json.dumps(scalar + lanes)))
-    assert loaded == [False] * (1 + len(scalar)) + [True]
+    runs = [["table1", "--csv", str(tmp_path / "t.csv")],
+            ["energy", "--m", "256", "--frame-bytes", "276"]]
+    for mode in ("tkip", "lotkip"):
+        for msdus in (1, LANES_MIN_MSDUS, LANES_BLOCK_MSDUS + 1):
+            runs += seal_open(mode, msdus)
+    loaded = json.loads(_fresh_python(NUMPY_PROBE, json.dumps(runs)))
+    assert loaded == [False] * (1 + len(runs))
 
     scenario = tmp_path / "scenario.cfg"
     scenario.write_text(SCENARIO_TEXT.replace("scenarios = 3", "scenarios = 2"))

@@ -1151,7 +1151,6 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
     in open.  Phase 2 and RC4 run once per frame through the codec's
     module-level names either way.  The block spans two counter epochs."""
     import lotkip.codec as codec
-    import lotkip.crypto.lanes as lanes
 
     names = ("michael_mic_lanes", "michael_mic", "phase2_mix", "rc4_apply")
     calls = dict.fromkeys(names, 0)
@@ -1167,9 +1166,7 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
         msdus = [rng.randbytes(rng.randrange(600)) for _ in range(count)]
         lanes_on = count >= LANES_MIN_MSDUS
         with monkeypatch.context() as patch:
-            patch.setattr(lanes, "michael_mic_lanes",
-                          counted("michael_mic_lanes", lanes.michael_mic_lanes))
-            for name in names[1:]:
+            for name in names:
                 patch.setattr(codec, name, counted(name, getattr(codec, name)))
             calls.update(dict.fromkeys(names, 0))
             sender = SenderSession(cfg)

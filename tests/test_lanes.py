@@ -14,12 +14,12 @@ from lotkip.codec import LANES_BLOCK_MSDUS, _rc4_many
 from lotkip.crypto import (
     michael_header,
     michael_mic,
+    michael_mic_lanes,
     michael_midstate,
     phase1_mix,
     phase2_mix,
     rc4_apply,
 )
-from lotkip.crypto.lanes import michael_mic_lanes
 from lotkip.reference import ref_michael_mic, ref_phase2, ref_rc4
 
 from conftest import mic_counter
@@ -164,6 +164,12 @@ def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
                            for p1k, lo, z in zip(ttaks, tsc_los, zeros)]
         assert streams == [ref_rc4(ref_phase2(p1k, tk, lo), z)
                            for p1k, lo, z in zip(ttaks, tsc_los, zeros)]
+
+
+def test_slot_cast_moves_four_byte_items():
+    # the lanes' transpose copies words as memoryview "I" items, so it moves
+    # whole words only where that format is four bytes wide
+    assert memoryview(bytes(8)).cast("I").itemsize == 4
 
 
 def test_lanes_edge_inputs(rng):

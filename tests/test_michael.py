@@ -9,10 +9,10 @@ from lotkip.crypto import (
     michael_header,
     michael_key_words,
     michael_mic,
+    michael_mic_lanes,
     michael_midstate,
     michael_pad,
 )
-from lotkip.crypto.lanes import michael_mic_lanes
 from lotkip.crypto.michael import _absorb
 from lotkip.reference import ref_michael_b, ref_michael_mic, ref_michael_pad
 
