@@ -11,41 +11,38 @@ within a relative 1e-9 of either squared threshold (`_link_classes`).  A
 topology is its links and nothing else: a list of one integer bit mask per
 station, bit j set when the station is linked to station j.
 
-Traffic scenarios pick random connected source/destination pairs and push
-a stream of fixed-size packets along the min-hop route that `route`
-finds, which also states how it breaks ties.  A node's energy in one
+A run is routes first, charges second.  `_routes` streams each
+scenario's min-hop route (`route` states how it breaks ties) between a
+random connected source/destination pair.  A node's energy in one
 scenario depends only on its role in that route: the source encrypts and
-transmits, each relay receives and transmits, the sink receives and
-decrypts, and every other node spends nothing.  With acks on, each hop's
-receiver also transmits an ack that its sender receives.  So
-`run_experiment` counts how often each node held each role and charges
-the counts at the per-scenario rate of the role.
+transmits each fixed-size packet, each relay receives and transmits it,
+the sink receives and decrypts it, and every other node spends nothing;
+with acks on, each hop's receiver also transmits an ack that its sender
+receives.  So `run_experiment` counts each node's roles as the routes
+come, keeps no route, and charges the counts at the roles' rates.
 
 Scenario randomness is derived from (seed, scenario index) only, so the
 same scenarios are replayed for every packet size and both encryption
 schemes; energy comparisons therefore use common random numbers.  Each
 scenario draws from two streams, ``(seed, s, 0)`` for its topology and
 ``(seed, s, 1)`` for its pair, from the one scenario seed, each exactly as
-``np.random.default_rng`` would draw it.  `run_experiment` does not
-build those generators: NEP 19 keeps numpy's SeedSequence hash and PCG64
-seeding fixed, so it hashes both streams' seeds for at least
-`_SEED_BATCH` scenarios at a time (`_pcg64_states`), and every placement
-of a `lotkip sim` call runs a batch before the next batch is hashed.  The
-topologies set their states on the call's one generator; each pair is
-drawn in pure Python from its stream's 32-bit PCG64 words
-(`_pcg64_words`), bounded as numpy's `Generator.integers` bounds them.  It
-decides topologies in chunks of as many scenarios as fit in
-`TOPOLOGY_PAIR_BUDGET` station pairs, and takes a chunk's float pair
-offsets in blocks of at most `PAIR_BLOCK` = 2^13 pairs (`_pair_classes`).
-A 64 KB block stays on the allocator's heap and in cache; a whole chunk's
-offsets do not, and fault their pages in again for every chunk: 530-570
-minor page faults per paper-scenario `lotkip sim` call, against 0-9 with
-blocks.  What no seed changes is made once per call and handed to every
-chunk: the i<j pair indices, a grid's pair classes (`_fixed_links`), the
-generator, and each (scheme, P) role rate.  So its memory does not grow
-with the scenario count: O(budget) per chunk, O(2^13) per block of float
-offsets, plus one batch's seed states, plus the call's pair indices and
-grid classes, O(n^2).  From n = 256 stations a chunk holds one scenario,
+``np.random.default_rng`` would draw it.  `_routes` does not build those
+generators: NEP 19 keeps numpy's SeedSequence hash and PCG64 seeding
+fixed, so it hashes both streams' seeds for at least `_SEED_BATCH`
+scenarios at a time (`_pcg64_states`), and every placement of a `lotkip
+sim` call runs a batch before the next batch is hashed.  The topologies
+set their states on the call's one generator; each pair is drawn in pure
+Python from its stream's 32-bit PCG64 words (`_pcg64_words`), bounded as
+numpy's `Generator.integers` bounds them.  It decides topologies in
+chunks of as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station
+pairs, and takes a chunk's float pair offsets in blocks of at most
+`PAIR_BLOCK` = 2^13 pairs, which stay in cache (`_pair_classes`).  What no
+seed changes is made once per call and handed to every chunk: the i<j
+pair indices, a grid's pair classes (`_fixed_links`), the generator, and
+each (scheme, P) role rate.  So its memory does not grow with the
+scenario count: O(budget) per chunk, O(2^13) per block of float offsets,
+plus one batch's seed states, plus the call's pair indices and grid
+classes, O(n^2).  From n = 256 stations a chunk holds one scenario,
 whose n(n-1)/2 pairs and n x n adjacency matrix take O(n^2) too.  No
 cache outlives a call.
 """
@@ -74,13 +71,13 @@ PACKET_SIZE_MIN = 256
 PACKET_SIZE_MAX = 2312
 DEFAULT_PACKET_SIZES = tuple(range(256, 2049, 256))
 SCHEMES = ("tkip", "lotkip")
-# Station pairs `run_experiment` decides in one chunk of scenarios; see
+# Station pairs `_routes` decides in one chunk of scenarios; see
 # `_scenarios_per_chunk`.
 TOPOLOGY_PAIR_BUDGET = 1 << 15
 # Station pairs `_pair_classes` offsets and classes at a time: 64 KB per
 # float64 array, small enough to stay on the allocator's heap and in cache.
 PAIR_BLOCK = 1 << 13
-# Scenarios whose seeds `run_experiment` hashes in one `_pcg64_states` call,
+# Scenarios whose seeds `_routes` hashes in one `_pcg64_states` call,
 # rounded up to whole chunks: a call costs ~100 us however few seeds it has.
 _SEED_BATCH = 256
 # Source/destination draws a scenario makes before it gives up.
@@ -389,7 +386,7 @@ def _decide_topologies(cfg: TopologyConfig, states: list[dict],
 def generate_topology(cfg: TopologyConfig) -> list[int]:
     """The link masks of ``cfg``'s topology: place the stations, then
     decide every i<j pair at once, drawing as
-    ``np.random.default_rng(cfg.seed)`` would.  `run_experiment` decides
+    ``np.random.default_rng(cfg.seed)`` would.  `_routes` decides
     scenario s's topology the same way, from stream ``(seed, s, 0)`` of the
     one scenario seed; the scenario's pair draws from ``(seed, s, 1)``."""
     pairs = np.triu_indices(cfg.node_count, 1)
@@ -581,32 +578,17 @@ def _scenarios_per_chunk(n: int) -> int:
     return max(1, TOPOLOGY_PAIR_BUDGET // (n * (n - 1) // 2 + 64))
 
 
-def run_experiment(topo_cfgs: list[TopologyConfig],
-                   traffic: TrafficConfig) -> list[SimResult]:
-    """Average network energy over the configured random scenarios, one
-    result per topology config, in order.
-
-    The configs may differ only in placement, so that they run the same
-    scenarios.  Scenario s draws from streams ``(seed, s, 0)`` and
-    ``(seed, s, 1)`` from the one scenario seed: its topology is decided as
-    `generate_topology` decides it, from the first stream, together with the
-    other scenarios of its chunk, and its pair is `_sample_pair` drawing
-    from the second stream's words.  Both streams' seeds are hashed once
-    for whole chunks of at least `_SEED_BATCH` scenarios, and every config
-    runs that batch before the next one is hashed.  The work no seed
-    changes is done once per call: the pair indices, the generator, each
-    grid's `_fixed_links`, and the role rates, which every config's role
-    counts share."""
-    if not topo_cfgs:
-        raise ValueError("run_experiment needs at least one topology config")
+def _routes(topo_cfgs: list[TopologyConfig],
+            traffic: TrafficConfig) -> Iterator[tuple[int, int, list[int]]]:
+    """Each scenario's route, as ``(k, s, path)`` for ``topo_cfgs[k]`` and
+    scenario s, by seed batch, then config, then chunk, then scenario.
+    Scenario s's topology is `generate_topology`'s from stream ``(seed, s,
+    0)``, decided with the rest of its chunk; its pair is `_sample_pair`
+    drawing from stream ``(seed, s, 1)``."""
     base = topo_cfgs[0]
-    if any(replace(cfg, placement=base.placement) != base for cfg in topo_cfgs):
-        raise ValueError("topology configs may differ only in placement")
     n, seed, count = base.node_count, base.seed, traffic.scenario_count
-    roles = [([0] * n, [0] * n, [0] * n) for _ in topo_cfgs]
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
-    # what no scenario's seed changes, made once for every chunk
     pairs = np.triu_indices(n, 1)
     rng = np.random.Generator(np.random.PCG64(0))    # takes each seed's state
     fixed = [_fixed_links(cfg, pairs) for cfg in topo_cfgs]
@@ -615,7 +597,7 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
         states = _pcg64_states([(seed, s, 0) for s in scenarios]
                                + [(seed, s, 1) for s in scenarios])
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
-        for cfg, links, (source, relay, sink) in zip(topo_cfgs, fixed, roles):
+        for k, (cfg, links) in enumerate(zip(topo_cfgs, fixed)):
             for c in range(0, len(scenarios), chunk):
                 topologies = _decide_topologies(cfg, topo_states[c:c + chunk],
                                                 rng, pairs, links)
@@ -627,10 +609,28 @@ def run_experiment(topo_cfgs: list[TopologyConfig],
                     except ScenarioError as exc:
                         raise ScenarioError(f"scenario {s} ({cfg.placement} placement, "
                                             f"seed {seed}): {exc}") from exc
-                    source[path[0]] += 1
-                    for node in path[1:-1]:
-                        relay[node] += 1
-                    sink[path[-1]] += 1
+                    yield k, s, path
+
+
+def run_experiment(topo_cfgs: list[TopologyConfig],
+                   traffic: TrafficConfig) -> list[SimResult]:
+    """Average network energy over the configured random scenarios, one
+    result per topology config, in order.  The configs may differ only in
+    placement, so that they run the same scenarios (`_routes`); each
+    charges its nodes' route roles at every (scheme, P)'s role rates."""
+    if not topo_cfgs:
+        raise ValueError("run_experiment needs at least one topology config")
+    base = topo_cfgs[0]
+    if any(replace(cfg, placement=base.placement) != base for cfg in topo_cfgs):
+        raise ValueError("topology configs may differ only in placement")
+    n, count = base.node_count, traffic.scenario_count
+    roles = [([0] * n, [0] * n, [0] * n) for _ in topo_cfgs]
+    for k, _, path in _routes(topo_cfgs, traffic):
+        source, relay, sink = roles[k]
+        source[path[0]] += 1
+        for node in path[1:-1]:
+            relay[node] += 1
+        sink[path[-1]] += 1
     rates = {(scheme, p): _role_rates(scheme, p, traffic)
              for scheme in traffic.schemes for p in traffic.packet_sizes}
     results = []

@@ -449,32 +449,21 @@ def test_sim_wide_scenarios_csv_is_pinned(tmp_path):
 
 @pytest.mark.parametrize("text", [PAPER_SCENARIO_TEXT, *WIDE_SIM_SCENARIOS],
                          ids=["paper", *(f"wide-{k}" for k in range(len(WIDE_SIM_SCENARIOS)))])
-def test_sim_csv_rows_follow_role_model(tmp_path, monkeypatch, text):
+def test_sim_csv_rows_follow_role_model(tmp_path, text):
     # Each route costs its source a, each relay b and its sink c
     # (`_role_rates`, in microjoules), so with R relays over S scenarios every
     # row is a closed form: network energy (a + c + b*R/S) * 1e-6 J, per-node
     # energy that over n, and the factor TKIP's over LOTKIP's network energy
-    relays, scenarios, placement = {}, {}, None
-    decide, sample_pair = netsim._decide_topologies, netsim._sample_pair
-
-    def recording_decide(cfg, *args):
-        nonlocal placement
-        placement = cfg.placement
-        return decide(cfg, *args)
-
-    def recording_sample(masks, words):
-        path = sample_pair(masks, words)
-        relays[placement] = relays.get(placement, 0) + len(path) - 2
-        scenarios[placement] = scenarios.get(placement, 0) + 1
-        return path
-
-    monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
-    monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
     scenario, out = tmp_path / "scenario.cfg", tmp_path / "sim.csv"
     scenario.write_text(text)
     assert main(["sim", "--scenario", str(scenario), "--csv", str(out)]) == 0
     topo_cfgs, traffic = netsim.parse_scenario_config(text)
     n, count = topo_cfgs[0].node_count, traffic.scenario_count
+    relays, scenarios = {}, {}
+    for k, _, path in netsim._routes(topo_cfgs, traffic):
+        placement = topo_cfgs[k].placement
+        relays[placement] = relays.get(placement, 0) + len(path) - 2
+        scenarios[placement] = scenarios.get(placement, 0) + 1
     assert scenarios == {cfg.placement: count for cfg in topo_cfgs}
 
     def network(scheme, p, placement):
@@ -650,7 +639,7 @@ def _fresh_python(code, *args):
     return result.stdout.splitlines()[-1]
 
 
-def test_cli_import_leaves_oracle_and_lanes_unloaded():
+def test_cli_import_leaves_oracle_cost_and_libcrypto_unloaded():
     # lotkip.reference is a test oracle, RC4 binds libcrypto through ctypes
     # on its first call, and only table1, energy and sim need the cost
     # model: none of them belongs in the import cost of every lotkip process

@@ -125,7 +125,7 @@ def test_michael_lanes_match_scalar_and_reference(rng, count, build, state):
 
 
 @pytest.mark.parametrize("count", LANE_COUNTS)
-def test_rc4_lanes_match_scalar_and_reference(rng, count):
+def test_rc4_many_matches_scalar_and_reference(rng, count):
     # one phase 1 key and low counter per packet
     tk = rng.randbytes(16)
     ttaks = [tuple(rng.randrange(1 << 16) for _ in range(5)) for _ in range(count)]
@@ -145,7 +145,7 @@ TSC_LO_EDGES = (0, 1, 0x00FF, 0xFF00, 0xFFFF)
 
 @pytest.mark.parametrize("count", (1, 2, 300))
 @pytest.mark.parametrize("tk_kind", ("random", "all-ones"))
-def test_phase2_lanes_match_scalar_and_reference(rng, count, tk_kind):
+def test_phase2_rc4_many_matches_scalar_and_reference(rng, count, tk_kind):
     tk = rng.randbytes(16) if tk_kind == "random" else b"\xff" * 16
     ta = rng.randbytes(6)
     hi = rng.randrange((1 << 32) - 1)

@@ -475,23 +475,15 @@ def test_two_node_lotkip_class_aggregation():
 
 
 @pytest.mark.parametrize("scheme", ["tkip", "lotkip"])
-def test_energy_lands_on_route_nodes(monkeypatch, scheme):
+def test_energy_lands_on_route_nodes(scheme):
     # each node's joules, recomputed hop by hop along every scenario's route:
     # compute at both ends, a frame's tx/rx and an ack's rx/tx on each hop
-    paths = []
-    sample_pair = netsim._sample_pair
-
-    def recording(*args, **kwargs):
-        path = sample_pair(*args, **kwargs)
-        paths.append(path)
-        return path
-
-    monkeypatch.setattr(netsim, "_sample_pair", recording)
     packets, k, n = 600, 7, 30
     traffic = _small_traffic(scheme=scheme, packets_per_scenario=packets,
                              refresh_interval=k, ack_enabled=True, scenario_count=6)
-    result = run_experiment([TopologyConfig(node_count=n, placement="random", seed=3)],
-                            traffic)[0]
+    topo_cfgs = [TopologyConfig(node_count=n, placement="random", seed=3)]
+    paths = [path for _, _, path in netsim._routes(topo_cfgs, traffic)]
+    result = run_experiment(topo_cfgs, traffic)[0]
     assert len(paths) == 6 and any(len(path) > 2 for path in paths)
     on_route = {node for path in paths for node in path}
     for p in traffic.packet_sizes:
@@ -559,24 +551,20 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
     per_chunk = netsim._scenarios_per_chunk(n)
     assert (per_chunk == 1) == (n * (n - 1) // 2 > TOPOLOGY_PAIR_BUDGET)
     last = (per_chunk + 1) // 2
-    chunks, runs = [], []
-    decide, sample_pair = netsim._decide_topologies, netsim._sample_pair
+    chunks, topologies = [], []
+    decide = netsim._decide_topologies
 
     def recording_decide(cfg, seeds, *shared):
         chunks.append(len(seeds))
-        return decide(cfg, seeds, *shared)
-
-    def recording_sample(masks, words):
-        path = sample_pair(masks, words)
-        runs.append((masks, path))
-        return path
+        masks = decide(cfg, seeds, *shared)
+        topologies.extend(masks)
+        return masks
 
     monkeypatch.setattr(netsim, "_decide_topologies", recording_decide)
-    monkeypatch.setattr(netsim, "_sample_pair", recording_sample)
     classed = _recording_positions(monkeypatch)
     cfg = TopologyConfig(node_count=n, placement=placement, seed=42)
     traffic = _small_traffic(scenario_count=full_chunks * per_chunk + last)
-    run_experiment([cfg], traffic)
+    paths = [path for _, _, path in netsim._routes([cfg], traffic)]
     monkeypatch.undo()
     assert chunks == [per_chunk] * full_chunks + [last]
     # a grid's one position set, or each scenario's draws from (seed, s, 0)
@@ -590,10 +578,43 @@ def test_batched_scenarios_match_scenario_loop(monkeypatch, placement, n, full_c
     for xy, ref_xy in zip(classed, ref_positions):
         assert np.array_equal(xy, ref_xy)
     expected = _scenario_loop(cfg, traffic)
-    assert len(runs) == len(expected) == traffic.scenario_count
-    for (masks, path), (ref_masks, ref_path) in zip(runs, expected):
+    assert len(topologies) == len(paths) == len(expected) == traffic.scenario_count
+    for masks, path, (ref_masks, ref_path) in zip(topologies, paths, expected):
         assert masks == ref_masks
         assert path == ref_path
+
+
+@pytest.mark.parametrize("n, count", [(30, 300), (49, 100)], ids=["two-batches", "paper"])
+def test_routes_stream_each_scenario_once_and_charge_to_per_node(n, count):
+    # n = 30 hashes seeds 260 scenarios at a time, so 300 take two batches;
+    # (49, 100) is the paper scenario.  Every placement runs a batch before
+    # the next is hashed, each scenario's route is the one it takes alone,
+    # and the role counts the stream sums are the ones run_experiment charges
+    topo_cfgs = [TopologyConfig(node_count=n, placement=pl) for pl in ("grid", "random")]
+    traffic = TrafficConfig(scenario_count=count)
+    chunk = netsim._scenarios_per_chunk(n)
+    batch = chunk * -(-netsim._SEED_BATCH // chunk)
+    assert -(-count // batch) == (2 if n == 30 else 1)
+    stream = list(netsim._routes(topo_cfgs, traffic))
+    assert [(k, s) for k, s, _ in stream] == [
+        (k, s) for first in range(0, count, batch) for k in range(len(topo_cfgs))
+        for s in range(first, min(first + batch, count))]
+    results = run_experiment(topo_cfgs, traffic)
+    for k, (cfg, result) in enumerate(zip(topo_cfgs, results)):
+        paths = [path for kk, _, path in stream if kk == k]
+        assert paths == [path for _, path in _scenario_loop(cfg, traffic)]
+        source, relay, sink = ([0] * n for _ in range(3))
+        for path in paths:
+            source[path[0]] += 1
+            for node in path[1:-1]:
+                relay[node] += 1
+            sink[path[-1]] += 1
+        source, relay, sink = (np.array(c, dtype=float) for c in (source, relay, sink))
+        for scheme in traffic.schemes:
+            for p in traffic.packet_sizes:
+                a, b, c = netsim._role_rates(scheme, p, traffic)
+                assert np.array_equal(result.per_node_j[(scheme, p)],
+                                      (a * source + b * relay + c * sink) * 1e-6 / count)
 
 
 def test_hashed_seed_states_match_default_rng():
