@@ -2,28 +2,32 @@
 
 Both modes run one pipeline, owned by `SenderSession` and `ReceiverSession`.
 `seal`/`open` run it on a block of one MSDU, `seal_many`/`open_many` on
-blocks of up to LANES_BLOCK_MSDUS, in three passes: check, compute, commit.
+blocks of up to LANES_BLOCK_MSDUS: one pass over the block's MSDUs, then
+Michael for the whole block, then each MSDU is encrypted or committed.
 
-Seal: the sender's state never depends on the crypto, so the check pass
-builds each MSDU's frames in order, with their counters and layouts but
-empty bodies, and takes each frame's phase 1 key, raising at the first
-failed check.  The compute pass appends each MSDU's Michael tag, splits the
-result into fragments, and encrypts each with a CRC trailer under its own
+Seal: the sender's state never depends on the crypto, so the pass builds
+each MSDU's frames in order, with their counters and layouts but empty
+bodies, and takes each frame's phase 1 key, raising at the first failed
+check.  Then each MSDU's Michael tag is appended, the result split into
+fragments, and each fragment encrypted with a CRC trailer under its own
 per-packet RC4 seed, as its frame's body.
 
-Open: the check pass is pure.  For each group of frames it checks layout,
+Open: the pass is pure.  For each group of frames it checks layout,
 counter resolution, fragment numbers and more-fragments bits, fragment
 counter continuity and the replay counter, against the window and epoch the
-block's earlier groups would leave if they committed, and builds the window
-it would leave.  The compute pass runs key mixing and RC4 for the groups
-that passed, checks each fragment's CRC once, fails a data MSDU too short
-for a tag as malformed, and derives the other tags.  Either pass records
-its first failure instead of raising it.  The commit pass then walks the
-groups in order, reading the clock and checking for blackout before each.
-It verifies the probe payload or the Michael tag, and only then installs
-the group's window and takes its epoch into the phase 1 cache; at the
-failed group it raises the recorded failure.  So unauthenticated input
-never moves receiver state or feeds the MIC-failure countermeasures, and a
+block's earlier groups would leave if they committed; each frame that
+passes takes its epoch's phase 1 key, derived at most once a block.  It
+then decrypts the group and checks each fragment's CRC, so the epoch a
+frame resolved to is confirmed before the next group is checked against
+it, fails a data MSDU too short for a tag as malformed, and builds the
+window the group would leave.  The pass records
+its first failure instead of raising it, and Michael derives the tags of
+the data groups before it.  The commit pass then walks those groups in
+order, reading the clock and checking for blackout before each.  It
+verifies the probe payload or the Michael tag, and only then installs the
+group's window and takes its epoch into the phase 1 cache; at the failed
+group it raises the recorded failure.  So unauthenticated input never
+moves receiver state or feeds the MIC-failure countermeasures, and a
 block's results, state and first exception are those of a loop of
 `seal`/`open`.  The clock is `time.monotonic` unless the receiver is given
 another, as tests and simulations give one.
@@ -767,10 +771,10 @@ class ReceiverSession:
     """Owns the replay window, the countermeasure state, and the phase 1
     cache, whose upper counter value is the epoch type B frames resolve to.
     Only a group that passes every check, the Michael verify or the probe
-    payload last, moves the epoch or installs the window `_check` built for
-    it.  In TKIP mode a counter must exceed the window's highest; the
-    window's own `WINDOW` verdict, an unseen counter below it, counts as a
-    replay.  Michael failures and blackouts are timed by `clock`,
+    payload last, moves the epoch or installs the window its block's pass
+    built for it.  In TKIP mode a counter must exceed the window's highest;
+    the window's own `WINDOW` verdict, an unseen counter below it, counts
+    as a replay.  Michael failures and blackouts are timed by `clock`,
     `time.monotonic` unless tests or simulations inject another."""
 
     def __init__(self, config: SessionConfig, clock: Clock = time.monotonic) -> None:
@@ -801,28 +805,29 @@ class ReceiverSession:
             raise Blackout("countermeasures active; frame dropped")
         return now
 
-    def _check(self, block: list) -> tuple[list, Optional[CodecError]]:
-        """(frames, counters, probe, window) of each group up to the first
-        that fails a header check, and that failure.  Each group is checked
-        against the window and epoch its earlier groups leave, as if they
-        had committed, and its window is a copy of the one it was checked
-        against with its counters admitted, which commit installs."""
-        mode = self.config.mode
-        key_id = self.config.keys.key_id
+    def _open_block(self, block: list) -> list[Optional[bytes]]:
+        cfg = self.config
+        keys = cfg.keys
+        key_id = keys.key_id
+        lotkip = cfg.mode == "lotkip"
         # 802.11 TKIP keeps one strictly increasing counter per priority
-        replays = (_REJECT, _WINDOW) if mode == "tkip" else (_REJECT,)
-        window = self.window
-        hi = self.ttak_cache.hi
-        plans = []
+        replays = (_REJECT,) if lotkip else (_REJECT, _WINDOW)
+        cache = self.ttak_cache
+        # each group is checked against the window and epoch its earlier
+        # groups leave, as if they had committed; each frame that passes
+        # takes its epoch's phase 1 key, derived at most once a block
+        window, hi = self.window, cache.hi
+        ttaks = {hi: cache.ttak}
+        plans, mic_counters, msdus, error = [], [], [], None
         try:
             for group in block:
                 frames = _as_frame_list(group)
-                probe = mode == "lotkip" and frames[0].layout is _PROBE
+                probe = lotkip and frames[0].layout is _PROBE
                 if probe and len(frames) != 1:
                     raise MalformedFrame("probe frames are not fragmented")
-                accepted = (_PROBE,) if probe else _DATA_LAYOUTS[mode]
+                accepted = (_PROBE,) if probe else _DATA_LAYOUTS[cfg.mode]
                 last = len(frames) - 1
-                counters = []
+                counters, group_ttaks = [], []
                 for frame in frames:
                     if frame.layout not in accepted:
                         raise MalformedFrame(f"unexpected layout {frame.layout.value}")
@@ -849,50 +854,29 @@ class ReceiverSession:
                     if window.check(tsc) in replays:
                         raise ReplayRejected(f"counter {tsc:#014x} rejected")
                     counters.append(tsc)
-                window = ReplayWindow(window.recent[:])
-                for tsc in counters:
-                    window.admit(tsc)
-                plans.append((frames, counters, probe, window))
-        except CodecError as exc:
-            return plans, exc
-        return plans, None
-
-    def _open_block(self, block: list) -> list[Optional[bytes]]:
-        cfg = self.config
-        keys = cfg.keys
-        lotkip = cfg.mode == "lotkip"
-        cache = self.ttak_cache
-        plans, error = self._check(block)
-        # compute every frame's plaintext and check value, then the tag of
-        # every data group whose fragments all check out
-        ttaks = {cache.hi: cache.ttak}
-        frame_ttaks, tsc_los, bodies = [], [], []
-        for frames, counters, _, _ in plans:
-            for frame, tsc in zip(frames, counters):
-                hi = tsc >> 16
-                if hi not in ttaks:
-                    ttaks[hi] = phase1_mix(keys.tk, keys.ta, hi)
-                frame_ttaks.append(ttaks[hi])
-                tsc_los.append(tsc & 0xFFFF)
-                bodies.append(frame.body)
-        plains = iter(_rc4_many(frame_ttaks, keys.tk, tsc_los, bodies))
-        streams, mic_counters, msdus = [], [], []
-        try:
-            for frames, counters, probe, _ in plans:
-                stream = b"".join(map(_strip_icv, islice(plains, len(frames))))
+                    if hi not in ttaks:
+                        ttaks[hi] = phase1_mix(keys.tk, keys.ta, hi)
+                    group_ttaks.append(ttaks[hi])
+                plains = _rc4_many(group_ttaks, keys.tk,
+                                   [frame.tsc_low for frame in frames],
+                                   [frame.body for frame in frames])
+                stream = b"".join(map(_strip_icv, plains))
                 if not probe:
                     if len(stream) < MIC_BYTES:
                         raise MalformedFrame("MSDU too short to carry a Michael tag")
                     mic_counters.append(counters[0].to_bytes(6, "little")
                                         if lotkip else b"")
                     msdus.append(stream[:-MIC_BYTES])
-                streams.append(stream)
-        except (IcvMismatch, MalformedFrame) as exc:
+                window = ReplayWindow(window.recent[:])
+                for tsc in counters:
+                    window.admit(tsc)
+                plans.append((stream, probe, window, hi))
+        except CodecError as exc:
             error = exc         # raised in place of this group and the rest
         tags = iter(_michael_many(self._mic_state, mic_counters, msdus))
         # verify each group in order, then install its window and epoch
         opened = []
-        for (_, counters, probe, window), stream in zip(plans, streams):
+        for stream, probe, window, hi in plans:
             now = self._now()
             if probe:
                 if stream != PROBE_PAYLOAD:
@@ -904,7 +888,6 @@ class ReceiverSession:
                 self.cm_state.record_failure(now)
                 raise MicFailure("Michael tag mismatch")
             self.window = window
-            hi = counters[-1] >> 16
             cache.take(hi, ttaks[hi])
         if error is not None:
             self._now()

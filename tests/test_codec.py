@@ -1044,7 +1044,8 @@ def test_sealed_frames_match_reference(rng, mode):
 # Whole-file seal/open in lanes against loops of seal/open
 # ---------------------------------------------------------------------------
 
-BATCH_COUNTS = (1, LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS, LANES_BLOCK_MSDUS + 1)
+BATCH_COUNTS = tuple(sorted({1, LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS,
+                             LANES_BLOCK_MSDUS + 1}))
 
 
 def _sender_state(sender):
@@ -1105,9 +1106,13 @@ def test_seal_many_open_many_equal_loops(rng, mode, frag_threshold, k):
 
 @pytest.mark.parametrize("mode, fault", [
     (mode, fault) for mode in ("tkip", "lotkip")
-    for fault in ("bit_flip", "wrong_mic_key", "replay", "splice", "forged")
+    for fault in ("bit_flip", "wrong_mic_key", "replay", "splice", "forged",
+                  "bit_flip_then_splice", "splice_then_bit_flip")
 ] + [("lotkip", "type_b_first")])
 def test_open_many_failure_matches_loop(rng, mode, fault):
+    """A block with a fault in group `mid` fails as a loop of `open` does.
+    With a check value fault and a header fault in neighbouring groups, the
+    earlier group's fault is the one raised, whichever kind it is."""
     cfg = config(mode, refresh_interval=256)
     sender = SenderSession(cfg)
     start = EPOCH_FRAMES - 11
@@ -1117,11 +1122,24 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
     groups = [sender.seal(rng.randbytes(rng.randrange(260, 500)))
               for _ in range(count)]
     assert all(len(g) == 2 for g in groups)
-    if fault == "bit_flip":
-        frame = groups[mid][1]
+
+    def bit_flip(i):
+        frame = groups[i][1]
         body = bytearray(frame.body)
         body[rng.randrange(len(body))] ^= 1 << rng.randrange(8)
-        groups[mid][1] = replace(frame, body=bytes(body))
+        groups[i][1] = replace(frame, body=bytes(body))
+
+    def splice(i):
+        groups[i] = [groups[i][0], groups[i + 1][1]]
+
+    if fault == "bit_flip":
+        bit_flip(mid)
+    elif fault == "bit_flip_then_splice":
+        bit_flip(mid)
+        splice(mid + 1)
+    elif fault == "splice_then_bit_flip":
+        splice(mid)
+        bit_flip(mid + 1)
     elif fault == "wrong_mic_key":
         keys = cfg.keys
         other = SenderSession(config(mode, keys=SessionKeys(
@@ -1136,10 +1154,12 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
         groups = groups[1:]
         assert groups[0][0].layout is FrameLayout.LOTKIP_TYPE_B
     else:
-        groups[mid] = [groups[mid][0], groups[mid + 1][1]]
+        splice(mid)
     expected = {"bit_flip": IcvMismatch, "wrong_mic_key": MicFailure,
                 "replay": ReplayRejected, "type_b_first": NoEpochState,
-                "splice": MalformedFrame, "forged": IcvMismatch}[fault]
+                "splice": MalformedFrame, "forged": IcvMismatch,
+                "bit_flip_then_splice": IcvMismatch,
+                "splice_then_bit_flip": MalformedFrame}[fault]
     raised, _ = _assert_open_many_matches_loop(cfg, groups, clock=lambda: 7.0)
     assert raised is expected
 
@@ -1149,10 +1169,12 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
     """Below LANES_MIN_MSDUS MSDUs Michael runs on `michael_mic`; from it on
     every tag comes from one `michael_mic_lanes` call per block in seal and
     in open.  Phase 2 and RC4 run once per frame through the codec's
-    module-level names either way.  The block spans two counter epochs."""
+    module-level names either way.  Every block spans two counter epochs,
+    and seal and open each derive the phase 1 key of each epoch once."""
     import lotkip.codec as codec
 
-    names = ("michael_mic_lanes", "michael_mic", "phase2_mix", "rc4_apply")
+    names = ("michael_mic_lanes", "michael_mic", "phase1_mix", "phase2_mix",
+             "rc4_apply")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, function):
@@ -1163,19 +1185,22 @@ def test_lanes_engage_at_crossover(rng, monkeypatch, mode):
 
     cfg = config(mode, refresh_interval=3)
     for count in (LANES_MIN_MSDUS - 1, LANES_MIN_MSDUS):
-        msdus = [rng.randbytes(rng.randrange(600)) for _ in range(count)]
+        # at the fixture's threshold of 256 B every MSDU has two fragments or
+        # more, so the first MSDU alone crosses counter 0xFFFF -> 0x10000
+        msdus = [rng.randbytes(rng.randrange(249, 600)) for _ in range(count)]
         lanes_on = count >= LANES_MIN_MSDUS
         with monkeypatch.context() as patch:
             for name in names:
                 patch.setattr(codec, name, counted(name, getattr(codec, name)))
             calls.update(dict.fromkeys(names, 0))
             sender = SenderSession(cfg)
-            sender.next_tsc = EPOCH_FRAMES - 5
+            sender.next_tsc = EPOCH_FRAMES - 1
             groups = sender.seal_many(msdus)
             frames = sum(map(len, groups))
+            assert len(groups[0]) >= 2 and sender.next_tsc > EPOCH_FRAMES
             expected = {"michael_mic_lanes": int(lanes_on),
                         "michael_mic": 0 if lanes_on else count,
-                        "phase2_mix": frames, "rc4_apply": frames}
+                        "phase1_mix": 2, "phase2_mix": frames, "rc4_apply": frames}
             assert calls == expected
             assert ReceiverSession(cfg).open_many(groups) == msdus
             assert calls == {name: 2 * n for name, n in expected.items()}
