@@ -107,17 +107,19 @@ MIC_FAILURE_WINDOW_S = 60.0
 BLACKOUT_S = 60.0
 PROBE_PAYLOAD = b"\x00\x00\x00\x00"
 # `seal_many`/`open_many` work through MSDUs in blocks of this many, so
-# their lane buffers stay O(block) whatever the file size.  A packed
-# Michael step costs more with every lane, so a larger block needs Michael
+# their lane buffers stay O(block) whatever the file size.  Michael's lanes
+# took 84, 59, 45 and 42 ns per lane-word at 32, 64, 128 and 256 lanes of
+# 2304 B (one pinned CPU of a 2-vCPU VM), so a larger block needs Michael
 # measured again.
 LANES_BLOCK_MSDUS = 128
 # Fewest MSDUs whose Michael tags run in lanes, the codec's only lane
-# kernel.  seal_many + open_many, lanes against scalar, best of 11, two runs
-# per mode on one pinned CPU of a 2-vCPU VM (Python 3.11).  At 2 MSDUs lanes
-# ran 1.22 to 1.48 times as fast at 300 B and 2304 B (threshold 1024 or
-# 2346), level at 60 B, and 0.79 to 0.95 times as fast at 1 to 20 B.  A
-# loss costs 5 to 18 us per block and a win at 2304 B saves ~0.5 ms.
-LANES_MIN_MSDUS = 2
+# kernel.  `michael_mic_lanes` against a `michael_mic` loop, 9 alternating
+# rounds on one pinned CPU of a 2-vCPU VM (Python 3.11).  At 2 MSDUs lanes
+# ran 0.84 to 1.02 times as fast at 60 B to 2304 B and half as fast at 1 to
+# 20 B.  At 3 MSDUs they ran 1.17 to 1.28 times as fast at 60 B and 1.29 to
+# 1.97 at 300 B and 2304 B, saving ~0.5 ms at 2304 B; at 1 to 20 B they
+# ran 0.80 to 0.87 times as fast, 3 to 4 us per block.
+LANES_MIN_MSDUS = 3
 
 Clock = Callable[[], float]
 

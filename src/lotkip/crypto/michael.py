@@ -17,11 +17,12 @@ strictly sequential within one message, but the messages of a batch do not
 depend on each other.  Each message gets a lane and all lanes take the same
 step together.  The lanes are sorted longest first, so the lanes still
 running at any step are a prefix.  The lanes are packed into one Python
-integer, a 64-bit slot per lane, and `_absorb` runs on it, so one round of
-integer operations serves every lane; a lane that finishes is read out of
-its slot and masked away.  A batch has a fixed cost (sorting, the word
-table and its transpose), so it pays off only from a few messages; the
-codec decides when to use it.
+integer, a 32-bit slot per lane, and `_absorb_lanes` masks every shift
+and add to its slot, so one round of integer operations serves every lane;
+a lane that finishes is read out of its slot and masked away.  The masks
+would make the scalar `_absorb` ~1.7 times as slow, so the rounds are two.
+A batch has a fixed cost (sorting, the word table and its transpose), so
+it pays off only from a few messages; the codec decides when to use it.
 """
 
 from __future__ import annotations
@@ -38,39 +39,49 @@ _HEADER = struct.Struct("<4I")
 _PAD = tuple(b"\x5a" + bytes(7 - n) for n in range(4))
 
 
-def _absorb(l: int, r: int, words, m: int = 0xFFFFFFFF, hi: int = 0xFF00FF00,
-            lo: int = 0x00FF00FF) -> tuple[int, int]:
+def _absorb(l: int, r: int, words) -> tuple[int, int]:
     """XOR each word into L and run the b() mixing round: rotates, XSWAP
-    (the two bytes of each 16-bit half swapped), and mod-2^32 adds.  The
-    only copy of the round.
-
-    With the default masks L, R and the words are 32-bit values.
-    `michael_mic_lanes` passes many lanes packed into one integer, each
-    a 64-bit slot of 32 value bits under 32 zero guard bits, and the masks
-    repeated in every slot: a carry or a shifted-out bit lands in a guard,
-    which `& m` or XSWAP's `& hi` clears, and a right shift pulls in only
-    zero guards, or for XSWAP the next slot's low byte, which `& lo`
-    clears, so every slot runs the 32-bit round on its own.
-    """
+    (the two bytes of each 16-bit half swapped), and mod-2^32 adds, on
+    32-bit L, R and words."""
     for word in words:
         l ^= word
-        r ^= ((l << 17) | (l >> 15)) & m
-        l = (l + r) & m
+        r ^= ((l << 17) | (l >> 15)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l << 8) & 0xFF00FF00) | ((l >> 8) & 0x00FF00FF)
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l << 3) | (l >> 29)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+        r ^= ((l >> 2) | (l << 30)) & 0xFFFFFFFF
+        l = (l + r) & 0xFFFFFFFF
+    return l, r
+
+
+def _absorb_lanes(l: int, r: int, words, lanes: int) -> tuple[int, int]:
+    """`_absorb` on `lanes` 32-bit slots packed into one integer with no
+    bits between them.  Each piece a rotate or XSWAP shifts is masked to
+    its own slot.  Each add sums the low 31 bits of every slot, which cannot
+    carry out of it, then sets its top bit to that carry XOR both top bits."""
+    ones = int.from_bytes(b"\x01\x00\x00\x00" * lanes, "little")
+    a17, b17, hi, lo, a3, b3, a30, b30, n, h = map(ones.__mul__, (
+        0xFFFE0000, 0x0001FFFF, 0xFF00FF00, 0x00FF00FF, 0xFFFFFFF8, 0x00000007,
+        0x3FFFFFFF, 0xC0000000, 0x7FFFFFFF, 0x80000000))
+    for word in words:
+        l ^= word
+        r ^= ((l << 17) & a17) | ((l >> 15) & b17)
+        l = ((l & n) + (r & n)) ^ ((l ^ r) & h)
         r ^= ((l << 8) & hi) | ((l >> 8) & lo)
-        l = (l + r) & m
-        r ^= ((l << 3) | (l >> 29)) & m
-        l = (l + r) & m
-        r ^= ((l >> 2) | (l << 30)) & m
-        l = (l + r) & m
+        l = ((l & n) + (r & n)) ^ ((l ^ r) & h)
+        r ^= ((l << 3) & a3) | ((l >> 29) & b3)
+        l = ((l & n) + (r & n)) ^ ((l ^ r) & h)
+        r ^= ((l >> 2) & a30) | ((l << 30) & b30)
+        l = ((l & n) + (r & n)) ^ ((l ^ r) & h)
     return l, r
 
 
 def michael_pad(message: bytes) -> list[int]:
-    """Split into little-endian 32-bit words, padded with 0x5a and zeros.
-
-    The padded stream always ends with exactly one all-zero word, and the
-    word before it is non-zero because it contains the 0x5a byte.
-    """
+    """Split into little-endian 32-bit words, padded with 0x5a and zeros:
+    the stream always ends with exactly one all-zero word, and the word
+    before it is non-zero because it contains the 0x5a byte."""
     buf = message + _PAD[len(message) & 3]
     return list(struct.unpack(f"<{len(buf) >> 2}I", buf))
 
@@ -122,11 +133,9 @@ def _segments(lengths: list[int]) -> Iterator[tuple[int, int, int]]:
 
 def michael_mic_lanes(midstate: tuple[int, int],
                       messages: Sequence[tuple[bytes, bytes]]) -> list[bytes]:
-    """`michael_mic(midstate, counter, data)` for every (counter, data)
-    pair, in lanes."""
+    """`michael_mic(midstate, counter, data)` for each pair, in lanes."""
     l0, r0 = midstate
-    # a wider value would spill into its slot's guard bits; a shifted value
-    # is non-zero if it is too large or negative
+    # a wider value would spill into the next slot, as would a negative one
     if l0 >> 32 or r0 >> 32:
         raise ValueError("Michael midstate must be two 32-bit words")
     if not messages:
@@ -136,43 +145,34 @@ def michael_mic_lanes(midstate: tuple[int, int],
     order = sorted(range(len(rows)), key=lambda n: len(rows[n]), reverse=True)
     words = [len(rows[n]) >> 2 for n in order]
     count = len(order)
-    # step-major: step s holds a 64-bit slot per lane, lane 0 first, with
-    # the lane's word s in its low four bytes and zeros above.  The cast
+    # step-major: step s holds each lane's word s, lane 0 first.  The cast
     # moves whole 4-byte items and never reads them as numbers, so the
     # slots are little-endian whatever the host's byte order.
-    width = 8 * count
-    table = bytearray(width * words[0])
-    slots = memoryview(table).cast("I")
+    slots = memoryview(bytearray(4 * count * words[0])).cast("I")
     for lane, n in enumerate(order):
-        slots[2 * lane:2 * lane + 2 * count * words[lane]:2 * count] = \
-            memoryview(rows[n]).cast("I")
-    view = memoryview(table)
-    # lane n runs in bits 64n..64n+31 of l and r, from the session's
-    # midstate; bits 64n+32..64n+63 are its guard, zero outside `_absorb`
-    ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * count, "little")
-    l, r, m = l0 * ones, r0 * ones, 0xFFFFFFFF * ones
-    hi, lo = 0xFF00FF00 * ones, 0x00FF00FF * ones
+        slots[lane:lane + count * words[lane]:count] = memoryview(rows[n]).cast("I")
+    # lane n runs in bits 32n..32n+31 of l and r, from the session's midstate
+    ones = int.from_bytes(b"\x01\x00\x00\x00" * count, "little")
+    l, r = l0 * ones, r0 * ones
     tags = [b""] * count
     running = count
     for start, stop, lanes in _segments(words):
         if lanes < running:
-            _read_tags(tags, order, l, r, lanes, running)
-            m &= (1 << 64 * lanes) - 1
-            l &= m
-            r &= m
+            l, r = _read_tags(tags, order, l, r, lanes, running)
             running = lanes
-        step = 8 * lanes
-        l, r = _absorb(l, r, (int.from_bytes(view[i:i + step], "little")
-                              for i in range(width * start, width * stop, width)),
-                       m, hi, lo)
+        steps = (int.from_bytes(slots[i:i + lanes], "little")
+                 for i in range(count * start, count * stop, count))
+        l, r = _absorb_lanes(l, r, steps, lanes)
     _read_tags(tags, order, l, r, 0, running)
     return tags
 
 
 def _read_tags(tags: list[bytes], order: list[int], l: int, r: int,
-               first: int, stop: int) -> None:
+               first: int, stop: int) -> tuple[int, int]:
     """Store the tags of packed lanes first..stop-1 under their message
-    indices."""
-    lb, rb = l.to_bytes(8 * stop, "little"), r.to_bytes(8 * stop, "little")
+    indices, and return L and R without those lanes."""
+    lb, rb = l.to_bytes(4 * stop, "little"), r.to_bytes(4 * stop, "little")
     for lane in range(first, stop):
-        tags[order[lane]] = lb[8 * lane:8 * lane + 4] + rb[8 * lane:8 * lane + 4]
+        tags[order[lane]] = lb[4 * lane:4 * lane + 4] + rb[4 * lane:4 * lane + 4]
+    keep = (1 << 32 * first) - 1
+    return l & keep, r & keep

@@ -1,7 +1,8 @@
 """Michael in lanes: every lane's tag equals `michael_mic` and the
 reference module, over lane counts, mixed lengths (empty to a full MSDU
-with its counter), tags with and without the counter, and midstates that
-carry into the packed lanes' guard bits. The codec's many-packet phase 2
+with its counter), tags with and without the counter, and midstates whose
+adds carry, and whose shifts spill, across the packed lanes' slot
+boundaries. The codec's many-packet phase 2
 and RC4 path gives, packet by packet, what the one-packet functions and
 the reference module give, also with phase 1 keys of two epochs in one
 call."""
@@ -43,7 +44,7 @@ def _messages(rng, count):
 
 def _all_ones(rng, count):
     # every midstate, counter and data bit set: the first adds already
-    # carry into the packed lanes' guard bits
+    # carry out of every slot's top bit, into the next slot unless masked
     return [((1 << 48) - 1, b"\xff" * _length(rng, lane)) for lane in range(count)]
 
 
@@ -53,9 +54,10 @@ def _staggered(rng, count):
     return [(None, rng.randbytes(lane // 3 * 150)) for lane in range(count)]
 
 
-def _zero_first_word(rng, count):
-    # counter 0, so the first word after the midstate is 0 in every lane
-    return [(0, rng.randbytes(_length(rng, lane))) for lane in range(count)]
+def _alternate_first_word(rng, count):
+    # the first word after the midstate is 0 in even lanes and all ones in
+    # odd lanes, so neighbouring slots hold different L from the first step
+    return [(lane % 2 * M32, rng.randbytes(_length(rng, lane))) for lane in range(count)]
 
 
 def _rotl(n):
@@ -76,9 +78,11 @@ def _saturating_state(step):
     """The state that leaves L = 0xFFFFFFFF and R = 0 just before the
     round's given step when the next word is 0: the sub-rounds before it
     (R ^= step(L); L += R) run backwards from that state.  Packed lanes
-    then shift an all-ones L, whose spill fills every guard bit, and the
-    next add carries out of the guard into the next lane unless the
-    step was masked."""
+    then shift an all-ones L, so every bit a shift moves across a slot
+    boundary is set, and the next add, of all-ones L and R, carries out of
+    every slot's top bit.  With the lanes of `_alternate_first_word`, an
+    unmasked piece spills those set bits into a neighbour whose own bits
+    differ, and an unmasked carry lands in the next slot."""
     names = list(STEPS)
     l, r = M32, 0
     for name in reversed(names[:names.index(step)]):
@@ -106,7 +110,8 @@ MICHAEL_CASES = [pytest.param(count, _messages, None, id=str(count))
     pytest.param(LANES_BLOCK_MSDUS, _messages, None, id="block"),
     pytest.param(LANES_BLOCK_MSDUS, _all_ones, (M32, M32), id="block-all-ones"),
     pytest.param(48, _staggered, None, id="staggered"),
-] + [pytest.param(16, _zero_first_word, _saturating_state(step), id=f"guard-carry-{step}")
+] + [pytest.param(16, _alternate_first_word, _saturating_state(step),
+                  id=f"slot-boundary-{step}")
      for step in STEPS]
 
 
