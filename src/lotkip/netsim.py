@@ -29,22 +29,23 @@ scenario draws from two streams, ``(seed, s, 0)`` for its topology and
 ``np.random.default_rng`` would draw it.  `_routes` does not build those
 generators: NEP 19 keeps numpy's SeedSequence hash and PCG64 seeding
 fixed, so it hashes both streams' seeds for at least `_SEED_BATCH`
-scenarios at a time (`_pcg64_states`), and every placement of a `lotkip
-sim` call runs a batch before the next batch is hashed.  The topologies
-set their states on the call's one generator; each pair is drawn in pure
-Python from its stream's 32-bit PCG64 words (`_pcg64_words`), bounded as
-numpy's `Generator.integers` bounds them.  It decides topologies in
-chunks of as many scenarios as fit in `TOPOLOGY_PAIR_BUDGET` station
-pairs, and takes a chunk's float pair offsets in blocks of at most
-`PAIR_BLOCK` = 2^13 pairs, which stay in cache (`_pair_classes`).  What no
-seed changes is made once per call and handed to every chunk: the i<j
-pair indices, a grid's pair classes (`_fixed_links`), the generator, and
-each (scheme, P) role rate.  So its memory does not grow with the
-scenario count: O(budget) per chunk, O(2^13) per block of float offsets,
-plus one batch's seed states, plus the call's pair indices and grid
-classes, O(n^2).  From n = 256 stations a chunk holds one scenario,
-whose n(n-1)/2 pairs and n x n adjacency matrix take O(n^2) too.  No
-cache outlives a call.
+scenarios at a time (`_pcg64_states`), as uint32 rows of one length: the
+seed's 32-bit words (`_seed_words`), then s, then the stream.  Every
+placement of a `lotkip sim` call runs a batch before the next batch is
+hashed.  The topologies set their states on the call's one generator;
+each pair is drawn in pure Python from its stream's 32-bit PCG64 words
+(`_pcg64_words`), bounded as numpy's `Generator.integers` bounds them.
+It decides topologies in chunks of as many scenarios as fit in
+`TOPOLOGY_PAIR_BUDGET` station pairs, and takes a chunk's float pair
+offsets in blocks of at most `PAIR_BLOCK` = 2^13 pairs, which stay in
+cache (`_pair_classes`).  What no seed changes is made once per call and
+handed to every chunk: the i<j pair indices, a grid's pair classes
+(`_fixed_links`), the generator, and each (scheme, P) role rate.  So its
+memory does not grow with the scenario count: O(budget) per chunk,
+O(2^13) per block of float offsets, plus one batch's seed states, plus
+the call's pair indices and grid classes, O(n^2).  From n = 256 stations
+a chunk holds one scenario, whose n(n-1)/2 pairs and n x n adjacency
+matrix take O(n^2) too.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -166,39 +166,32 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def _seed_words(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
-    """SeedSequence's entropy words: each value's 32-bit words, least
-    significant first, with 0 as one word."""
-    seed = seed if isinstance(seed, tuple) else (seed,)
-    if max(seed, default=0) <= _MASK32:
-        return seed
-    words = []
-    for value in seed:
-        words.append(value & _MASK32)
-        value >>= 32
-        while value:
-            words.append(value & _MASK32)
-            value >>= 32
-    return tuple(words)
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence's entropy words for one non-negative int: its 32-bit
+    words, least significant first, with 0 as one word."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
 
 
-def _pcg64_states(seeds: "list[int | tuple[int, ...]]") -> list[dict]:
-    """The PCG64 state ``np.random.default_rng(seed).bit_generator.state``
-    starts from, for every seed, without building a generator.
+def _pcg64_states(entropy: np.ndarray) -> list[dict]:
+    """The PCG64 state ``np.random.default_rng(tuple(row)).bit_generator.state``
+    starts from, for every row of ``entropy``, without building a generator.
 
-    One row per seed runs SeedSequence's hash on uint32 columns: its
-    `hashmix` of each entropy word into a pool of four, the `mix` of every
-    pool word into every other, the `mix` of each word beyond the fourth
-    into every pool word (skipped for the rows of shorter seeds), then
-    `generate_state(4, np.uint64)`.  PCG64 seeds from those words
-    ``w0..w3``: with ``inc = (w2:w3) << 1 | 1`` it steps from 0, adds
-    ``w0:w1``, and steps again.  A row's hash multipliers depend only on how
-    many hashes came before, so all rows share them."""
-    rows = [_seed_words(seed) for seed in seeds]
-    lengths = np.array([len(row) for row in rows])
-    width = max(_POOL_WORDS, int(lengths.max()))
-    entropy = np.zeros((len(rows), width), dtype=np.uint32)
-    entropy[np.arange(width) < lengths[:, None]] = list(chain.from_iterable(rows))
+    ``entropy`` holds equal-length rows of uint32 entropy words, one row per
+    seed: `_seed_words` of a run's seed, then the scenario index and the
+    stream.  Each row runs SeedSequence's hash on uint32 columns: its
+    `hashmix` of each entropy word into a pool of four (short rows padded
+    with zero words, as SeedSequence pads them), the `mix` of every pool
+    word into every other, the `mix` of each word beyond the fourth into
+    every pool word, then `generate_state(4, np.uint64)`.  PCG64 seeds from
+    those words ``w0..w3``: with ``inc = (w2:w3) << 1 | 1`` it steps from 0,
+    adds ``w0:w1``, and steps again.  A row's hash multipliers depend only
+    on how many hashes came before, so all rows share them."""
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    width = max(_POOL_WORDS, entropy.shape[1])
+    entropy = np.pad(entropy, ((0, 0), (0, width - entropy.shape[1])))
     hashes = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * width + 1)
     used = 0
 
@@ -219,8 +212,7 @@ def _pcg64_states(seeds: "list[int | tuple[int, ...]]") -> list[dict]:
         dst = [d for d in range(_POOL_WORDS) if d != src]
         pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], len(dst)))
     for src in range(_POOL_WORDS, width):
-        mixed = mix(pool, hashmix(entropy[:, src, None], _POOL_WORDS))
-        pool = np.where((src < lengths)[:, None], mixed, pool)
+        pool = mix(pool, hashmix(entropy[:, src, None], _POOL_WORDS))
     state_hashes = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
     v = (np.tile(pool, 2) ^ state_hashes[:-1]) * state_hashes[1:]
     v = (v ^ (v >> _XSHIFT)).astype(np.uint64)
@@ -391,8 +383,8 @@ def generate_topology(cfg: TopologyConfig) -> list[int]:
     one scenario seed; the scenario's pair draws from ``(seed, s, 1)``."""
     pairs = np.triu_indices(cfg.node_count, 1)
     rng = np.random.Generator(np.random.PCG64(0))    # takes the seed's state
-    return _decide_topologies(cfg, _pcg64_states([cfg.seed]), rng, pairs,
-                              _fixed_links(cfg, pairs))[0]
+    return _decide_topologies(cfg, _pcg64_states([_seed_words(cfg.seed)]), rng,
+                              pairs, _fixed_links(cfg, pairs))[0]
 
 
 def route(masks: list[int], src: int, dst: int) -> Optional[list[int]]:
@@ -456,6 +448,10 @@ class TrafficConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.packets_per_scenario < 1 or self.scenario_count < 1:
             raise ValueError("packet and scenario counts must be positive")
+        # `_routes` hashes each scenario index as one uint32 word
+        if self.scenario_count > 1 << 32:
+            raise ValueError(
+                f"scenario_count must be at most 2**32, got {self.scenario_count}")
         if self.refresh_interval < 1:
             raise ValueError("refresh_interval must be positive")
 
@@ -587,6 +583,7 @@ def _routes(topo_cfgs: list[TopologyConfig],
     drawing from stream ``(seed, s, 1)``."""
     base = topo_cfgs[0]
     n, seed, count = base.node_count, base.seed, traffic.scenario_count
+    seed_words = _seed_words(seed)
     chunk = _scenarios_per_chunk(n)
     batch = chunk * -(-_SEED_BATCH // chunk)
     pairs = np.triu_indices(n, 1)
@@ -594,8 +591,8 @@ def _routes(topo_cfgs: list[TopologyConfig],
     fixed = [_fixed_links(cfg, pairs) for cfg in topo_cfgs]
     for first in range(0, count, batch):
         scenarios = range(first, min(first + batch, count))
-        states = _pcg64_states([(seed, s, 0) for s in scenarios]
-                               + [(seed, s, 1) for s in scenarios])
+        states = _pcg64_states([[*seed_words, s, j] for j in (0, 1)
+                                for s in scenarios])
         topo_states, pair_states = states[:len(scenarios)], states[len(scenarios):]
         for k, (cfg, links) in enumerate(zip(topo_cfgs, fixed)):
             for c in range(0, len(scenarios), chunk):

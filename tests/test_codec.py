@@ -241,6 +241,21 @@ def test_lotkip_tsc_exhaustion():
     _check_exhaustion("lotkip")
 
 
+def test_probe_at_counter_exhaustion():
+    # a data seal checks its whole MSDU's counters before it takes any, so
+    # only a probe reaches the allocator's own check
+    sender, receiver = sessions("lotkip")
+    sender.next_tsc = TSC_MAX
+    probe = sender.make_probe()
+    assert tsc_of(probe) == TSC_MAX
+    assert receiver.open(probe) is None
+    before = (sender.next_tsc, sender.ttak_cache.calls)
+    assert before[0] == TSC_MAX + 1
+    with pytest.raises(TscExhausted):
+        sender.make_probe()
+    assert (sender.next_tsc, sender.ttak_cache.calls) == before
+
+
 def test_open_pipeline_order_replay_before_decrypt():
     sender, receiver = sessions()
     sender.next_tsc = 9
@@ -1055,7 +1070,7 @@ def _sender_state(sender):
 
 def _receiver_state(receiver):
     return (list(receiver.window.recent), receiver.ttak_cache.hi,
-            receiver.ttak_cache.calls, receiver.cm_state)
+            receiver.ttak_cache.calls, astuple(receiver.cm_state))
 
 
 def _open_loop(receiver, groups):
@@ -1162,6 +1177,40 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
                 "splice_then_bit_flip": MalformedFrame}[fault]
     raised, _ = _assert_open_many_matches_loop(cfg, groups, clock=lambda: 7.0)
     assert raised is expected
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_fragment_too_short_for_a_check_value_moves_no_state(mode):
+    sender, receiver = sessions(mode)
+    groups = sender.seal_many([b"first", b"second", b"third"])
+    assert receiver.open(groups[0]) == b"first"
+    before = _receiver_state(receiver)
+    cut = [replace(groups[1][0], body=groups[1][0].body[:3])]
+    for open_group in (receiver.open, lambda group: receiver.open_many([group])):
+        with pytest.raises(IcvMismatch, match="too short to carry a check value"):
+            open_group(cut)
+        assert _receiver_state(receiver) == before
+    assert receiver.open_many(groups[1:]) == [b"second", b"third"]
+
+
+@pytest.mark.parametrize("mode", ["tkip", "lotkip"])
+def test_empty_group_is_malformed_and_moves_no_state(mode):
+    cfg = config(mode)
+    good = SenderSession(cfg).seal(b"good")
+    receiver = ReceiverSession(cfg)
+    before = _receiver_state(receiver)
+    for open_group in (receiver.open, lambda group: receiver.open_many([group])):
+        with pytest.raises(MalformedFrame, match="no frames supplied"):
+            open_group([])
+        assert _receiver_state(receiver) == before
+    # the group before the empty one commits, then the empty one raises
+    assert _assert_open_many_matches_loop(cfg, [good, []]) == (
+        MalformedFrame, "no frames supplied")
+    with pytest.raises(MalformedFrame, match="no frames supplied"):
+        receiver.open_many([good, []])
+    assert receiver.window.recent == [tsc_of(good[0])]
+    with pytest.raises(ReplayRejected):
+        receiver.open(good)
 
 
 @pytest.mark.parametrize("mode", ["tkip", "lotkip"])

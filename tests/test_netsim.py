@@ -111,6 +111,10 @@ def test_traffic_config_validation():
         TrafficConfig(packet_sizes=(256, 512, 256))
     with pytest.raises(ValueError):
         TrafficConfig(scheme="wep")
+    # `_routes` hashes each scenario index as one uint32 word
+    assert TrafficConfig(scenario_count=2**32).scenario_count == 2**32
+    with pytest.raises(ValueError, match="scenario_count must be at most 2"):
+        TrafficConfig(scenario_count=2**32 + 1)
     assert TrafficConfig().schemes == ("tkip", "lotkip")
     assert TrafficConfig(scheme="lotkip").schemes == ("lotkip",)
 
@@ -619,8 +623,8 @@ def test_routes_stream_each_scenario_once_and_charge_to_per_node(n, count):
 
 def test_hashed_seed_states_match_default_rng():
     # the seeds run_experiment hashes, word-boundary values alone and inside
-    # tuples, the empty tuple, and seeds of more than four 32-bit words, all
-    # in one batch
+    # tuples, the empty tuple, and seeds of more than four 32-bit words; the
+    # rows of each word count are hashed as one array
     edges = [0, 2**32 - 1, 2**32, 2**64 + 1, ()]
     seeds = [(1, s, 0) for s in range(4000)] + [(7, s, 1) for s in range(4000)]
     seeds += [(4, 2, s, 0) for s in range(1000)] + [(s, 0) for s in range(500)]
@@ -629,7 +633,18 @@ def test_hashed_seed_states_match_default_rng():
     seeds += [tuple(range(s, s + k)) for k in range(5, 10) for s in range(50)]
     seeds += [2**128 + s for s in range(50)] + [2**300 - s for s in range(50)]
     assert len(seeds) >= 10_000
-    states = netsim._pcg64_states(seeds)
+    by_width = {}
+    for index, seed in enumerate(seeds):
+        # SeedSequence's entropy: each value's words, value by value
+        words = [w for v in (seed if isinstance(seed, tuple) else (seed,))
+                 for w in netsim._seed_words(v)]
+        by_width.setdefault(len(words), []).append((index, words))
+    assert {0, 1, 2, 3, 4} <= by_width.keys() and max(by_width) == 10
+    states = [None] * len(seeds)
+    for rows in by_width.values():
+        entropy = np.array([words for _, words in rows], dtype=np.uint32)
+        for (index, _), state in zip(rows, netsim._pcg64_states(entropy)):
+            states[index] = state
     assert states == [np.random.default_rng(seed).bit_generator.state
                       for seed in seeds]
     rng = np.random.default_rng(0)
@@ -647,7 +662,7 @@ def test_pair_stream_draws_as_generator_integers():
     sizes = (2, 3, 49, 400, 2**31 + 1, 2**32)
     redraws = dict.fromkeys(sizes, 0)
     rng = np.random.default_rng(0)
-    for state in netsim._pcg64_states(seeds):
+    for state in netsim._pcg64_states(np.array(seeds)):
         stream = state["state"]
         head = list(islice(netsim._pcg64_words(stream["state"], stream["inc"]), 64))
         for n in sizes:
@@ -810,6 +825,8 @@ def test_parse_scenario_config_defaults_and_errors():
         parse_scenario_config("area_w = -5")
     with pytest.raises(ScenarioError, match="seed"):
         parse_scenario_config("seed = -1")
+    with pytest.raises(ScenarioError, match="scenario_count must be at most"):
+        parse_scenario_config(f"scenarios = {2**32 + 1}")
     with pytest.raises(ScenarioError, match="nodes is already set"):
         parse_scenario_config("nodes = 16\nnodes = 49")
     for p_list in ("256,,512", "256,512,", ""):
