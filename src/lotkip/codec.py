@@ -19,14 +19,14 @@ block's earlier groups would leave if they committed; each frame that
 passes takes its epoch's phase 1 key, derived at most once a block.  It
 then decrypts the group and checks each fragment's CRC, so the epoch a
 frame resolved to is confirmed before the next group is checked against
-it, fails a data MSDU too short for a tag as malformed, and builds the
-window the group would leave.  The pass records
-its first failure instead of raising it, and Michael derives the tags of
-the data groups before it.  The commit pass then walks those groups in
-order, reading the clock and checking for blackout before each.  It
-verifies the probe payload or the Michael tag, and only then installs the
-group's window and takes its epoch into the phase 1 cache; at the failed
-group it raises the recorded failure.  So unauthenticated input never
+it, fails an MSDU too short for a tag as malformed, and builds the window
+the group would leave.  The pass records its first failure instead of
+raising it, and Michael derives the tags of the groups before it, probes
+included.  The commit pass then walks those groups in order, reading the
+clock and checking for blackout before each.  It verifies the Michael tag,
+then a probe's payload, and only then installs the group's window and
+takes its epoch into the phase 1 cache; at the failed group it raises
+the recorded failure.  So unauthenticated input never
 moves receiver state or feeds the MIC-failure countermeasures, and a
 block's results, state and first exception are those of a loop of
 `seal`/`open`.  The clock is `time.monotonic` unless the receiver is given
@@ -79,7 +79,7 @@ from __future__ import annotations
 import enum
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -180,12 +180,10 @@ class SessionKeys:
     key_id: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.tk) != 16:
-            raise ValueError("tk must be 16 bytes")
-        if len(self.mic_key_tx) != 8 or len(self.mic_key_rx) != 8:
-            raise ValueError("integrity keys must be 8 bytes")
-        if len(self.ta) != 6:
-            raise ValueError("ta must be 6 bytes")
+        for name, size in (("tk", 16), ("mic_key_tx", 8), ("mic_key_rx", 8), ("ta", 6)):
+            got = len(getattr(self, name))
+            if got != size:
+                raise ValueError(f"{name} must be {size} bytes, got {got}")
         if not 0 <= self.key_id <= 3:
             raise ValueError("key_id must be in 0..3")
 
@@ -212,6 +210,8 @@ _PROBE = FrameLayout.PROBE
 # counter field.
 _LAYOUT_FLAGS = {_BASELINE: 0x20, _TYPE_A: 0x30, _PROBE: 0x38, _TYPE_B: 0x00}
 _FLAGS_LAYOUT = {flags: layout for layout, flags in _LAYOUT_FLAGS.items()}
+# a probe's tag covers its flags byte, so no probe or data MSDU opens as the other
+_PROBE_MIC = bytes((_LAYOUT_FLAGS[_PROBE],))
 
 
 @dataclass
@@ -524,15 +524,15 @@ def msdu_groups(frames: Iterable[MpduFrame]) -> list[list[MpduFrame]]:
     return groups
 
 
-def _parse_hex(value: str, expect_len: int, key: str) -> bytes:
-    cleaned = value.replace(":", "").replace("-", "").strip()
+def _parse_hex(value: str) -> bytes:
+    """Hex bytes, optionally split by ':' or '-'; not empty, so `sa =` cannot
+    pass for `sa`'s default.  The dataclasses check the lengths."""
     try:
-        raw = bytes.fromhex(cleaned)
-    except ValueError as exc:
-        raise CodecError(f"config field {key!r}: invalid hex {value!r}") from exc
-    if len(raw) != expect_len:
-        raise CodecError(f"config field {key!r}: expected {expect_len} bytes, "
-                         f"got {len(raw)}")
+        raw = bytes.fromhex(value.replace(":", "").replace("-", ""))
+    except ValueError:
+        raw = b""
+    if not raw:
+        raise ValueError(f"invalid hex {value!r}")
     return raw
 
 
@@ -569,9 +569,9 @@ class SessionConfig:
             raise CodecError(f"priority must be in 0..255, got {self.priority}")
         if not self.sa:
             object.__setattr__(self, "sa", self.keys.ta)
-        if len(self.sa) != 6 or len(self.da) != 6:
-            raise CodecError(f"sa and da must be 6 bytes each, got {len(self.sa)} "
-                             f"and {len(self.da)}")
+        for name, value in (("sa", self.sa), ("da", self.da)):
+            if len(value) != 6:
+                raise CodecError(f"{name} must be 6 bytes, got {len(value)}")
 
 
 def _mic_midstate(config: SessionConfig, key: bytes) -> tuple[int, int]:
@@ -580,11 +580,12 @@ def _mic_midstate(config: SessionConfig, key: bytes) -> tuple[int, int]:
     return michael_midstate(key, michael_header(config.sa, config.da, config.priority))
 
 
-def parse_key_values(text: str, known: Iterable[str],
-                     error: type[Exception]) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment.  A line without '=', a
-    key given twice or a key outside ``known`` raises ``error``."""
-    fields: dict[str, str] = {}
+def parse_key_values(text: str, fields: dict[str, tuple[str, Callable[[str], object]]],
+                     error: type[Exception]) -> dict[str, object]:
+    """Parse key=value lines ('#' starts a comment) into values by field name;
+    ``fields`` maps a key to (field name, converter).  A line without '=', a
+    repeated or unknown key, or a converter's ValueError raises ``error``."""
+    texts: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -593,43 +594,47 @@ def parse_key_values(text: str, known: Iterable[str],
             raise error(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in fields:
+        if key in texts:
             raise error(f"config line {lineno}: {key} is already set")
-        fields[key] = value.strip()
-    unknown = set(fields) - set(known)
+        texts[key] = value.strip()
+    unknown = texts.keys() - fields.keys()
     if unknown:
         raise error(f"unknown config fields: {', '.join(sorted(unknown))}")
-    return fields
+    values = {}
+    for key, value in texts.items():
+        name, convert = fields[key]
+        try:
+            values[name] = convert(value)
+        except ValueError as exc:
+            raise error(f"config field {key!r}: {exc}") from exc
+    return values
 
 
-_SESSION_FIELDS = ("tk", "mic_key_tx", "mic_key_rx", "ta", "key_id", "mode",
-                   "K", "frag_threshold", "sa", "da", "priority")
+_SESSION_FIELDS = {
+    "tk": ("tk", _parse_hex),
+    "mic_key_tx": ("mic_key_tx", _parse_hex),
+    "mic_key_rx": ("mic_key_rx", _parse_hex),
+    "ta": ("ta", _parse_hex),
+    "key_id": ("key_id", int),
+    "mode": ("mode", str),
+    "K": ("refresh_interval", int),
+    "frag_threshold": ("frag_threshold", int),
+    "sa": ("sa", _parse_hex),
+    "da": ("da", _parse_hex),
+    "priority": ("priority", int),
+}
 
 
 def parse_session_config(text: str) -> SessionConfig:
-    """Parse a session config of key=value lines; '#' starts a comment."""
-    fields = parse_key_values(text, _SESSION_FIELDS, CodecError)
-    missing = [k for k in ("tk", "mic_key_tx", "mic_key_rx", "ta") if k not in fields]
+    """Parse a session config of key=value lines; '#' starts a comment.  A
+    field left out takes its dataclass default, if it has one."""
+    values = parse_key_values(text, _SESSION_FIELDS, CodecError)
+    missing = [k for k in ("tk", "mic_key_tx", "mic_key_rx", "ta") if k not in values]
     if missing:
         raise CodecError(f"config missing required fields: {', '.join(missing)}")
-
+    keys = {f.name: values.pop(f.name) for f in fields(SessionKeys) if f.name in values}
     try:
-        keys = SessionKeys(
-            tk=_parse_hex(fields["tk"], 16, "tk"),
-            mic_key_tx=_parse_hex(fields["mic_key_tx"], 8, "mic_key_tx"),
-            mic_key_rx=_parse_hex(fields["mic_key_rx"], 8, "mic_key_rx"),
-            ta=_parse_hex(fields["ta"], 6, "ta"),
-            key_id=int(fields.get("key_id", "0")),
-        )
-        return SessionConfig(
-            keys=keys,
-            mode=fields.get("mode", "tkip"),
-            refresh_interval=int(fields.get("K", "256")),
-            frag_threshold=int(fields.get("frag_threshold", str(FRAG_THRESHOLD_MAX))),
-            sa=_parse_hex(fields["sa"], 6, "sa") if "sa" in fields else b"",
-            da=_parse_hex(fields["da"], 6, "da") if "da" in fields else b"\xff" * 6,
-            priority=int(fields.get("priority", "0")),
-        )
+        return SessionConfig(SessionKeys(**keys), **values)
     except ValueError as exc:
         raise CodecError(f"invalid session config: {exc}") from exc
 
@@ -759,25 +764,26 @@ class SenderSession:
             self.probe_mode = _STREAMING
 
     def make_probe(self) -> MpduFrame:
-        """A 16-byte keep-alive: full-counter header plus an encrypted
-        fixed zero payload with its check value."""
+        """A 24-byte keep-alive: full-counter header plus the encrypted fixed
+        zero payload, its Michael tag (`_PROBE_MIC`) and check value."""
         keys = self.config.keys
         tsc = self._alloc()
         ttak = self.ttak_cache.get(keys, tsc >> 16)
-        (body,) = _rc4_many([ttak], keys.tk, [tsc & 0xFFFF],
-                            [PROBE_PAYLOAD + crc32_icv(PROBE_PAYLOAD)])
+        counter = tsc.to_bytes(6, "little") + _PROBE_MIC
+        plain = PROBE_PAYLOAD + michael_mic(self._mic_state, counter, PROBE_PAYLOAD)
+        (body,) = _rc4_many([ttak], keys.tk, [tsc & 0xFFFF], [plain + crc32_icv(plain)])
         return MpduFrame(_PROBE, keys.key_id, tsc & 0xFFFF, tsc >> 16, body)
 
 
 class ReceiverSession:
     """Owns the replay window, the countermeasure state, and the phase 1
     cache, whose upper counter value is the epoch type B frames resolve to.
-    Only a group that passes every check, the Michael verify or the probe
-    payload last, moves the epoch or installs the window its block's pass
-    built for it.  In TKIP mode a counter must exceed the window's highest;
-    the window's own `WINDOW` verdict, an unseen counter below it, counts
-    as a replay.  Michael failures and blackouts are timed by `clock`,
-    `time.monotonic` unless tests or simulations inject another."""
+    Only a group that passes every check, the Michael verify and then a
+    probe's payload last, moves the epoch or installs the window its
+    block's pass built for it.  In TKIP mode a counter must exceed the
+    window's highest; the window's own `WINDOW` verdict, an unseen counter
+    below it, counts as a replay.  Michael failures and blackouts are timed
+    by `clock`, `time.monotonic` unless tests or simulations inject another."""
 
     def __init__(self, config: SessionConfig, clock: Clock = time.monotonic) -> None:
         self.config = config
@@ -863,12 +869,11 @@ class ReceiverSession:
                                    [frame.tsc_low for frame in frames],
                                    [frame.body for frame in frames])
                 stream = b"".join(map(_strip_icv, plains))
-                if not probe:
-                    if len(stream) < MIC_BYTES:
-                        raise MalformedFrame("MSDU too short to carry a Michael tag")
-                    mic_counters.append(counters[0].to_bytes(6, "little")
-                                        if lotkip else b"")
-                    msdus.append(stream[:-MIC_BYTES])
+                if len(stream) < MIC_BYTES:
+                    raise MalformedFrame("MSDU too short to carry a Michael tag")
+                counter = counters[0].to_bytes(6, "little") if lotkip else b""
+                mic_counters.append(counter + _PROBE_MIC if probe else counter)
+                msdus.append(stream[:-MIC_BYTES])
                 window = ReplayWindow(window.recent[:])
                 for tsc in counters:
                     window.admit(tsc)
@@ -880,15 +885,12 @@ class ReceiverSession:
         opened = []
         for stream, probe, window, hi in plans:
             now = self._now()
-            if probe:
-                if stream != PROBE_PAYLOAD:
-                    raise MalformedFrame("probe payload mismatch")
-                opened.append(None)
-            elif stream[-MIC_BYTES:] == next(tags):
-                opened.append(stream[:-MIC_BYTES])
-            else:
+            if stream[-MIC_BYTES:] != next(tags):
                 self.cm_state.record_failure(now)
                 raise MicFailure("Michael tag mismatch")
+            if probe and stream[:-MIC_BYTES] != PROBE_PAYLOAD:
+                raise MalformedFrame("probe payload mismatch")
+            opened.append(None if probe else stream[:-MIC_BYTES])
             self.window = window
             cache.take(hi, ttaks[hi])
         if error is not None:

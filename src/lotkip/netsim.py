@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -672,48 +672,45 @@ _ACK_VALUES = {"on": True, "true": True, "1": True,
               "off": False, "false": False, "0": False}
 
 
+def _ack(text: str) -> bool:
+    if text not in _ACK_VALUES:
+        raise ValueError(f"ack must be one of {', '.join(_ACK_VALUES)}")
+    return _ACK_VALUES[text]
+
+
+def _packet_sizes(text: str) -> tuple[int, ...]:
+    items = [v.strip() for v in text.split(",")]
+    if "" in items:
+        raise ValueError("P_list has an empty item")
+    return tuple(map(int, items))
+
+
+_SCENARIO_FIELDS = {
+    "nodes": ("node_count", int),
+    "area_w": ("area_w", float),
+    "area_h": ("area_h", float),
+    "placement": ("placement", lambda v: ("grid", "random") if v == "both" else (v,)),
+    "R": ("radio_range", float),
+    "alpha": ("alpha", float),
+    "seed": ("seed", int),
+    "P_list": ("packet_sizes", _packet_sizes),
+    "packets": ("packets_per_scenario", int),
+    "scenarios": ("scenario_count", int),
+    "scheme": ("scheme", str),
+    "K": ("refresh_interval", int),
+    "ack": ("ack_enabled", _ack),
+}
+
+
 def parse_scenario_config(text: str) -> tuple[list[TopologyConfig], TrafficConfig]:
-    """Parse key=value lines into one topology config per requested placement
-    plus the traffic config; '#' starts a comment."""
-    fields = parse_key_values(
-        text, ("nodes", "area_w", "area_h", "placement", "R", "alpha", "P_list",
-               "packets", "scenarios", "scheme", "K", "ack", "seed"),
-        ScenarioError)
-    placement = fields.get("placement", "grid")
-    placements = ("grid", "random") if placement == "both" else (placement,)
-    ack = fields.get("ack", "off")
-    if ack not in _ACK_VALUES:
-        raise ScenarioError(
-            f"invalid scenario config: ack must be one of {', '.join(_ACK_VALUES)}")
+    """Parse key=value lines ('#' starts a comment) into one topology config
+    per requested placement plus the traffic config."""
+    values = parse_key_values(text, _SCENARIO_FIELDS, ScenarioError)
+    placements = values.pop("placement", (TopologyConfig.placement,))
+    topology = {f.name: values.pop(f.name) for f in fields(TopologyConfig)
+                if f.name in values}
     try:
-        seed = int(fields.get("seed", "1"))
-        topo_cfgs = [
-            TopologyConfig(
-                node_count=int(fields.get("nodes", "49")),
-                area_w=float(fields.get("area_w", "500")),
-                area_h=float(fields.get("area_h", "500")),
-                placement=pl,
-                radio_range=float(fields.get("R", "120")),
-                alpha=float(fields.get("alpha", "0.75")),
-                seed=seed,
-            )
-            for pl in placements
-        ]
-        if "P_list" in fields:
-            items = [v.strip() for v in fields["P_list"].split(",")]
-            if "" in items:
-                raise ValueError("P_list has an empty item")
-            sizes = tuple(map(int, items))
-        else:
-            sizes = DEFAULT_PACKET_SIZES
-        traffic = TrafficConfig(
-            packet_sizes=sizes,
-            packets_per_scenario=int(fields.get("packets", "10000")),
-            scenario_count=int(fields.get("scenarios", "100")),
-            scheme=fields.get("scheme", "both"),
-            refresh_interval=int(fields.get("K", "256")),
-            ack_enabled=_ACK_VALUES[ack],
-        )
+        topo_cfgs = [TopologyConfig(**topology, placement=p) for p in placements]
+        return topo_cfgs, TrafficConfig(**values)
     except ValueError as exc:
         raise ScenarioError(f"invalid scenario config: {exc}") from exc
-    return topo_cfgs, traffic

@@ -330,6 +330,18 @@ def test_energy_command(capsys):
     assert "tx_uJ=563.4800" in out
 
 
+def test_cli_module_runs_main_and_exits_with_its_status():
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "lotkip.cli", *args],
+                              env=_fresh_env(), capture_output=True, text=True)
+
+    ok = run("energy", "--m", "16")
+    assert (ok.returncode, ok.stdout) == (0, "cycles=87538\ncompute_uJ=1733.2524\n")
+    failed = run("energy", "--m", "0")
+    assert failed.returncode == 1
+    assert failed.stderr.splitlines()[-1] == "ValueError: m must be at least 1"
+
+
 @pytest.mark.parametrize("flags, err", [
     (["--m", "0"],
      ["lotkip energy: m=0 case=1 first_packet=True frame_bytes=None",
@@ -488,7 +500,7 @@ def test_sim_csv_rows_follow_role_model(tmp_path, text):
 
 
 # SHA-256 of the sealed corpus below: sealed container bytes are a contract.
-SEALED_CORPUS_SHA256 = "18668932110b00cc594a1a01584c4dabc589c9b1712545c634ff88c46257f1b5"
+SEALED_CORPUS_SHA256 = "b14343e7e35dcd66eeece6a0944be1326c0079c6adbb58b3b2567ba42431dac8"
 
 
 def _library_corpus(mode: str) -> bytes:

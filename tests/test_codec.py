@@ -5,7 +5,7 @@ machinery, overhead accounting, and the container/config formats."""
 import random
 import re
 import time
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import pytest
@@ -768,7 +768,7 @@ def test_probing_blocks_data_and_resume_is_type_a():
     with pytest.raises(ProbingActive):
         sender.seal(b"blocked")
     probe = sender.make_probe()
-    assert len(probe.raw()) == 16
+    assert len(probe.raw()) == 24
     assert receiver.open(probe) is None
     sender.probe_cycle(ProbeEvent.ACK_RECEIVED)
     frames = sender.seal(b"resumed")
@@ -782,6 +782,101 @@ def test_probe_replay_rejected():
     assert receiver.open(probe) is None
     with pytest.raises(ReplayRejected):
         receiver.open(probe)
+
+
+def _openers(receiver):
+    """`open` of one group, and `open_many` of a block of that group alone."""
+    return receiver.open, lambda group: receiver.open_many([group])
+
+
+def _as_probe(frame, tsc):
+    """`frame`'s body under a probe header at counter `tsc`."""
+    return MpduFrame(FrameLayout.PROBE, frame.key_id, tsc & 0xFFFF, tsc >> 16,
+                     frame.body)
+
+
+@pytest.mark.parametrize("opener", [0, 1], ids=["open", "open_many"])
+def test_probe_forged_from_known_plaintext_fails_michael(opener):
+    # MSDUs that start with 16 known bytes (LLC/SNAP, then an IPv4 header's
+    # first 8 bytes): XORed with the withheld MSDU 1's body, they give 16
+    # keystream bytes at its counter, room for a probe body with a guessed
+    # tag and a valid check value.  Michael rejects it: the failure is
+    # charged to the countermeasures, and the window stays where it was.
+    known = bytes.fromhex("aaaa030000000800" "4500005c1c464000")
+    sender, receiver = sessions("lotkip", clock=lambda: 5.0)
+    msdus = [known + bytes([i]) * 40 for i in range(4)]
+    groups = sender.seal_many(msdus)
+    for i in (0, 2, 3):
+        assert receiver.open(groups[i]) == msdus[i]
+    window = list(receiver.window.recent)
+    withheld = groups[1][0]
+    keystream = bytes(a ^ b for a, b in zip(withheld.body, known))
+    tsc = withheld.tsc_low                          # the session's first epoch
+    open_group = _openers(receiver)[opener]
+    # a probe body of payload and check value alone is too short for a tag
+    old = PROBE_PAYLOAD + ref_crc32_bytes(PROBE_PAYLOAD)
+    untagged = bytes(a ^ b for a, b in zip(old, keystream))
+    with pytest.raises(MalformedFrame, match="too short to carry a Michael tag"):
+        open_group([_as_probe(replace(withheld, body=untagged), tsc)])
+    assert receiver.cm_state.last_failure is None
+    plain = PROBE_PAYLOAD + bytes(8)
+    body = bytes(a ^ b for a, b in zip(plain + ref_crc32_bytes(plain), keystream))
+    with pytest.raises(MicFailure):
+        open_group([_as_probe(replace(withheld, body=body), tsc)])
+    assert receiver.window.recent == window
+    assert receiver.cm_state.last_failure == 5.0
+    assert receiver.open(groups[1]) == msdus[1]
+
+
+@pytest.mark.parametrize("opener", [0, 1], ids=["open", "open_many"])
+def test_relabelled_bodies_fail_as_data_frames_would(opener):
+    # a data body under a probe header, or a probe's under a data header,
+    # fails Michael when its check value holds and the ICV when it does not;
+    # only the Michael failure is charged to the countermeasures
+    cfg = config("lotkip")
+    sender = SenderSession(cfg)
+    one, two = sender.seal_many([b"x" * 100, b"y" * 300])
+    probe = sender.make_probe()
+    first = two[0]
+    flipped = replace(first, body=first.body[:-1] + bytes([first.body[-1] ^ 1]))
+    cases = [
+        ([_as_probe(one[0], 0)], MicFailure),
+        ([_as_probe(first, 1)], MicFailure),
+        ([_as_probe(flipped, 1)], IcvMismatch),
+        ([replace(probe, layout=FrameLayout.LOTKIP_TYPE_A)], MicFailure),
+    ]
+    for group, error in cases:
+        receiver = ReceiverSession(cfg, lambda: 5.0)
+        with pytest.raises(error):
+            _openers(receiver)[opener](group)
+        assert receiver.window.recent == []
+        assert receiver.cm_state.last_failure == (5.0 if error is MicFailure else None)
+    receiver = ReceiverSession(cfg)
+    assert receiver.open_many([one, two, [probe]]) == [b"x" * 100, b"y" * 300, None]
+
+
+def test_probe_tagged_over_another_payload_is_malformed(monkeypatch):
+    # its Michael tag verifies, so only the payload check stops it
+    import lotkip.codec as codec
+
+    sender, receiver = sessions("lotkip")
+    monkeypatch.setattr(codec, "PROBE_PAYLOAD", b"\x01\x00\x00\x00")
+    probe = sender.make_probe()
+    monkeypatch.undo()
+    for open_group in _openers(receiver):
+        with pytest.raises(MalformedFrame, match="probe payload mismatch"):
+            open_group([probe])
+        assert _receiver_state(receiver) == ([], None, 0, (None, None, False))
+
+
+def test_fragmented_probe_is_malformed():
+    sender, receiver = sessions("lotkip")
+    probes = [sender.make_probe(), sender.make_probe()]
+    probes[0].more_fragments, probes[1].fragment = True, 1
+    for open_group in _openers(receiver):
+        with pytest.raises(MalformedFrame, match="probe frames are not fragmented"):
+            open_group(probes)
+        assert _receiver_state(receiver) == ([], None, 0, (None, None, False))
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1084,63 @@ def test_parse_session_config_errors():
                          ta=bytes(6)))
 
 
+# Each session file key: a valid non-default text, the field it sets and
+# that field's value, then a bad text and the start of its error message.
+SESSION_KEY_CASES = {
+    "tk": ("0f" * 16, "tk", bytes([15]) * 16, "zz", "config field 'tk': "),
+    "mic_key_tx": ("11:22:33:44:55:66:77:88", "mic_key_tx",
+                   bytes.fromhex("1122334455667788"), "11:2", "config field 'mic_key_tx': "),
+    "mic_key_rx": ("88-77-66-55-44-33-22-11", "mic_key_rx",
+                   bytes.fromhex("8877665544332211"), "-", "config field 'mic_key_rx': "),
+    "ta": ("0a0b0c0d0e0f", "ta", bytes.fromhex("0a0b0c0d0e0f"), "0a0b0c0d0e",
+           "invalid session config: ta must be 6 bytes, got 5"),
+    "key_id": ("3", "key_id", 3, "x", "config field 'key_id': "),
+    "mode": ("lotkip", "mode", "lotkip", "wep", "mode must be 'tkip' or 'lotkip'"),
+    "K": ("16", "refresh_interval", 16, "1.5", "config field 'K': "),
+    "frag_threshold": ("512", "frag_threshold", 512, "big", "config field 'frag_threshold': "),
+    "sa": ("01:02:03:04:05:06", "sa", bytes(range(1, 7)), "", "config field 'sa': "),
+    "da": ("06:05:04:03:02:01", "da", bytes(range(6, 0, -1)), "", "config field 'da': "),
+    "priority": ("7", "priority", 7, "high", "config field 'priority': "),
+}
+ZERO_KEYS = {"tk": bytes(16), "mic_key_tx": bytes(8), "mic_key_rx": bytes(8), "ta": bytes(6)}
+
+
+def _session_text(key, text):
+    """A session file of zero keys with `key` set to `text`."""
+    lines = {name: value.hex() for name, value in ZERO_KEYS.items()}
+    lines[key] = text
+    return "".join(f"{k} = {v}\n" for k, v in lines.items())
+
+
+@pytest.mark.parametrize("key", SESSION_KEY_CASES)
+def test_session_file_key_sets_its_field_only(key):
+    import lotkip.codec as codec
+
+    assert set(SESSION_KEY_CASES) == set(codec._SESSION_FIELDS)
+    text, name, value, bad, error = SESSION_KEY_CASES[key]
+    default = SessionConfig(SessionKeys(**ZERO_KEYS))
+    keys, rest = dict(ZERO_KEYS), {}
+    key_fields = {f.name for f in fields(SessionKeys)}
+    (keys if name in key_fields else rest)[name] = value
+    parsed = parse_session_config(_session_text(key, text))
+    assert parsed == SessionConfig(SessionKeys(**keys), **rest) != default
+    with pytest.raises(CodecError, match=re.escape(error)):
+        parse_session_config(_session_text(key, bad))
+
+
+@pytest.mark.parametrize("key, size, prefix", [
+    ("tk", 16, "invalid session config: "), ("mic_key_tx", 8, "invalid session config: "),
+    ("mic_key_rx", 8, "invalid session config: "), ("ta", 6, "invalid session config: "),
+    ("sa", 6, ""), ("da", 6, "")])
+def test_session_file_key_lengths_name_the_field(key, size, prefix):
+    # SessionKeys raises ValueError, which the parser wraps; SessionConfig
+    # raises CodecError itself
+    for got in (size - 1, size + 1):
+        with pytest.raises(CodecError,
+                           match=f"^{prefix}{key} must be {size} bytes, got {got}$"):
+            parse_session_config(_session_text(key, "ab" * got))
+
+
 def test_sessions_round_trip_both_modes(rng):
     for mode in ("tkip", "lotkip"):
         keys = symmetric_keys(rng)
@@ -1051,8 +1203,11 @@ def test_sealed_frames_match_reference(rng, mode):
                 probe = sender.make_probe()
                 assert probe.layout is FrameLayout.PROBE
                 assert (probe.tsc_low, probe.tsc_hi) == (tsc & 0xFFFF, tsc >> 16)
+                # the tag covers the probe's flags byte after the counter
+                mic = ref_michael_mic(keys.mic_key_tx, cfg.sa, cfg.da, cfg.priority,
+                                      tsc, b"\x38" + PROBE_PAYLOAD)
                 assert (probe.raw()[:3], probe.body) == \
-                    _ref_frame_parts(keys, tsc, PROBE_PAYLOAD)
+                    _ref_frame_parts(keys, tsc, PROBE_PAYLOAD + mic)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1278,7 @@ def test_seal_many_open_many_equal_loops(rng, mode, frag_threshold, k):
     (mode, fault) for mode in ("tkip", "lotkip")
     for fault in ("bit_flip", "wrong_mic_key", "replay", "splice", "forged",
                   "bit_flip_then_splice", "splice_then_bit_flip")
-] + [("lotkip", "type_b_first")])
+] + [("lotkip", "type_b_first"), ("lotkip", "relabelled_probe")])
 def test_open_many_failure_matches_loop(rng, mode, fault):
     """A block with a fault in group `mid` fails as a loop of `open` does.
     With a check value fault and a header fault in neighbouring groups, the
@@ -1168,13 +1323,18 @@ def test_open_many_failure_matches_loop(rng, mode, fault):
     elif fault == "type_b_first":
         groups = groups[1:]
         assert groups[0][0].layout is FrameLayout.LOTKIP_TYPE_B
+    elif fault == "relabelled_probe":
+        # a first fragment's body under a probe header: its check value
+        # holds, so Michael is what rejects it
+        groups[mid] = [_as_probe(groups[mid][0], start + 2 * mid)]
     else:
         splice(mid)
     expected = {"bit_flip": IcvMismatch, "wrong_mic_key": MicFailure,
                 "replay": ReplayRejected, "type_b_first": NoEpochState,
                 "splice": MalformedFrame, "forged": IcvMismatch,
                 "bit_flip_then_splice": IcvMismatch,
-                "splice_then_bit_flip": MalformedFrame}[fault]
+                "splice_then_bit_flip": MalformedFrame,
+                "relabelled_probe": MicFailure}[fault]
     raised, _ = _assert_open_many_matches_loop(cfg, groups, clock=lambda: 7.0)
     assert raised is expected
 

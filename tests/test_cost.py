@@ -74,6 +74,12 @@ def test_crc_cycles():
     assert crc_cycles(10) == OpCounts(t_and=42, t_or=21, t_shift=10, t_mem=10)
 
 
+@pytest.mark.parametrize("count", [mic_cycles, crc_cycles, rc4_cycles])
+def test_cycle_counts_reject_negative_lengths(count):
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        count(-1)
+
+
 def test_phase_cycle_constants():
     assert phase1_cycles() == OpCounts(t_and=46580, t_or=23290, t_mem=80)
     assert phase1_cycles().total() == 69950
@@ -172,6 +178,8 @@ def test_radio_energy():
     assert tx_energy(276) == pytest.approx(563.48)
     with pytest.raises(ValueError):
         tx_energy(-1)
+    with pytest.raises(ValueError, match="size must be non-negative"):
+        rx_energy(-1)
 
 
 def test_csv_output():

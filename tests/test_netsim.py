@@ -2,6 +2,7 @@
 energy composition, and experiment determinism/aggregation."""
 
 import math
+import re
 from collections import deque
 from dataclasses import replace
 from itertools import islice
@@ -115,6 +116,11 @@ def test_traffic_config_validation():
     assert TrafficConfig(scenario_count=2**32).scenario_count == 2**32
     with pytest.raises(ValueError, match="scenario_count must be at most 2"):
         TrafficConfig(scenario_count=2**32 + 1)
+    for counts in (dict(packets_per_scenario=0), dict(scenario_count=0)):
+        with pytest.raises(ValueError, match="counts must be positive"):
+            TrafficConfig(**counts)
+    with pytest.raises(ValueError, match="refresh_interval must be positive"):
+        TrafficConfig(refresh_interval=0)
     assert TrafficConfig().schemes == ("tkip", "lotkip")
     assert TrafficConfig(scheme="lotkip").schemes == ("lotkip",)
 
@@ -803,6 +809,45 @@ def test_parse_scenario_config():
     assert traffic.refresh_interval == 32
     assert traffic.ack_enabled is True
     assert topo_cfgs[0].seed == 77
+
+
+# Each scenario file key: a valid non-default text, the field it sets and
+# that field's value, then a bad text and the start of its error message.
+SCENARIO_KEY_CASES = {
+    "nodes": ("25", "node_count", 25, "many", "config field 'nodes': "),
+    "area_w": ("300", "area_w", 300.0, "wide", "config field 'area_w': "),
+    "area_h": ("200.5", "area_h", 200.5, "", "config field 'area_h': "),
+    "placement": ("random", "placement", "random", "mesh",
+                  "invalid scenario config: unknown placement 'mesh'"),
+    "R": ("90", "radio_range", 90.0, "far", "config field 'R': "),
+    "alpha": ("0.5", "alpha", 0.5, "half", "config field 'alpha': "),
+    "seed": ("77", "seed", 77, "7.5", "config field 'seed': "),
+    "P_list": ("256, 512", "packet_sizes", (256, 512), "256,,512",
+               "config field 'P_list': P_list has an empty item"),
+    "packets": ("500", "packets_per_scenario", 500, "1e3", "config field 'packets': "),
+    "scenarios": ("7", "scenario_count", 7, "x", "config field 'scenarios': "),
+    "scheme": ("lotkip", "scheme", "lotkip", "wep",
+               "invalid scenario config: unknown scheme 'wep'"),
+    "K": ("32", "refresh_interval", 32, "", "config field 'K': "),
+    "ack": ("on", "ack_enabled", True, "yes", "config field 'ack': ack must be one of"),
+}
+
+
+@pytest.mark.parametrize("key", SCENARIO_KEY_CASES)
+def test_scenario_file_key_sets_its_field_only(key):
+    import lotkip.netsim as netsim
+
+    assert set(SCENARIO_KEY_CASES) == set(netsim._SCENARIO_FIELDS)
+    text, name, value, bad, error = SCENARIO_KEY_CASES[key]
+    topology, traffic = TopologyConfig(), TrafficConfig()
+    if hasattr(topology, name):
+        topology = replace(topology, **{name: value})
+    else:
+        traffic = replace(traffic, **{name: value})
+    parsed = parse_scenario_config(f"{key} = {text}")
+    assert parsed == ([topology], traffic) != ([TopologyConfig()], TrafficConfig())
+    with pytest.raises(ScenarioError, match=re.escape(error)):
+        parse_scenario_config(f"{key} = {bad}")
 
 
 def test_parse_scenario_config_defaults_and_errors():

@@ -5,6 +5,8 @@ key limits, random equivalence against the reference generator, and how
 These tests run on whichever backend binds; `test_python_rc4.py` runs
 them again on the pure path."""
 
+import sys
+
 import pytest
 
 from lotkip.crypto import libcrypto, rc4, rc4_apply, rc4_ksa
@@ -116,3 +118,21 @@ def test_binds_libcrypto_where_it_exports_rc4():
     else:
         pytest.skip("no libcrypto with RC4 loads here")
     assert libcrypto.libcrypto_rc4() is not None
+
+
+def test_binding_returns_none_without_ctypes(monkeypatch):
+    # an interpreter built without ctypes runs the pure path
+    monkeypatch.setitem(sys.modules, "ctypes", None)
+    assert libcrypto.libcrypto_rc4() is None
+
+
+def test_bound_cipher_takes_any_buffer(rng):
+    # c_char_p passes only bytes, so the cipher copies any other buffer
+    apply = libcrypto.libcrypto_rc4()
+    if apply is None:
+        pytest.skip("no libcrypto with RC4 loads here")
+    key, data = rng.randbytes(16), rng.randbytes(300)
+    expected = apply(key, data)
+    assert expected == ref_rc4(key, data)
+    for wrap in (bytearray, memoryview):
+        assert apply(wrap(key), wrap(data)) == expected
